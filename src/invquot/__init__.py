@@ -19,6 +19,7 @@ from .errors import (
     NotAtomicSumError,
     NotSquareError,
     PolynomialSyntaxError,
+    SearchInvariantError,
     SearchTimeoutError,
     SingularMatrixError,
     UnsupportedGeometryError,
@@ -91,6 +92,7 @@ __all__ = [
     "PolynomialSyntaxError",
     "PRESETS",
     "SearchResult",
+    "SearchInvariantError",
     "SearchTimeoutError",
     "SingularMatrixError",
     "SnfDecomposition",

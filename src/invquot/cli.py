@@ -71,7 +71,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window-max-a", type=int, default=None,
                    help="cap the candidate window at this total degree")
     p.add_argument("--timeout-secs", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True,
                    help="canonicalize the witness (lexicographically smallest optimum)")
     p.add_argument("--lower-bound", type=int, default=0,
@@ -402,7 +401,6 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
             vertices=verts,
             lower_bound_hint=args.lower_bound,
             deterministic=args.deterministic,
-            threads=args.threads,
             timeout_secs=args.timeout_secs,
         )
     except SearchTimeoutError as exc:
@@ -560,7 +558,6 @@ def main(argv=None) -> int:
                 "seed": args.seed,
                 "window_max_a": args.window_max_a,
                 "timeout_secs": args.timeout_secs,
-                "threads": args.threads,
                 "deterministic": args.deterministic,
                 "lower_bound": args.lower_bound,
             }

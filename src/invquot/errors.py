@@ -41,6 +41,10 @@ class FixedLocusNotImplementedError(UnsupportedGeometryError):
     """A twisted sector has a fixed locus of positive dimension, which is not handled."""
 
 
+class SearchInvariantError(InvquotError):
+    """An internal invariant of the exhaustive search failed; the result cannot be trusted."""
+
+
 class SearchTimeoutError(InvquotError):
     """The exhaustive search exceeded its time budget; carries the best bound found so far."""
 

@@ -11,10 +11,11 @@ cycle with the base can never join it.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
-from .errors import SearchTimeoutError, UnsupportedGeometryError
+from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometryError
 from .homs import (
     BiDegree,
     _require_threefold,
@@ -201,7 +202,12 @@ class _TimeUp(Exception):
 
 
 class _Solver:
-    """Branch and bound over one vertex list, bitmask state throughout."""
+    """Branch and bound over one vertex list, bitmask state throughout.
+
+    Acyclicity of the chosen set is kept by descendant masks: reach[u] holds
+    the chosen vertices reachable from the chosen vertex u inside the chosen
+    induced subgraph (0 for vertices not chosen).
+    """
 
     def __init__(self, sq: SymmetryQuotient, verts: list[BiDegree], deadline):
         self.sq = sq
@@ -221,11 +227,12 @@ class _Solver:
             self.out_mask[i] & self.in_mask[i] for i in range(n)
         ]
         # layer bookkeeping for the pair bound
-        self.layer_of = [v.a for v in verts]
         self.layers = sorted({v.a for v in verts})
-        self.layer_bits = {
-            a: sum(1 << i for i in range(n) if verts[i].a == a) for a in self.layers
-        }
+        layer_pos = {a: k for k, a in enumerate(self.layers)}
+        self.layer_of = [layer_pos[v.a] for v in verts]
+        self.layer_bits = [0] * len(self.layers)
+        for i, k in enumerate(self.layer_of):
+            self.layer_bits[k] |= 1 << i
         m = sq.quotient_order
         k = canonical_bidegree(sq)
         two_up_all = all(
@@ -238,10 +245,12 @@ class _Solver:
         # mutable search state
         self.chosen_mask = 0
         self.chosen_count = 0
+        self.layer_count = [0] * len(self.layers)
         self.undecided = (1 << n) - 1
         self.conflict_cnt = [0] * n
         self.conflicted_bits = 0
-        self.topo: list[int] = []
+        self.reach = [0] * n
+        self.chosen_list: list[int] = []    # in include order
         self.stats = {
             "nodes": 0,
             "bound_prunes": 0,
@@ -251,97 +260,89 @@ class _Solver:
         self.best_size = 0
         self.best_mask = 0
 
-    # -- incremental topological order ------------------------------------
-
-    def _kahn(self, mask: int):
-        members = [i for i in range(self.n) if (mask >> i) & 1]
-        indeg = {
-            i: bin(self.in_mask[i] & mask).count("1") for i in members
-        }
-        ready = sorted(i for i in members if indeg[i] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in members:
-                if (self.out_mask[v] >> w) & 1 and indeg[w] > 0:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        # keep ready sorted for a deterministic order
-                        lo, hi = 0, len(ready)
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if ready[mid] < w:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        ready.insert(lo, w)
-        return order if len(order) == len(members) else None
+    # -- acyclicity by descendant masks --------------------------------------
 
     def _try_insert(self, v: int):
-        """Topological position for v among chosen, or None on a cycle."""
-        preds = self.in_mask[v] & self.chosen_mask
-        succs = self.out_mask[v] & self.chosen_mask
-        if not preds and not succs:
-            return len(self.topo)
-        pos = {u: p for p, u in enumerate(self.topo)}
-        maxp = max((pos[u] for u in pos if (preds >> u) & 1), default=-1)
-        mins = min((pos[u] for u in pos if (succs >> u) & 1), default=len(self.topo))
-        if maxp < mins:
-            return maxp + 1
-        new_order = self._kahn(self.chosen_mask | (1 << v))
-        if new_order is None:
+        """Chosen vertices reachable from v once it joins, or None when v
+        closes a cycle (some of them is a predecessor of v)."""
+        chosen = self.chosen_mask
+        m = self.out_mask[v] & chosen
+        down = m
+        while m:
+            low = m & -m
+            down |= self.reach[low.bit_length() - 1]
+            m ^= low
+        if down & self.in_mask[v] & chosen:
             return None
-        return ("rebuild", new_order)
+        return down
 
-    def _include(self, v: int, ins) -> list[int]:
-        saved = self.topo[:]
-        if isinstance(ins, tuple):
-            self.topo = ins[1]
-        else:
-            self.topo.insert(ins, v)
-        self.chosen_mask |= 1 << v
+    def _include(self, v: int, down: int) -> list[tuple[int, int]]:
+        """Add v to the chosen set; returns the reach entries it overwrote."""
+        chosen = self.chosen_mask
+        preds = self.in_mask[v] & chosen
+        add = (1 << v) | down
+        saved = []
+        self.reach[v] = down
+        if preds:
+            # every chosen ancestor of v now also reaches v and all below it
+            reach = self.reach
+            for u in self.chosen_list:
+                r = reach[u]
+                if r & preds or (preds >> u) & 1:
+                    saved.append((u, r))
+                    reach[u] = r | add
+        self.chosen_list.append(v)
+        self.chosen_mask = chosen | (1 << v)
         self.chosen_count += 1
+        self.layer_count[self.layer_of[v]] += 1
         self.undecided &= ~(1 << v)
-        cm = self.conflict_mask[v]
-        for u in range(self.n):
-            if (cm >> u) & 1:
-                self.conflict_cnt[u] += 1
-                if self.conflict_cnt[u] == 1:
-                    self.conflicted_bits |= 1 << u
+        m = self.conflict_mask[v]
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            self.conflict_cnt[u] += 1
+            if self.conflict_cnt[u] == 1:
+                self.conflicted_bits |= low
         return saved
 
-    def _undo_include(self, v: int, saved: list[int]):
-        self.topo = saved
+    def _undo_include(self, v: int, saved: list[tuple[int, int]]):
+        """Take back the latest include; includes are undone last in, first out."""
+        for u, r in saved:
+            self.reach[u] = r
+        self.reach[v] = 0
+        self.chosen_list.pop()
         self.chosen_mask &= ~(1 << v)
         self.chosen_count -= 1
+        self.layer_count[self.layer_of[v]] -= 1
         self.undecided |= 1 << v
-        cm = self.conflict_mask[v]
-        for u in range(self.n):
-            if (cm >> u) & 1:
-                self.conflict_cnt[u] -= 1
-                if self.conflict_cnt[u] == 0:
-                    self.conflicted_bits &= ~(1 << u)
+        m = self.conflict_mask[v]
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            self.conflict_cnt[u] -= 1
+            if self.conflict_cnt[u] == 0:
+                self.conflicted_bits &= ~low
 
     # -- admissible upper bound --------------------------------------------
 
     def _bound(self) -> int:
         avail = self.undecided & ~self.conflicted_bits
-        floors = {}
-        caps = {}
-        for a in self.layers:
-            bits = self.layer_bits[a]
-            floors[a] = bin(self.chosen_mask & bits).count("1")
-            caps[a] = floors[a] + bin(avail & bits).count("1")
         if self.pair_cap is None:
-            return sum(caps.values())
+            return self.chosen_count + avail.bit_count()
+        floors = self.layer_count
+        caps = [
+            f + (avail & bits).bit_count() for f, bits in zip(floors, self.layer_bits)
+        ]
         total = 0
         for parity in (0, 1):
-            chain = [a for a in self.layers if a % 2 == parity]
+            chain = [k for k, a in enumerate(self.layers) if a % 2 == parity]
             dp: dict[int, int] | None = None
             prev_a = None
-            for a in chain:
-                xs = range(floors[a], caps[a] + 1)
+            for k in chain:
+                a = self.layers[k]
+                xs = range(floors[k], caps[k] + 1)
                 if dp is None or a - prev_a != 2:
                     total += max(dp.values()) if dp else 0
                     dp = {x: x for x in xs}
@@ -351,7 +352,10 @@ class _Solver:
                         fits = [s for px, s in dp.items() if px + x <= self.pair_cap]
                         if fits:
                             ndp[x] = max(fits) + x
-                    assert ndp, "pair bound infeasible on a reachable state"
+                    if not ndp:
+                        raise SearchInvariantError(
+                            "pair bound infeasible on a reachable state"
+                        )
                     dp = ndp
                 prev_a = a
             total += max(dp.values()) if dp else 0
@@ -367,7 +371,7 @@ class _Solver:
     def greedy(self, order: list[int]) -> tuple[int, int]:
         """Insert vertices in the given order whenever legal; returns (size, mask).
         Leaves the search state clean."""
-        taken: list[tuple[int, list[int]]] = []
+        taken: list[tuple[int, list[tuple[int, int]]]] = []
         for v in order:
             if self.conflict_cnt[v] or not (self.undecided >> v) & 1:
                 continue
@@ -460,12 +464,29 @@ class _Solver:
 
     def force(self, v: int):
         ins = self._try_insert(v)
-        assert ins is not None
+        if ins is None:
+            raise SearchInvariantError(f"forced vertex {self.verts[v]} closes a cycle")
         self._include(v, ins)
 
     def canonical_order(self, mask: int) -> list[int]:
-        order = self._kahn(mask)
-        assert order is not None
+        """Topological order of the masked vertices, smallest ready index first."""
+        members = [i for i in range(self.n) if (mask >> i) & 1]
+        indeg = {i: (self.in_mask[i] & mask).bit_count() for i in members}
+        ready = [i for i in members if indeg[i] == 0]
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            m = self.out_mask[v] & mask
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        if len(order) != len(members):
+            raise SearchInvariantError("collection mask is not acyclic")
         return order
 
 
@@ -474,7 +495,6 @@ def max_exceptional(
     vertices=None,
     lower_bound_hint: int = 0,
     deterministic: bool = True,
-    threads: int = 1,
     timeout_secs: float | None = None,
 ) -> SearchResult:
     """Size and witness of a maximum exceptional collection inside the window.
@@ -527,12 +547,7 @@ def max_exceptional(
     # floor could silently hide the true optimum if the hint overshoots
 
     try:
-        if threads > 1 and not deterministic:
-            best_size, best_mask = _threaded_maximize(
-                solver, best_size, best_mask, threads
-            )
-        else:
-            best_size, best_mask = solver.maximize(best_size, best_mask)
+        best_size, best_mask = solver.maximize(best_size, best_mask)
         optimal = True
     except _TimeUp:
         order = solver.canonical_order(solver.best_mask)
@@ -562,13 +577,17 @@ def max_exceptional(
                 best_witness=witness,
                 proof_log={**proof_log, "optimum_proven": True},
             )
-        assert exact is not None
+        if exact is None:
+            raise SearchInvariantError(
+                f"no collection of the proven optimum size {best_size} found"
+            )
         best_mask = exact
     order = solver.canonical_order(best_mask)
     witness = tuple(verts[i] for i in order)
     witness_set = tuple(sorted(witness, key=lambda d: (d.a, d.b)))
     report = verify_collection(sq, witness)
-    assert report.valid, "search produced an invalid collection"
+    if not report.valid:
+        raise SearchInvariantError("search produced an invalid collection")
     return SearchResult(
         size=best_size,
         witness=witness,
@@ -576,61 +595,6 @@ def max_exceptional(
         optimal=optimal,
         proof_log=proof_log,
     )
-
-
-def _threaded_maximize(solver: _Solver, best_size: int, best_mask: int, threads: int):
-    """Partition the first few branch decisions across a thread pool.
-
-    Workers share one incumbent under a lock; with the interpreter lock this
-    is concurrency rather than parallelism, kept for interface compatibility.
-    """
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    undecided = [
-        i for i in range(solver.n)
-        if (solver.undecided >> i) & 1 and not solver.conflict_cnt[i]
-    ]
-    k = min(3, len(undecided))
-    prefixes = [
-        [(undecided[j], (p >> j) & 1) for j in range(k)] for p in range(1 << k)
-    ]
-    lock = threading.Lock()
-    shared = {"size": best_size, "mask": best_mask}
-
-    def run(prefix):
-        sub = _Solver(solver.sq, solver.verts, solver.deadline)
-        sub.chosen_mask = solver.chosen_mask
-        sub.chosen_count = solver.chosen_count
-        sub.undecided = solver.undecided
-        sub.conflict_cnt = solver.conflict_cnt[:]
-        sub.conflicted_bits = solver.conflicted_bits
-        sub.topo = solver.topo[:]
-        ok = True
-        for v, take in prefix:
-            if take:
-                if sub.conflict_cnt[v]:
-                    ok = False
-                    break
-                ins = sub._try_insert(v)
-                if ins is None:
-                    ok = False
-                    break
-                sub._include(v, ins)
-            else:
-                sub.undecided &= ~(1 << v)
-        if not ok:
-            return
-        with lock:
-            start = (shared["size"], shared["mask"])
-        size, mask = sub.maximize(*start)
-        with lock:
-            if size > shared["size"]:
-                shared["size"], shared["mask"] = size, mask
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, prefixes))
-    return shared["size"], shared["mask"]
 
 
 def export_digraph_dot(sq: SymmetryQuotient, vertices) -> str:

@@ -197,14 +197,6 @@ class TestSearch:
         assert results["timed_out"] is True
         assert results["best_size"] >= 1
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "search", PENTAGON, "--threads", "2", "--no-deterministic",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["results"]["optimum"] == 24
-
     def test_deterministic_reports_identical(self, capsys):
         _, a, _ = run(capsys, "search", PENTAGON, "--format", "json")
         _, b, _ = run(capsys, "search", PENTAGON, "--format", "json")

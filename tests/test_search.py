@@ -1,7 +1,14 @@
 """Candidate window, exceptional collection verification, and the
 branch-and-bound maximum search."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from itertools import permutations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -19,7 +26,12 @@ from invquot import (
     symmetry_quotient,
     verify_collection,
 )
-from invquot.search import base_vertex, edge, hom_digraph
+from invquot.cli import main
+from invquot.search import _Solver, base_vertex, edge, hom_digraph
+
+PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
+Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REFERENCE_SEQUENCE = [
     (1, 2), (1, 6), (1, 7), (1, 8), (1, 10), (2, 0),
@@ -130,8 +142,6 @@ class TestDigraph:
         graph.add_nodes_from(verts)
         for u, targets in hom_digraph(sq, verts).items():
             graph.add_edges_from((u, v) for v in targets)
-        import random
-
         rng = random.Random(17)
         for _ in range(40):
             subset = rng.sample(verts, 5)
@@ -223,12 +233,6 @@ class TestMaxExceptional:
         assert err.value.best_witness
         assert verify_collection(sq, err.value.best_witness).valid
 
-    def test_threads_match_single(self, sq):
-        single = max_exceptional(sq)
-        threaded = max_exceptional(sq, deterministic=False, threads=4)
-        assert threaded.size == single.size
-        assert verify_collection(sq, threaded.witness).valid
-
     def test_proof_log_shape(self, sq):
         result = max_exceptional(sq)
         log = result.proof_log
@@ -246,6 +250,109 @@ class TestMaxExceptional:
         assert tuple(sorted(result.witness, key=lambda d: (d.a, d.b))) == (
             result.witness_set
         )
+
+
+class TestDescendantMasks:
+    """The solver's cycle test and reach masks against networkx, along seeded
+    random include/undo walks."""
+
+    @pytest.mark.parametrize("poly", ["pentagon", "z9"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_walks_agree_with_networkx(self, sq, poly, seed):
+        if poly == "z9":
+            sq = symmetry_quotient(parse(Z9))
+        verts, _ = candidate_window(sq)
+        solver = _Solver(sq, verts, None)
+        n = solver.n
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        for u in range(n):
+            graph.add_edges_from(
+                (u, w) for w in range(n) if (solver.out_mask[u] >> w) & 1
+            )
+        rng = random.Random(seed)
+        stack = []
+        includes = undos = rejects = 0
+        for _ in range(600):
+            chosen = [i for i in range(n) if (solver.chosen_mask >> i) & 1]
+            if stack and rng.random() < 0.35:
+                v, saved, before = stack.pop()
+                solver._undo_include(v, saved)
+                undos += 1
+                assert solver.reach == before
+                continue
+            v = rng.choice([i for i in range(n) if i not in chosen])
+            down = solver._try_insert(v)
+            acyclic = nx.is_directed_acyclic_graph(graph.subgraph(chosen + [v]))
+            assert (down is None) == (not acyclic)
+            if down is None:
+                rejects += 1
+                continue
+            before = list(solver.reach)
+            stack.append((v, solver._include(v, down), before))
+            includes += 1
+            sub = graph.subgraph(chosen + [v])
+            for u in chosen + [v]:
+                expected = sum(1 << w for w in nx.descendants(sub, u))
+                assert solver.reach[u] == expected
+        assert includes > 50 and undos > 20 and rejects > 20
+
+
+class TestSearchCounts:
+    """The search's node and prune counts are part of its specification: a
+    faster core must take exactly the same decisions."""
+
+    @pytest.mark.parametrize(
+        "poly, window, optimum, counts",
+        [
+            (PENTAGON, 40, 24, (320, 159, 1)),
+            (Z9, 34, 20, (575_297, 232_055, 108_679)),
+        ],
+        ids=["pentagon", "z9"],
+    )
+    def test_cli(self, capsys, poly, window, optimum, counts):
+        assert main(["search", poly, "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        stats = results["proof_log"]["stats"]
+        assert results["window_size"] == window
+        assert results["optimum"] == optimum
+        assert results["optimal_certified"] is True
+        assert (stats["nodes"], stats["bound_prunes"], stats["cycle_rejects"]) == counts
+
+    def test_pentagon_forced_base(self, sq):
+        stats = max_exceptional(sq).proof_log["stats"]
+        assert (stats["nodes"], stats["bound_prunes"], stats["cycle_rejects"]) == (
+            298, 148, 1,
+        )
+
+
+class TestInvariantErrors:
+    def test_invalid_witness_raises_under_optimize(self):
+        # python -O strips asserts; the typed error must still fire
+        script = textwrap.dedent(
+            f"""
+            import dataclasses
+            assert False, "stripped under -O"
+            from invquot import SearchInvariantError, bidegree, parse, search
+            from invquot import symmetry_quotient
+
+            sq = symmetry_quotient(parse({PENTAGON!r}))
+            real = search.verify_collection
+            search.verify_collection = lambda sq, order: dataclasses.replace(
+                real(sq, order), valid=False
+            )
+            try:
+                search.max_exceptional(sq, vertices=[bidegree(sq, 0, [b]) for b in range(3)])
+            except SearchInvariantError as exc:
+                print("raised:", exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: search produced an invalid collection"
 
 
 class TestExports:
