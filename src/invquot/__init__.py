@@ -11,6 +11,7 @@ collection of line bundles, certifying optimality.
 __version__ = "0.1.0"
 
 from .errors import (
+    CohomologyInvariantError,
     DegenerateLoopError,
     FixedLocusNotImplementedError,
     GcdNotOneError,
@@ -77,6 +78,7 @@ __all__ = [
     "AtomicDecomposition",
     "BiDegree",
     "Block",
+    "CohomologyInvariantError",
     "CollectionReport",
     "DegenerateLoopError",
     "DiagonalElement",

@@ -73,8 +73,6 @@ def build_parser() -> _Parser:
     p.add_argument("--timeout-secs", type=float, default=None)
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True,
                    help="canonicalize the witness (lexicographically smallest optimum)")
-    p.add_argument("--lower-bound", type=int, default=0,
-                   help="advisory lower bound hint, recorded in the report")
 
     p = subs.add_parser("verify", help="check a collection supplied as JSON [a, b] pairs")
     _add_common(p)
@@ -399,7 +397,6 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
         result = max_exceptional(
             sq,
             vertices=verts,
-            lower_bound_hint=args.lower_bound,
             deterministic=args.deterministic,
             timeout_secs=args.timeout_secs,
         )
@@ -559,7 +556,6 @@ def main(argv=None) -> int:
                 "window_max_a": args.window_max_a,
                 "timeout_secs": args.timeout_secs,
                 "deterministic": args.deterministic,
-                "lower_bound": args.lower_bound,
             }
             text = _text_search(results)
             csv = _csv_search(results)

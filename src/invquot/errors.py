@@ -45,6 +45,10 @@ class SearchInvariantError(InvquotError):
     """An internal invariant of the exhaustive search failed; the result cannot be trusted."""
 
 
+class CohomologyInvariantError(InvquotError):
+    """An exactness condition of the long-exact-sequence route failed; its dimensions cannot be trusted."""
+
+
 class SearchTimeoutError(InvquotError):
     """The exhaustive search exceeded its time budget; carries the best bound found so far."""
 

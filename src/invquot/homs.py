@@ -6,6 +6,13 @@ enumerating monomials of the coordinate ring; higher Ext groups come from
 Serre duality, with an independent long-exact-sequence route kept alongside
 for cross-checking.
 
+Every dimension between O(u) and O(v) depends only on the difference v - u.
+One ExtTable per quotient, from ext_table(sq), holds the section counts per
+total degree and the Ext dimensions per difference (total degree, residue
+number), one total degree at a time on first use; the public per-pair
+functions are thin wrappers over it. The long-exact-sequence route reads only the section
+counts and its own Laurent monomial counts, never the Ext entries.
+
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
 dimension down to the 5-variable case.
@@ -17,8 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import UnsupportedGeometryError
+from .errors import CohomologyInvariantError, UnsupportedGeometryError
 from .symmetry import SymmetryQuotient
+
+_NO_EXT = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -98,24 +107,130 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]:
-    """Counts of degree-a monomials in the ambient ring by quotient character."""
-    counts: dict[tuple[int, ...], int] = {}
-    if a < 0:
-        return counts
-    for e in _compositions(a, sq.n):
-        key = sq.char_of_exponents(e)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _difference_table(orders: tuple[int, ...]) -> list[list[int]]:
+    """diff[i][j] is the number of residue j - i, residues numbered by their
+    position in lexicographic order (mixed radix over the orders)."""
+    table = [[0]]
+    for m in orders:
+        cyclic = [[(j - i) % m for j in range(m)] for i in range(m)]
+        table = [
+            [t * m + c for t in trow for c in crow]
+            for trow in table
+            for crow in cyclic
+        ]
+    return table
+
+
+class ExtTable:
+    """Section and Ext dimensions of one quotient, looked up by difference.
+
+    Residues are numbered by their position in all_residues; index maps a
+    residue tuple to its number and diff[i][j] is the number of j - i. Section
+    counts are kept per total degree, Ext dimensions per difference
+    (a_target - a_source, residue-difference number); both are filled one
+    total degree at a time, for every residue, on first use.
+    """
+
+    def __init__(self, sq: SymmetryQuotient):
+        _require_graded(sq)
+        self.sq = sq
+        self.residues = all_residues(sq)
+        self.index = {b: i for i, b in enumerate(self.residues)}
+        self.diff = _difference_table(sq.quotient_orders)
+        # canonical bundle: total degree d - n, residue of minus the character sum
+        self.canonical = (
+            sq.degree - sq.n,
+            self.residue_index([-sum(chars) for chars in sq.characters]),
+        )
+        self._counts: dict[int, list[int]] = {}
+        self._ext: dict[int, list[tuple[int, int, int, int]]] = {}
+
+    def residue_index(self, b) -> int:
+        """Number of a residue; anything but a normalized tuple goes through
+        bidegree, which reduces it or rejects its width."""
+        try:
+            return self.index[b]
+        except (KeyError, TypeError):
+            return self.index[bidegree(self.sq, 0, b).b]
+
+    def monomials(self, a: int, r: int) -> int:
+        """Degree-a monomials of the ambient ring with residue number r."""
+        if a < 0:
+            return 0
+        counts = self._counts.get(a)
+        if counts is None:
+            counts = [0] * len(self.residues)
+            for e in _compositions(a, self.sq.n):
+                counts[self.index[self.sq.char_of_exponents(e)]] += 1
+            self._counts[a] = counts
+        return counts[r]
+
+    def hom(self, a: int, r: int) -> int:
+        """Sections of the coordinate ring in difference (a, r): ambient
+        monomials modulo multiples of W, which has bidegree (d, 0)."""
+        return self.monomials(a, r) - self.monomials(a - self.sq.degree, r)
+
+    def _ext_row(self, a: int) -> list[tuple[int, int, int, int]]:
+        """Ext dimensions of every difference of total degree a, by residue number."""
+        row = self._ext.get(a)
+        if row is None:
+            ka, kr = self.canonical
+            # the two middle groups vanish whenever the ambient middle cohomology
+            # does; that is checked explicitly by the long-exact-sequence route
+            # in ext_dims_via_les
+            row = self._ext[a] = [
+                (self.hom(a, r), 0, 0, self.hom(ka - a, self.diff[r][kr]))
+                for r in range(len(self.residues))
+            ]
+        return row
+
+    def dims(self, source: BiDegree, target: BiDegree) -> tuple[int, int, int, int]:
+        """(dim Ext^0, ..., dim Ext^3) from O(source) to O(target), via Serre duality."""
+        _require_threefold(self.sq)
+        r = self.diff[self.residue_index(source.b)][self.residue_index(target.b)]
+        return self._ext_row(target.a - source.a)[r]
+
+    def rows(self, verts) -> tuple[list[int], list[int]]:
+        """Bit rows of the Ext digraph on distinct vertices: bit j of out[i]
+        is set when some Ext from verts[i] to verts[j] is nonzero (i != j),
+        and in_ is the transpose."""
+        _require_threefold(self.sq)
+        keys = [(v.a, self.residue_index(v.b)) for v in verts]
+        layers: dict[int, list[tuple[int, int]]] = {}
+        for j, (a, r) in enumerate(keys):
+            layers.setdefault(a, []).append((1 << j, r))
+        out = []
+        for i, (ua, ur) in enumerate(keys):
+            drow = self.diff[ur]
+            m = 0
+            for va, members in layers.items():
+                row = self._ext_row(va - ua)
+                for bit, vr in members:
+                    if row[drow[vr]] != _NO_EXT:
+                        m |= bit
+            out.append(m & ~(1 << i))
+        in_ = [0] * len(keys)
+        for i, m in enumerate(out):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                in_[low.bit_length() - 1] |= bit
+                m ^= low
+        return out, in_
+
+
+def ext_table(sq: SymmetryQuotient) -> ExtTable:
+    """The ExtTable of a quotient, built on first use and kept with the quotient."""
+    table = sq.derived.get("ext")
+    if table is None:
+        table = sq.derived["ext"] = ExtTable(sq)
+    return table
 
 
 def monomial_dim(sq: SymmetryQuotient, deg: BiDegree) -> int:
     """Dimension of the ambient polynomial ring in one bidegree."""
-    _require_graded(sq)
-    if deg.a < 0:
-        return 0
-    return _char_counts(sq, deg.a).get(deg.b, 0)
+    table = ext_table(sq)
+    return table.monomials(deg.a, table.residue_index(deg.b))
 
 
 def _w_degree(sq: SymmetryQuotient) -> BiDegree:
@@ -130,39 +245,24 @@ def hom_dim(sq: SymmetryQuotient, source: BiDegree, target: BiDegree) -> int:
 
 
 def hom_dim_delta(sq: SymmetryQuotient, d: BiDegree) -> int:
-    _require_graded(sq)
-    return monomial_dim(sq, d) - monomial_dim(
-        sq, shift(sq, d, negate(sq, _w_degree(sq)))
-    )
+    table = ext_table(sq)
+    return table.hom(d.a, table.residue_index(d.b))
 
 
 def canonical_bidegree(sq: SymmetryQuotient) -> BiDegree:
     """Bidegree of the canonical bundle: total degree d - n, residue of minus
     the character sum of the coordinates."""
     _require_threefold(sq)
-    return bidegree(
-        sq,
-        sq.degree - sq.n,
-        [-sum(chars) for chars in sq.characters],
-    )
-
-
-@lru_cache(maxsize=None)
-def _ext_cached(sq: SymmetryQuotient, d: BiDegree) -> tuple[int, int, int, int]:
-    e0 = hom_dim_delta(sq, d)
-    k = canonical_bidegree(sq)
-    e3 = hom_dim_delta(sq, shift(sq, k, negate(sq, d)))
-    # the two middle groups vanish whenever the ambient middle cohomology does;
-    # that is checked explicitly by the long-exact-sequence route in ext_dims_via_les
-    return (e0, 0, 0, e3)
+    table = ext_table(sq)
+    a, r = table.canonical
+    return BiDegree(a=a, b=table.residues[r])
 
 
 def ext_dims(
     sq: SymmetryQuotient, source: BiDegree, target: BiDegree
 ) -> tuple[int, int, int, int]:
     """(dim Ext^0, ..., dim Ext^3) between two line bundles, via Serre duality."""
-    _require_threefold(sq)
-    return _ext_cached(sq, delta(sq, source, target))
+    return ext_table(sq).dims(source, target)
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +292,6 @@ def ambient_cohomology_dim(sq: SymmetryQuotient, i: int, deg: BiDegree) -> int:
         return monomial_dim(sq, deg)
     if i == sq.n - 1:
         return _neg_char_counts(sq, deg.a).get(deg.b, 0)
-    if 0 < i < sq.n - 1:
-        return 0
     return 0
 
 
@@ -213,7 +311,10 @@ def hypersurface_cohomology(
     hl = [ambient_cohomology_dim(sq, i, lower) for i in range(5)]
     # H^0(X): cokernel of multiplication by w on sections, which is injective
     h0 = h[0] - hl[0]
-    assert h0 >= 0 and hl[1] == 0
+    if h0 < 0 or hl[1] != 0:
+        raise CohomologyInvariantError(
+            f"H^0 of {deg}: multiplication by W is not injective on sections"
+        )
     # middle degrees: squeezed between vanishing ambient groups
     h1 = h[1] + hl[2]
     h2 = h[2] + hl[3]
@@ -222,9 +323,13 @@ def hypersurface_cohomology(
             "nonzero intermediate ambient cohomology, sequence does not split"
         )
     # H^3(X): kernel of the surjection H^4(P, deg - w) -> H^4(P, deg)
-    assert h[3] == 0
+    if h[3] != 0:
+        raise CohomologyInvariantError(f"H^3 of {deg}: ambient H^3 is nonzero")
     h3 = hl[4] - h[4]
-    assert h3 >= 0
+    if h3 < 0:
+        raise CohomologyInvariantError(
+            f"H^3 of {deg}: H^4(P, deg - w) -> H^4(P, deg) is not surjective"
+        )
     return (h0, h1, h2, h3)
 
 
@@ -243,13 +348,12 @@ def all_residues(sq: SymmetryQuotient):
 
 def hom_table(sq: SymmetryQuotient, max_a: int) -> dict[BiDegree, int]:
     """Section dimensions of O(a, b) for 0 <= a <= max_a and every residue b."""
-    _require_graded(sq)
-    out = {}
-    for a in range(max_a + 1):
-        for b in all_residues(sq):
-            deg = BiDegree(a=a, b=b)
-            out[deg] = hom_dim_delta(sq, deg)
-    return out
+    table = ext_table(sq)
+    return {
+        BiDegree(a=a, b=b): table.hom(a, r)
+        for a in range(max_a + 1)
+        for r, b in enumerate(table.residues)
+    }
 
 
 def _monomial_text(e: tuple[int, ...]) -> str:
@@ -271,7 +375,7 @@ def representative_table(
     monomial never lies in the ideal generated by a polynomial with several
     terms.
     """
-    _require_graded(sq)
+    table = ext_table(sq)
     out: dict[BiDegree, str | None] = {}
     for a in range(max_a + 1):
         found: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -279,9 +383,9 @@ def representative_table(
             key = sq.char_of_exponents(e)
             if key not in found:
                 found[key] = e  # _compositions yields in lexicographic order
-        for b in all_residues(sq):
+        for r, b in enumerate(table.residues):
             deg = BiDegree(a=a, b=b)
-            if hom_dim_delta(sq, deg) > 0:
+            if table.hom(a, r) > 0:
                 out[deg] = _monomial_text(found[b])
             else:
                 out[deg] = None

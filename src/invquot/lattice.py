@@ -100,9 +100,6 @@ class IntMatrix:
             [[columns[j][i] for j in range(n)] for i in range(n)]
         )
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 @dataclass(frozen=True)
 class SnfDecomposition:

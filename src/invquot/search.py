@@ -19,11 +19,9 @@ from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometr
 from .homs import (
     BiDegree,
     _require_threefold,
-    all_residues,
     bidegree,
-    canonical_bidegree,
     ext_dims,
-    hom_dim_delta,
+    ext_table,
 )
 from .symmetry import SymmetryQuotient
 
@@ -41,10 +39,16 @@ def edge(sq: SymmetryQuotient, u: BiDegree, v: BiDegree) -> bool:
 
 def hom_digraph(sq: SymmetryQuotient, vertices) -> dict[BiDegree, list[BiDegree]]:
     verts = sorted(set(vertices), key=lambda d: (d.a, d.b))
-    return {
-        u: [v for v in verts if edge(sq, u, v)]
-        for u in verts
-    }
+    out, _ = ext_table(sq).rows(verts)
+    adj = {}
+    for u, m in zip(verts, out):
+        targets = []
+        while m:
+            low = m & -m
+            targets.append(verts[low.bit_length() - 1])
+            m ^= low
+        adj[u] = targets
+    return adj
 
 
 def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
@@ -57,8 +61,8 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
     any monomial), so all later layers have arrows both ways with the base.
     """
     _require_threefold(sq)
+    table = ext_table(sq)
     base = base_vertex(sq)
-    residues = all_residues(sq)
     audit: dict = {"layers": [], "excluded": [], "certificate": None}
 
     # certificate precondition: some defining monomial misses some variable,
@@ -98,13 +102,13 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
                 "no all-positive row found within the scan limit"
             )
         kept = []
-        for b in residues:
+        for b in table.residues:
             v = BiDegree(a=a, b=b)
             if v == base:
                 kept.append(v)
                 continue
-            forward = ext_dims(sq, base, v)
-            backward = ext_dims(sq, v, base)
+            forward = table.dims(base, v)
+            backward = table.dims(v, base)
             if any(forward) and any(backward):
                 audit["excluded"].append(
                     {
@@ -119,7 +123,7 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
         vertices.extend(kept)
         audit["layers"].append({"a": a, "kept": len(kept)})
         if full_row is None and all(
-            hom_dim_delta(sq, BiDegree(a=a, b=b)) > 0 for b in residues
+            table.hom(a, r) > 0 for r in range(len(table.residues))
         ):
             full_row = a
         a += 1
@@ -141,19 +145,20 @@ def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     Ext (from a later object to an earlier one) must vanish entirely.
     """
     _require_threefold(sq)
+    table = ext_table(sq)
     objs = list(order)
     violations = []
     if len(set(objs)) != len(objs):
         violations.append({"kind": "duplicate objects"})
     for i, e in enumerate(objs):
-        self_ext = ext_dims(sq, e, e)
+        self_ext = table.dims(e, e)
         if self_ext != (1, 0, 0, 0):
             violations.append(
                 {"kind": "not exceptional", "object": str(e), "ext": list(self_ext)}
             )
     for j in range(len(objs)):
         for i in range(j):
-            back = ext_dims(sq, objs[j], objs[i])
+            back = table.dims(objs[j], objs[i])
             if any(back):
                 violations.append(
                     {
@@ -173,13 +178,10 @@ def find_cycles(sq: SymmetryQuotient, vertices, max_len: int):
     each rotated to start at its smallest vertex, sorted."""
     import networkx as nx
 
-    verts = sorted(set(vertices), key=lambda d: (d.a, d.b))
+    adj = hom_digraph(sq, vertices)
     g = nx.DiGraph()
-    g.add_nodes_from(verts)
-    for u in verts:
-        for v in verts:
-            if edge(sq, u, v):
-                g.add_edge(u, v)
+    g.add_nodes_from(adj)
+    g.add_edges_from((u, v) for u, vs in adj.items() for v in vs)
     out = []
     for cyc in nx.simple_cycles(g, length_bound=max_len):
         k = min(range(len(cyc)), key=lambda i: (cyc[i].a, cyc[i].b))
@@ -216,13 +218,8 @@ class _Solver:
         self.deadline = deadline
         self.index = {v: i for i, v in enumerate(verts)}
         n = self.n
-        self.out_mask = [0] * n
-        self.in_mask = [0] * n
-        for i, u in enumerate(verts):
-            for j, v in enumerate(verts):
-                if i != j and edge(sq, u, v):
-                    self.out_mask[i] |= 1 << j
-                    self.in_mask[j] |= 1 << i
+        table = ext_table(sq)
+        self.out_mask, self.in_mask = table.rows(verts)
         self.conflict_mask = [
             self.out_mask[i] & self.in_mask[i] for i in range(n)
         ]
@@ -234,13 +231,10 @@ class _Solver:
         for i, k in enumerate(self.layer_of):
             self.layer_bits[k] |= 1 << i
         m = sq.quotient_order
-        k = canonical_bidegree(sq)
-        two_up_all = all(
-            hom_dim_delta(sq, bidegree(sq, 2, list(b))) > 0
-            for b in all_residues(sq)
-            if any(b)
-        )
-        serre_back = hom_dim_delta(sq, bidegree(sq, k.a + 2, list(k.b))) > 0
+        ka, kr = table.canonical
+        # residue number 0 is the zero residue
+        two_up_all = all(table.hom(2, r) > 0 for r in range(1, m))
+        serre_back = table.hom(ka + 2, kr) > 0
         self.pair_cap = (m + 1) if (two_up_all and serre_back and m > 1) else None
         # mutable search state
         self.chosen_mask = 0
@@ -493,7 +487,6 @@ class _Solver:
 def max_exceptional(
     sq: SymmetryQuotient,
     vertices=None,
-    lower_bound_hint: int = 0,
     deterministic: bool = True,
     timeout_secs: float | None = None,
 ) -> SearchResult:
@@ -543,8 +536,6 @@ def max_exceptional(
         if size > best_size:
             best_size, best_mask = size, mask
     proof_log["seeds"] = seeds
-    # lower_bound_hint is advisory only: using an unverified hint as a pruning
-    # floor could silently hide the true optimum if the hint overshoots
 
     try:
         best_size, best_mask = solver.maximize(best_size, best_mask)

@@ -10,7 +10,7 @@ rest of the toolkit grades by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -293,6 +293,11 @@ class SymmetryQuotient:
     quotient_orders: tuple[int, ...]
     quotient_generators: tuple[DiagonalElement, ...]
     characters: tuple[tuple[int, ...], ...] | None
+    # tables derived from this quotient (homs.ext_table), kept as long as it
+    # lives; not part of its value, so equality and hashing ignore it
+    derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def n(self) -> int:

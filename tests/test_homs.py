@@ -1,14 +1,20 @@
 """Bigraded section counts and Ext dimensions, checked against an
 independent brute-force monomial enumeration."""
 
-from itertools import combinations_with_replacement
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from invquot import (
     UnsupportedGeometryError,
     bidegree,
+    candidate_window,
     canonical_bidegree,
     ext_dims,
     ext_dims_via_les,
@@ -20,14 +26,22 @@ from invquot import (
     symmetry_quotient,
 )
 from invquot.homs import (
+    BiDegree,
+    ExtTable,
+    _difference_table,
     all_residues,
     ambient_cohomology_dim,
     delta,
+    ext_table,
     hom_dim_delta,
     hypersurface_cohomology,
     negate,
     shift,
 )
+
+PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
+Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # every (a, b) with a nonzero section count in rows 0..3, written as frozen
 # data so a regression in the counting code cannot hide
@@ -253,3 +267,100 @@ class TestRepresentatives:
                 exps[int(name[1:]) - 1] += int(power) if power else 1
             assert sum(exps) == deg.a
             assert sq.char_of_exponents(exps) == deg.b
+
+
+class TestExtTable:
+    @pytest.mark.parametrize("orders", [(), (11,), (2, 12), (3, 3, 6), (3, 3, 3, 3)])
+    def test_difference_table(self, orders):
+        residues = list(product(*(range(m) for m in orders)))
+        index = {b: i for i, b in enumerate(residues)}
+        diff = _difference_table(orders)
+        for i, x in enumerate(residues):
+            assert diff[i] == [
+                index[tuple((y - z) % m for y, z, m in zip(w, x, orders))]
+                for w in residues
+            ]
+
+    @pytest.mark.parametrize("poly", [PENTAGON, Z9], ids=["pentagon", "z9"])
+    def test_window_entries_match_les(self, poly):
+        # a fresh table, so exactly the rows the window's digraph reads are filled
+        sq = symmetry_quotient(parse(poly))
+        verts, _ = candidate_window(sq)
+        table = ExtTable(sq)
+        table.rows(verts)
+        o = bidegree(sq, 0, [0] * len(sq.quotient_orders))
+        assert sorted(table._ext) == sorted({v.a - u.a for u in verts for v in verts})
+        for a, row in table._ext.items():
+            assert len(row) == len(table.residues)
+            for r, dims in enumerate(row):
+                d = BiDegree(a=a, b=table.residues[r])
+                assert dims == ext_dims_via_les(sq, o, d), (a, r)
+
+    def test_quotients_do_not_share_entries(self, sq, trivial_sq):
+        # queried in alternation, each quotient answers from its own table
+        o, t = bidegree(sq, 0, 0), bidegree(trivial_sq, 0)
+        for a in range(-4, 5):
+            for b in range(11):
+                d = bidegree(sq, a, b)
+                assert ext_dims(sq, o, d) == ext_dims_via_les(sq, o, d), (a, b)
+                e = bidegree(trivial_sq, a)
+                assert ext_dims(trivial_sq, t, e) == ext_dims_via_les(trivial_sq, t, e), a
+        assert ext_table(sq) is ext_table(sq)
+        assert ext_table(sq) is not ext_table(trivial_sq)
+        assert len(ext_table(trivial_sq).residues) == 1
+
+    def test_unnormalized_residue(self, sq):
+        o = bidegree(sq, 0, 0)
+        raw = BiDegree(a=1, b=(14,))
+        assert ext_dims(sq, o, raw) == ext_dims(sq, o, bidegree(sq, 1, 3))
+        with pytest.raises(ValueError):
+            ext_dims(sq, o, BiDegree(a=1, b=(1, 2)))
+
+    def test_table_lives_with_quotient(self):
+        # an equal quotient parsed again gets its own table; the table is not
+        # part of the quotient's value
+        first = symmetry_quotient(parse(PENTAGON))
+        h = hash(first)
+        table = ext_table(first)
+        ext_dims(first, bidegree(first, 0, 0), bidegree(first, 2, 3))
+        assert ext_table(first) is table and table._ext
+        again = symmetry_quotient(parse(PENTAGON))
+        assert again == first and hash(again) == h
+        assert ext_table(again) is not table
+        assert not ext_table(again)._ext
+
+
+class TestLesInvariantErrors:
+    def test_raise_under_optimize(self):
+        # python -O strips asserts; the typed error must still fire
+        script = textwrap.dedent(
+            f"""
+            assert False, "stripped under -O"
+            from invquot import CohomologyInvariantError, bidegree, homs, parse
+            from invquot import symmetry_quotient
+
+            sq = symmetry_quotient(parse({PENTAGON!r}))
+            real = homs.ambient_cohomology_dim
+            for bad in (1, 3, 4):
+                # a nonzero H^1, a nonzero H^3 in degree 1 only, or an H^4
+                # growing with the degree
+                homs.ambient_cohomology_dim = lambda sq, i, deg: (
+                    deg.a + 100 if i == bad and (bad != 3 or deg.a == 1)
+                    else real(sq, i, deg)
+                )
+                try:
+                    homs.hypersurface_cohomology(sq, bidegree(sq, 1, 0))
+                except CohomologyInvariantError as exc:
+                    print("raised:", exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: H^0 of (1, 0): multiplication by W is not injective on sections",
+            "raised: H^3 of (1, 0): ambient H^3 is nonzero",
+            "raised: H^3 of (1, 0): H^4(P, deg - w) -> H^4(P, deg) is not surjective",
+        ]

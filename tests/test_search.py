@@ -20,6 +20,7 @@ from invquot import (
     candidate_window,
     export_digraph_dot,
     export_digraph_json,
+    ext_dims_via_les,
     find_cycles,
     max_exceptional,
     parse,
@@ -31,6 +32,7 @@ from invquot.search import _Solver, base_vertex, edge, hom_digraph
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
+FERMAT = "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 REFERENCE_SEQUENCE = [
@@ -155,6 +157,33 @@ class TestDigraph:
                     verify_collection(sq, list(p)).valid
                     for p in permutations(subset)
                 )
+
+
+class TestDigraphAgainstLes:
+    """The table-backed digraph against a per-pair reference that calls the
+    long-exact-sequence route directly."""
+
+    @staticmethod
+    def reference(sq, verts):
+        return {
+            u: [v for v in verts if u != v and any(ext_dims_via_les(sq, u, v))]
+            for u in verts
+        }
+
+    @pytest.mark.parametrize("poly", [PENTAGON, Z9], ids=["pentagon", "z9"])
+    def test_window(self, poly):
+        sq = symmetry_quotient(parse(poly))
+        verts, _ = candidate_window(sq)
+        assert hom_digraph(sq, verts) == self.reference(sq, verts)
+
+    def test_fermat_sample(self):
+        sq = symmetry_quotient(parse(FERMAT))
+        window, _ = candidate_window(sq)
+        assert len(window) == 518
+        sample = sorted(random.Random(3).sample(window, 40), key=lambda d: (d.a, d.b))
+        graph = hom_digraph(sq, sample)
+        assert graph == self.reference(sq, sample)
+        assert 0 < sum(map(len, graph.values())) < 40 * 39
 
 
 class TestFindCycles:
