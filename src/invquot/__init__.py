@@ -16,6 +16,7 @@ from .errors import (
     FixedLocusNotImplementedError,
     GcdNotOneError,
     InvquotError,
+    LatticeInvariantError,
     NoPositiveWeightsError,
     NotAtomicSumError,
     NotSquareError,
@@ -23,6 +24,7 @@ from .errors import (
     SearchInvariantError,
     SearchTimeoutError,
     SingularMatrixError,
+    SymmetryInvariantError,
     UnsupportedGeometryError,
 )
 from .lattice import (
@@ -88,6 +90,7 @@ __all__ = [
     "IntMatrix",
     "InvertiblePolynomial",
     "InvquotError",
+    "LatticeInvariantError",
     "NoPositiveWeightsError",
     "NotAtomicSumError",
     "NotSquareError",
@@ -97,6 +100,7 @@ __all__ = [
     "SearchInvariantError",
     "SearchTimeoutError",
     "SingularMatrixError",
+    "SymmetryInvariantError",
     "SnfDecomposition",
     "SymmetryQuotient",
     "UnsupportedGeometryError",

@@ -41,6 +41,14 @@ class FixedLocusNotImplementedError(UnsupportedGeometryError):
     """A twisted sector has a fixed locus of positive dimension, which is not handled."""
 
 
+class LatticeInvariantError(InvquotError):
+    """An exact identity of the integer lattice kernel failed; its result cannot be trusted."""
+
+
+class SymmetryInvariantError(InvquotError):
+    """A diagonal symmetry or group is not canonical, or fails an identity it is built to meet."""
+
+
 class SearchInvariantError(InvquotError):
     """An internal invariant of the exhaustive search failed; the result cannot be trusted."""
 

@@ -10,8 +10,9 @@ Every dimension between O(u) and O(v) depends only on the difference v - u.
 One ExtTable per quotient, from ext_table(sq), holds the section counts per
 total degree and the Ext dimensions per difference (total degree, residue
 number), one total degree at a time on first use; the public per-pair
-functions are thin wrappers over it. The long-exact-sequence route reads only the section
-counts and its own Laurent monomial counts, never the Ext entries.
+functions are thin wrappers over it. The long-exact-sequence route reads only
+the section counts and its own Laurent monomial counts, kept per quotient
+beside the table, never the Ext entries.
 
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
@@ -21,7 +22,6 @@ dimension down to the 5-variable case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
@@ -265,11 +265,18 @@ def ext_dims(
     return ext_table(sq).dims(source, target)
 
 
-@lru_cache(maxsize=None)
 def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]:
     """Counts of Laurent monomials with all exponents <= -1 summing to a,
-    by quotient character. These index top ambient cohomology."""
-    counts: dict[tuple[int, ...], int] = {}
+    by quotient character. These index top ambient cohomology.
+
+    Kept per total degree in a table in sq.derived, beside the ExtTable and
+    apart from it, so the long-exact-sequence route shares no entry with the
+    Serre-duality route and never hashes the quotient."""
+    table = sq.derived.setdefault("neg_counts", {})
+    counts = table.get(a)
+    if counts is not None:
+        return counts
+    counts = table[a] = {}
     n = sq.n
     total = -n - a
     if total < 0:

@@ -10,7 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import GcdNotOneError, NoPositiveWeightsError, SingularMatrixError
+from .errors import (
+    GcdNotOneError,
+    LatticeInvariantError,
+    NoPositiveWeightsError,
+    SingularMatrixError,
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,10 @@ class IntMatrix:
         for j in range(n):
             rhs = [Fraction(1 if i == j else 0) for i in range(n)]
             col = _solve_rational(self, rhs)
-            assert all(x.denominator == 1 for x in col)
+            if any(x.denominator != 1 for x in col):
+                raise LatticeInvariantError(
+                    "inverse of a determinant +-1 matrix is not integral"
+                )
             columns.append([int(x) for x in col])
         return IntMatrix.from_rows(
             [[columns[j][i] for j in range(n)] for i in range(n)]
@@ -319,5 +327,8 @@ def splitting_coefficients(q: tuple[int, ...]) -> tuple[int, ...]:
                 b = [x - t * y for x, y in zip(b, w)]
                 cur = new_norm
                 improved = True
-    assert sum(x * y for x, y in zip(b, q)) == 1
+    if sum(x * y for x, y in zip(b, q)) != 1:
+        raise LatticeInvariantError(
+            f"splitting coefficients {tuple(b)} do not pair to 1 with {q}"
+        )
     return tuple(b)

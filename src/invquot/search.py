@@ -7,10 +7,19 @@ down to a finite window around the trivial bundle first: since twisting by a
 line bundle is an automorphism of the whole picture, any collection can be
 normalized to contain the base vertex, and every vertex forming a mutual
 cycle with the base can never join it.
+
+The branch and bound decides the window's vertices in index order, include
+before exclude, and passes its whole state down the recursion as ints, so
+backtracking undoes nothing. A vertex may join when it has no mutual arrow
+with a chosen one and closes no cycle; the cycle test expands the vertex's
+chosen descendants on demand. The same search, stopped at the first
+collection of the proven optimum size, gives the canonical witness: the
+lexicographically smallest optimal subset.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -203,48 +212,51 @@ class _TimeUp(Exception):
     pass
 
 
-class _Solver:
-    """Branch and bound over one vertex list, bitmask state throughout.
+class _Found(Exception):
+    pass
 
-    Acyclicity of the chosen set is kept by descendant masks: reach[u] holds
-    the chosen vertices reachable from the chosen vertex u inside the chosen
-    induced subgraph (0 for vertices not chosen).
+
+class _Solver:
+    """Branch and bound over one vertex list, the search state in plain ints.
+
+    A node's state is (pos, chosen, count, undecided, conflicted): the next
+    index to decide, the chosen vertices as a bitmask and their number, the
+    vertices not decided yet, and the vertices with mutual arrows to some
+    chosen one. Each branch passes a new state down the recursion and nothing
+    is mutated, so backtracking is returning. The root state (nothing chosen,
+    or the forced vertex) is kept in chosen, undecided and conflicted.
     """
 
     def __init__(self, sq: SymmetryQuotient, verts: list[BiDegree], deadline):
-        self.sq = sq
         self.verts = verts
-        self.n = len(verts)
+        self.n = n = len(verts)
         self.deadline = deadline
         self.index = {v: i for i, v in enumerate(verts)}
-        n = self.n
         table = ext_table(sq)
         self.out_mask, self.in_mask = table.rows(verts)
         self.conflict_mask = [
             self.out_mask[i] & self.in_mask[i] for i in range(n)
         ]
-        # layer bookkeeping for the pair bound
-        self.layers = sorted({v.a for v in verts})
-        layer_pos = {a: k for k, a in enumerate(self.layers)}
-        self.layer_of = [layer_pos[v.a] for v in verts]
-        self.layer_bits = [0] * len(self.layers)
-        for i, k in enumerate(self.layer_of):
-            self.layer_bits[k] |= 1 << i
         m = sq.quotient_order
         ka, kr = table.canonical
         # residue number 0 is the zero residue
         two_up_all = all(table.hom(2, r) > 0 for r in range(1, m))
         serre_back = table.hom(ka + 2, kr) > 0
         self.pair_cap = (m + 1) if (two_up_all and serre_back and m > 1) else None
-        # mutable search state
-        self.chosen_mask = 0
-        self.chosen_count = 0
-        self.layer_count = [0] * len(self.layers)
+        # the pair bound runs along chains of layers with total degrees two
+        # apart; each chain is a list of layer bitmasks, lowest layer first
+        self.chains: list[list[int]] = []
+        chain_ending_at: dict[int, list[int]] = {}
+        for a in sorted({v.a for v in verts}):
+            chain = chain_ending_at.pop(a - 2, None)
+            if chain is None:
+                chain = []
+                self.chains.append(chain)
+            chain.append(sum(1 << i for i, v in enumerate(verts) if v.a == a))
+            chain_ending_at[a] = chain
+        self.chosen = 0
         self.undecided = (1 << n) - 1
-        self.conflict_cnt = [0] * n
-        self.conflicted_bits = 0
-        self.reach = [0] * n
-        self.chosen_list: list[int] = []    # in include order
+        self.conflicted = 0
         self.stats = {
             "nodes": 0,
             "bound_prunes": 0,
@@ -254,213 +266,145 @@ class _Solver:
         self.best_size = 0
         self.best_mask = 0
 
-    # -- acyclicity by descendant masks --------------------------------------
-
-    def _try_insert(self, v: int):
-        """Chosen vertices reachable from v once it joins, or None when v
-        closes a cycle (some of them is a predecessor of v)."""
-        chosen = self.chosen_mask
-        m = self.out_mask[v] & chosen
-        down = m
-        while m:
-            low = m & -m
-            down |= self.reach[low.bit_length() - 1]
-            m ^= low
-        if down & self.in_mask[v] & chosen:
-            return None
-        return down
-
-    def _include(self, v: int, down: int) -> list[tuple[int, int]]:
-        """Add v to the chosen set; returns the reach entries it overwrote."""
-        chosen = self.chosen_mask
+    def _closes_cycle(self, v: int, chosen: int) -> bool:
+        """True when adding v to the acyclic set chosen closes a cycle: some
+        chosen predecessor of v is reachable from v inside chosen. Expands
+        the chosen descendants of v one frontier at a time."""
         preds = self.in_mask[v] & chosen
-        add = (1 << v) | down
-        saved = []
-        self.reach[v] = down
-        if preds:
-            # every chosen ancestor of v now also reaches v and all below it
-            reach = self.reach
-            for u in self.chosen_list:
-                r = reach[u]
-                if r & preds or (preds >> u) & 1:
-                    saved.append((u, r))
-                    reach[u] = r | add
-        self.chosen_list.append(v)
-        self.chosen_mask = chosen | (1 << v)
-        self.chosen_count += 1
-        self.layer_count[self.layer_of[v]] += 1
-        self.undecided &= ~(1 << v)
-        m = self.conflict_mask[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            self.conflict_cnt[u] += 1
-            if self.conflict_cnt[u] == 1:
-                self.conflicted_bits |= low
-        return saved
+        if not preds:
+            return False
+        out_mask = self.out_mask
+        frontier = seen = out_mask[v] & chosen
+        while frontier:
+            if frontier & preds:
+                return True
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= out_mask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & chosen & ~seen
+            seen |= frontier
+        return False
 
-    def _undo_include(self, v: int, saved: list[tuple[int, int]]):
-        """Take back the latest include; includes are undone last in, first out."""
-        for u, r in saved:
-            self.reach[u] = r
-        self.reach[v] = 0
-        self.chosen_list.pop()
-        self.chosen_mask &= ~(1 << v)
-        self.chosen_count -= 1
-        self.layer_count[self.layer_of[v]] -= 1
-        self.undecided |= 1 << v
-        m = self.conflict_mask[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            self.conflict_cnt[u] -= 1
-            if self.conflict_cnt[u] == 0:
-                self.conflicted_bits &= ~low
-
-    # -- admissible upper bound --------------------------------------------
-
-    def _bound(self) -> int:
-        avail = self.undecided & ~self.conflicted_bits
-        if self.pair_cap is None:
-            return self.chosen_count + avail.bit_count()
-        floors = self.layer_count
-        caps = [
-            f + (avail & bits).bit_count() for f, bits in zip(floors, self.layer_bits)
-        ]
+    def _pair_bound(self, chosen: int, avail: int) -> int:
+        """Admissible upper bound when two layers of total degrees a and a + 2
+        together hold at most pair_cap chosen vertices: a maximization over
+        per-layer counts, chain by chain. A layer's count lies between its
+        chosen vertices and those plus its available ones."""
+        cap = self.pair_cap
         total = 0
-        for parity in (0, 1):
-            chain = [k for k, a in enumerate(self.layers) if a % 2 == parity]
+        for chain in self.chains:
             dp: dict[int, int] | None = None
-            prev_a = None
-            for k in chain:
-                a = self.layers[k]
-                xs = range(floors[k], caps[k] + 1)
-                if dp is None or a - prev_a != 2:
-                    total += max(dp.values()) if dp else 0
+            for bits in chain:
+                lo = (chosen & bits).bit_count()
+                xs = range(lo, lo + (avail & bits).bit_count() + 1)
+                if dp is None:
                     dp = {x: x for x in xs}
-                else:
-                    ndp = {}
-                    for x in xs:
-                        fits = [s for px, s in dp.items() if px + x <= self.pair_cap]
-                        if fits:
-                            ndp[x] = max(fits) + x
-                    if not ndp:
-                        raise SearchInvariantError(
-                            "pair bound infeasible on a reachable state"
-                        )
-                    dp = ndp
-                prev_a = a
-            total += max(dp.values()) if dp else 0
+                    continue
+                ndp = {}
+                for x in xs:
+                    fits = [s for px, s in dp.items() if px + x <= cap]
+                    if fits:
+                        ndp[x] = max(fits) + x
+                if not ndp:
+                    raise SearchInvariantError("pair bound infeasible on a reachable state")
+                dp = ndp
+            total += max(dp.values())
         return total
 
-    def _tick(self):
-        self.stats["nodes"] += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _TimeUp
-
-    # -- greedy seeding ------------------------------------------------------
-
-    def greedy(self, order: list[int]) -> tuple[int, int]:
-        """Insert vertices in the given order whenever legal; returns (size, mask).
-        Leaves the search state clean."""
-        taken: list[tuple[int, list[tuple[int, int]]]] = []
-        for v in order:
-            if self.conflict_cnt[v] or not (self.undecided >> v) & 1:
-                continue
-            ins = self._try_insert(v)
-            if ins is None:
-                continue
-            saved = self._include(v, ins)
-            taken.append((v, saved))
-        size, mask = self.chosen_count, self.chosen_mask
-        for v, saved in reversed(taken):
-            self._undo_include(v, saved)
-        return size, mask
-
-    # -- main search ---------------------------------------------------------
-
-    def maximize(self, start_best: int, start_mask: int):
-        self.best_size, self.best_mask = start_best, start_mask
-
-        def dfs(pos: int):
-            self._tick()
-            while pos < self.n and not (self.undecided >> pos) & 1:
-                pos += 1
-            if pos == self.n:
-                return
-            if self._bound() <= self.best_size:
-                self.stats["bound_prunes"] += 1
-                return
-            v = pos
-            if self.conflict_cnt[v]:
-                self.undecided &= ~(1 << v)
-                dfs(pos + 1)
-                self.undecided |= 1 << v
-                return
-            ins = self._try_insert(v)
-            if ins is not None:
-                saved = self._include(v, ins)
-                if self.chosen_count > self.best_size:
-                    self.best_size = self.chosen_count
-                    self.best_mask = self.chosen_mask
-                    self.stats["improvements"].append(
-                        {"size": self.best_size, "nodes": self.stats["nodes"]}
-                    )
-                dfs(pos + 1)
-                self._undo_include(v, saved)
-            else:
-                self.stats["cycle_rejects"] += 1
-            self.undecided &= ~(1 << v)
-            dfs(pos + 1)
-            self.undecided |= 1 << v
-
-        dfs(0)
-        return self.best_size, self.best_mask
-
-    def find_exact(self, target: int):
-        """First (include-first, ascending index) solution of the target size:
-        the lexicographically smallest optimal subset."""
-        found: list[int] = []
-
-        def dfs(pos: int) -> bool:
-            self._tick()
-            while pos < self.n and not (self.undecided >> pos) & 1:
-                pos += 1
-            if self.chosen_count == target:
-                found.append(self.chosen_mask)
-                return True
-            if pos == self.n:
-                return False
-            if self._bound() < target:
-                return False
-            v = pos
-            if self.conflict_cnt[v]:
-                self.undecided &= ~(1 << v)
-                hit = dfs(pos + 1)
-                self.undecided |= 1 << v
-                return hit
-            ins = self._try_insert(v)
-            if ins is not None:
-                saved = self._include(v, ins)
-                if dfs(pos + 1):
-                    self._undo_include(v, saved)
-                    return True
-                self._undo_include(v, saved)
-            self.undecided &= ~(1 << v)
-            hit = dfs(pos + 1)
-            self.undecided |= 1 << v
-            return hit
-
-        dfs(0)
-        return found[0] if found else None
+    # -- root state and greedy seeding ---------------------------------------
 
     def force(self, v: int):
-        ins = self._try_insert(v)
-        if ins is None:
+        """Put v into the root state."""
+        if self._closes_cycle(v, self.chosen):
             raise SearchInvariantError(f"forced vertex {self.verts[v]} closes a cycle")
-        self._include(v, ins)
+        self.chosen |= 1 << v
+        self.undecided &= ~(1 << v)
+        self.conflicted |= self.conflict_mask[v]
+
+    def greedy(self, order: list[int]) -> tuple[int, int]:
+        """From the root state, add vertices in the given order whenever
+        legal; returns (size, mask)."""
+        chosen, conflicted = self.chosen, self.conflicted
+        for v in order:
+            if (chosen | conflicted) >> v & 1 or self._closes_cycle(v, chosen):
+                continue
+            chosen |= 1 << v
+            conflicted |= self.conflict_mask[v]
+        return chosen.bit_count(), chosen
+
+    # -- branch and bound ----------------------------------------------------
+
+    def _search(self, stop: bool):
+        """Depth-first search from the root state, include before exclude in
+        ascending index order. A node whose bound is at most best_size is
+        pruned; a collection larger than best_size becomes the incumbent, or,
+        with stop, ends the search by raising _Found."""
+        n = self.n
+        deadline = self.deadline
+        conflict_mask = self.conflict_mask
+        closes_cycle = self._closes_cycle
+        pair_bound = self._pair_bound if self.pair_cap is not None else None
+        improvements = self.stats["improvements"]
+        best = self.best_size
+        nodes = prunes = rejects = 0
+        monotonic = time.monotonic
+
+        def dfs(pos, chosen, count, undecided, conflicted):
+            nonlocal best, nodes, prunes, rejects
+            if count > best:
+                best = self.best_size = count
+                self.best_mask = chosen
+                if stop:
+                    raise _Found
+                improvements.append({"size": count, "nodes": self.stats["nodes"] + nodes})
+            nodes += 1
+            if deadline is not None and monotonic() > deadline:
+                raise _TimeUp
+            while pos < n and not (undecided >> pos) & 1:
+                pos += 1
+            if pos == n:
+                return
+            avail = undecided & ~conflicted
+            if pair_bound is None:
+                bound = count + avail.bit_count()
+            else:
+                bound = pair_bound(chosen, avail)
+            if bound <= best:
+                prunes += 1
+                return
+            bit = 1 << pos
+            undecided ^= bit
+            if not conflicted & bit:
+                if closes_cycle(pos, chosen):
+                    rejects += 1
+                else:
+                    dfs(pos + 1, chosen | bit, count + 1, undecided,
+                        conflicted | conflict_mask[pos])
+            dfs(pos + 1, chosen, count, undecided, conflicted)
+
+        try:
+            dfs(0, self.chosen, self.chosen.bit_count(), self.undecided, self.conflicted)
+        finally:
+            self.stats["nodes"] += nodes
+            self.stats["bound_prunes"] += prunes
+            self.stats["cycle_rejects"] += rejects
+
+    def maximize(self, start_best: int, start_mask: int) -> tuple[int, int]:
+        self.best_size, self.best_mask = start_best, start_mask
+        self._search(stop=False)
+        return self.best_size, self.best_mask
+
+    def find_exact(self, target: int) -> int | None:
+        """First (include-first, ascending index) solution of the target size:
+        the lexicographically smallest optimal subset."""
+        self.best_size, self.best_mask = target - 1, None
+        try:
+            self._search(stop=True)
+        except _Found:
+            return self.best_mask
+        return None
 
     def canonical_order(self, mask: int) -> list[int]:
         """Topological order of the masked vertices, smallest ready index first."""
@@ -528,7 +472,7 @@ def max_exceptional(
         i for i in range(solver.n) if verts[i].a == 0 and verts[i] != base
     ]
     orders.append([i for i in range(solver.n) if i not in deferred] + deferred)
-    best_size, best_mask = solver.chosen_count, solver.chosen_mask
+    best_size, best_mask = solver.chosen.bit_count(), solver.chosen
     seeds = []
     for name, order in zip(("plain", "layer0-last"), orders):
         size, mask = solver.greedy(order)
@@ -550,7 +494,8 @@ def max_exceptional(
             proof_log={**proof_log, "stats": solver.stats},
         )
 
-    proof_log["stats"] = dict(solver.stats)
+    # a real copy: the witness pass below counts into solver.stats too
+    proof_log["stats"] = copy.deepcopy(solver.stats)
     proof_log["optimum"] = best_size
 
     if deterministic:
@@ -601,10 +546,15 @@ def export_digraph_dot(sq: SymmetryQuotient, vertices) -> str:
 
 
 def export_digraph_json(sq: SymmetryQuotient, vertices) -> dict:
+    """The Ext digraph as {"vertices": [[a, b], ...], "edges": [[u, v], ...]}.
+
+    Each vertex is one [a, b] list, with b a list, and the same list object
+    is shared by "vertices" and every edge at that vertex: copy an entry
+    before mutating it.
+    """
     adj = hom_digraph(sq, vertices)
+    node = {u: [u.a, list(u.b)] for u in adj}
     return {
-        "vertices": [[u.a, list(u.b)] for u in adj],
-        "edges": [
-            [[u.a, list(u.b)], [v.a, list(v.b)]] for u, vs in adj.items() for v in vs
-        ],
+        "vertices": list(node.values()),
+        "edges": [[node[u], node[v]] for u, vs in adj.items() for v in vs],
     }

@@ -16,7 +16,12 @@ from functools import reduce
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DegenerateLoopError, SingularMatrixError, UnsupportedGeometryError
+from .errors import (
+    DegenerateLoopError,
+    SingularMatrixError,
+    SymmetryInvariantError,
+    UnsupportedGeometryError,
+)
 from .lattice import (
     IntMatrix,
     smith_normal_form,
@@ -38,9 +43,14 @@ class DiagonalElement:
     den: int
 
     def __post_init__(self):
-        assert self.den >= 1
-        assert all(0 <= x < self.den or (self.den == 1 and x == 0) for x in self.num)
-        assert reduce(gcd, self.num, self.den) == 1
+        if self.den < 1:
+            raise SymmetryInvariantError(f"denominator {self.den} is not positive")
+        if not all(0 <= x < self.den or (self.den == 1 and x == 0) for x in self.num):
+            raise SymmetryInvariantError(f"phases {self.num} are not reduced mod {self.den}")
+        if reduce(gcd, self.num, self.den) != 1:
+            raise SymmetryInvariantError(
+                f"phases {self.num} over {self.den} share a common factor"
+            )
 
     @classmethod
     def of(cls, nums, den: int) -> "DiagonalElement":
@@ -124,11 +134,18 @@ class FiniteAbelianGroup:
     generators: tuple[DiagonalElement, ...]
 
     def __post_init__(self):
-        assert len(self.invariant_factors) == len(self.generators)
+        if len(self.invariant_factors) != len(self.generators):
+            raise SymmetryInvariantError("one generator per invariant factor expected")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            assert b % a == 0
+            if b % a:
+                raise SymmetryInvariantError(
+                    f"invariant factor {a} does not divide the next, {b}"
+                )
         for f, g in zip(self.invariant_factors, self.generators):
-            assert f > 1 and g.order == f and g.n == self.nvars
+            if not (f > 1 and g.order == f and g.n == self.nvars):
+                raise SymmetryInvariantError(
+                    f"generator {g} does not have order {f} on {self.nvars} variables"
+                )
 
     @property
     def order(self) -> int:
@@ -233,9 +250,11 @@ def symmetry_group_of_matrix(a: IntMatrix) -> FiniteAbelianGroup:
         d = snf.D[i, i]
         if d > 1:
             g = DiagonalElement.of([snf.V[j, i] for j in range(n)], d)
-            assert g.order == d
+            if g.order != d:
+                raise SymmetryInvariantError(f"generator {g} does not have order {d}")
             # membership: every exponent row must pair to an integer
-            assert all(g.character(row) == 0 for row in a.entries)
+            if any(g.character(row) for row in a.entries):
+                raise SymmetryInvariantError(f"generator {g} does not preserve the polynomial")
             factors.append(d)
             gens.append(g)
     return FiniteAbelianGroup(
@@ -293,7 +312,8 @@ class SymmetryQuotient:
     quotient_orders: tuple[int, ...]
     quotient_generators: tuple[DiagonalElement, ...]
     characters: tuple[tuple[int, ...], ...] | None
-    # tables derived from this quotient (homs.ext_table), kept as long as it
+    # tables derived from this quotient (homs.ext_table and the Laurent
+    # monomial counts of the long-exact-sequence route), kept as long as it
     # lives; not part of its value, so equality and hashing ignore it
     derived: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
@@ -401,7 +421,8 @@ def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
     q, d = poly.weights, poly.degree
     b = splitting_coefficients(q)
     sigma = DiagonalElement.of(q, d)
-    assert all(sigma.character(row) == 0 for row in poly.matrix.entries)
+    if any(sigma.character(row) for row in poly.matrix.entries):
+        raise SymmetryInvariantError("scalar generator does not preserve the polynomial")
     factors, raw_reps = _quotient_class_reps(poly)
 
     canonical = []
@@ -424,13 +445,20 @@ def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
         else:
             canonical.append(best)
             if characters is not None:
-                assert all(best.character(row) == 0 for row in poly.matrix.entries)
+                if any(best.character(row) for row in poly.matrix.entries):
+                    raise SymmetryInvariantError(
+                        f"quotient generator {best} does not preserve the polynomial"
+                    )
                 characters.append(best.num)
 
     quotient_order = 1
     for m in factors:
         quotient_order *= m
-    assert group.order == sigma.order * quotient_order
+    if group.order != sigma.order * quotient_order:
+        raise SymmetryInvariantError(
+            f"group order {group.order} is not {sigma.order} scalars "
+            f"times quotient order {quotient_order}"
+        )
 
     return SymmetryQuotient(
         poly=poly,

@@ -18,6 +18,7 @@ from invquot import (
     canonical_bidegree,
     ext_dims,
     ext_dims_via_les,
+    get_preset,
     hom_dim,
     hom_table,
     monomial_dim,
@@ -38,6 +39,7 @@ from invquot.homs import (
     negate,
     shift,
 )
+from invquot.symmetry import SymmetryQuotient
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
@@ -308,6 +310,32 @@ class TestExtTable:
         assert ext_table(sq) is ext_table(sq)
         assert ext_table(sq) is not ext_table(trivial_sq)
         assert len(ext_table(trivial_sq).residues) == 1
+
+    def test_les_counts_kept_with_quotient(self, monkeypatch):
+        # queried in alternation, the long-exact-sequence route of each
+        # quotient reads Laurent counts from its own table, kept with the
+        # quotient: it never hashes the quotient and reads no Ext entry
+        first = symmetry_quotient(parse(PENTAGON))
+        second = symmetry_quotient(parse(get_preset("cubic-trivial-quotient")))
+        o, t = bidegree(first, 0, 0), bidegree(second, 0)
+        pairs = [
+            (sq, base, d)
+            for a in range(-6, 7)
+            for sq, base, d in [(first, o, bidegree(first, a, b)) for b in range(11)]
+            + [(second, t, bidegree(second, a))]
+        ]
+
+        def no_hash(self):
+            raise AssertionError("quotient hashed")
+
+        monkeypatch.setattr(SymmetryQuotient, "__hash__", no_hash)
+        les = [ext_dims_via_les(sq, base, d) for sq, base, d in pairs]
+        monkeypatch.undo()
+        assert not ext_table(first)._ext and not ext_table(second)._ext
+        assert first.derived["neg_counts"] is not second.derived["neg_counts"]
+        assert sorted(first.derived["neg_counts"]) == list(range(-9, 7))
+        assert any(dims[3] for dims in les)
+        assert les == [ext_dims(sq, base, d) for sq, base, d in pairs]
 
     def test_unnormalized_residue(self, sq):
         o = bidegree(sq, 0, 0)

@@ -1,13 +1,14 @@
 """Candidate window, exceptional collection verification, and the
 branch-and-bound maximum search."""
 
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import networkx as nx
@@ -22,6 +23,7 @@ from invquot import (
     export_digraph_json,
     ext_dims_via_les,
     find_cycles,
+    get_preset,
     max_exceptional,
     parse,
     symmetry_quotient,
@@ -271,6 +273,24 @@ class TestMaxExceptional:
         assert {s["order"] for s in log["seeds"]} == {"plain", "layer0-last"}
         assert log["stats"]["nodes"] > 0
 
+    def test_witness_pass_leaves_report_stats(self, sq, monkeypatch):
+        # the witness pass counts into the solver's stats; the report keeps
+        # the counts of the optimum search alone
+        plain = max_exceptional(sq, deterministic=False).proof_log["stats"]
+        after = {}
+        real = _Solver.find_exact
+
+        def spy(solver, target):
+            found = real(solver, target)
+            solver.stats["improvements"].append({"size": target, "nodes": -1})
+            after.update(solver.stats)
+            return found
+
+        monkeypatch.setattr(_Solver, "find_exact", spy)
+        stats = max_exceptional(sq).proof_log["stats"]
+        assert stats == plain
+        assert after["nodes"] > stats["nodes"]
+
     def test_witness_is_lex_min_optimal_subset(self, sq):
         # the canonical witness must contain the base vertex and be
         # reproducible from its own sorted set
@@ -281,9 +301,9 @@ class TestMaxExceptional:
         )
 
 
-class TestDescendantMasks:
-    """The solver's cycle test and reach masks against networkx, along seeded
-    random include/undo walks."""
+class TestClosesCycle:
+    """The solver's cycle test against networkx, along seeded random
+    include/undo walks over the chosen set."""
 
     @pytest.mark.parametrize("poly", ["pentagon", "z9"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -300,31 +320,83 @@ class TestDescendantMasks:
                 (u, w) for w in range(n) if (solver.out_mask[u] >> w) & 1
             )
         rng = random.Random(seed)
+        chosen = 0
         stack = []
         includes = undos = rejects = 0
         for _ in range(600):
-            chosen = [i for i in range(n) if (solver.chosen_mask >> i) & 1]
+            members = [i for i in range(n) if (chosen >> i) & 1]
             if stack and rng.random() < 0.35:
-                v, saved, before = stack.pop()
-                solver._undo_include(v, saved)
+                chosen = stack.pop()
                 undos += 1
-                assert solver.reach == before
                 continue
-            v = rng.choice([i for i in range(n) if i not in chosen])
-            down = solver._try_insert(v)
-            acyclic = nx.is_directed_acyclic_graph(graph.subgraph(chosen + [v]))
-            assert (down is None) == (not acyclic)
-            if down is None:
+            v = rng.choice([i for i in range(n) if i not in members])
+            closes = solver._closes_cycle(v, chosen)
+            acyclic = nx.is_directed_acyclic_graph(graph.subgraph(members + [v]))
+            assert closes == (not acyclic)
+            if closes:
                 rejects += 1
                 continue
-            before = list(solver.reach)
-            stack.append((v, solver._include(v, down), before))
+            stack.append(chosen)
+            chosen |= 1 << v
             includes += 1
-            sub = graph.subgraph(chosen + [v])
-            for u in chosen + [v]:
-                expected = sum(1 << w for w in nx.descendants(sub, u))
-                assert solver.reach[u] == expected
         assert includes > 50 and undos > 20 and rejects > 20
+
+
+class TestBruteForce:
+    """Branch and bound against exhaustive enumeration on seeded sub-windows,
+    with arrows taken from the long-exact-sequence route."""
+
+    @staticmethod
+    def lex_min_optimum(sq, verts):
+        """The first acyclic subset of the largest size, subsets of one size
+        taken in lexicographic order of their sorted indices."""
+        n = len(verts)
+        preds = [0] * n
+        for i, u in enumerate(verts):
+            for j, v in enumerate(verts):
+                if i != j and any(ext_dims_via_les(sq, u, v)):
+                    preds[j] |= 1 << i
+
+        def acyclic(members):
+            left = sum(1 << i for i in members)
+            while left:
+                source = next((i for i in members if (left >> i) & 1
+                               and not preds[i] & left), None)
+                if source is None:
+                    return False
+                left &= ~(1 << source)
+            return True
+
+        for k in range(n, -1, -1):
+            for members in combinations(range(n), k):
+                if acyclic(members):
+                    return [verts[i] for i in members]
+
+    @pytest.mark.parametrize(
+        "poly, layers, seeds",
+        [
+            (PENTAGON, None, range(1, 6)),
+            # two layers two apart, where the pentagon's pair bound binds
+            (PENTAGON, (0, 2), range(1, 11)),
+            (Z9, None, range(1, 6)),
+            (FERMAT, None, range(1, 6)),
+            (get_preset("cubic-trivial-quotient"), None, (1,)),
+        ],
+        ids=["pentagon", "pentagon-layers-0-2", "z9", "fermat", "cubic-trivial-quotient"],
+    )
+    def test_sub_windows(self, poly, layers, seeds):
+        sq = symmetry_quotient(parse(poly))
+        window, _ = candidate_window(sq)
+        if layers is not None:
+            window = [v for v in window if v.a in layers]
+        for seed in seeds:
+            sub = random.Random(seed).sample(window, min(14, len(window)))
+            sub.sort(key=lambda d: (d.a, d.b))
+            expected = self.lex_min_optimum(sq, sub)
+            result = max_exceptional(sq, vertices=sub)
+            assert result.optimal
+            assert result.size == len(expected), seed
+            assert list(result.witness_set) == expected, seed
 
 
 class TestSearchCounts:
@@ -407,3 +479,17 @@ class TestExports:
             1 for u in verts for v in verts if u != v and edge(sq, u, v)
         )
         assert len(data["edges"]) == expected_edges
+
+    def test_fermat_json_digest(self):
+        # the JSON text of the Fermat export is pinned; each vertex list is
+        # one object, shared by every arrow at that vertex
+        sq = symmetry_quotient(parse(FERMAT))
+        window, _ = candidate_window(sq)
+        data = export_digraph_json(sq, window)
+        text = json.dumps(data)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e2e9a60c890bec8fddff3a0ce3b9fa57843f5441482e233016141fb074fef7d9"
+        )
+        assert len(data["vertices"]) == 518 and len(data["edges"]) == 53_449
+        ids = {id(x) for x in data["vertices"]}
+        assert all(id(u) in ids and id(v) in ids for u, v in data["edges"])

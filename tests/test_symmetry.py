@@ -1,8 +1,13 @@
 """Diagonal symmetry groups, the scalar subgroup, and the quotient data."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +26,8 @@ from invquot import (
     symmetry_quotient,
 )
 from invquot.symmetry import generated_residues
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_force_group_residues(m: IntMatrix, modulus: int) -> frozenset:
@@ -292,3 +299,51 @@ class TestSymmetryQuotient:
             )
             assert coset not in seen
             seen.add(coset)
+
+
+class TestInvariantErrors:
+    def test_raise_under_optimize(self):
+        # python -O strips asserts; the typed errors of the symmetry and
+        # lattice kernels must still fire
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+
+            assert False, "stripped under -O"
+            from invquot import (
+                DiagonalElement, IntMatrix, LatticeInvariantError,
+                SymmetryInvariantError, lattice,
+            )
+            from invquot.symmetry import FiniteAbelianGroup
+
+            for make in (
+                lambda: DiagonalElement(num=(3, 1), den=2),
+                lambda: DiagonalElement(num=(2, 4), den=6),
+                lambda: FiniteAbelianGroup(
+                    nvars=2, invariant_factors=(3,),
+                    generators=(DiagonalElement.of((1, 1), 2),),
+                ),
+            ):
+                try:
+                    make()
+                except SymmetryInvariantError as exc:
+                    print("raised:", exc)
+            lattice._solve_rational = lambda m, rhs: [Fraction(1, 2)] * len(rhs)
+            try:
+                IntMatrix.identity(2).inverse_unimodular()
+            except LatticeInvariantError as exc:
+                print("raised:", exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: phases (3, 1) are not reduced mod 2",
+            "raised: phases (2, 4) over 6 share a common factor",
+            "raised: generator DiagonalElement(num=(1, 1), den=2) does not have "
+            "order 3 on 2 variables",
+            "raised: inverse of a determinant +-1 matrix is not integral",
+        ]
