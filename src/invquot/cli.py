@@ -3,7 +3,8 @@
 Subcommands: analyze | table | chen-ruan | search | verify. Input is a
 positional polynomial string, --json-matrix FILE, or --preset NAME; output is
 text, JSON (a full run report), or CSV via --format, optionally written to
---out. Exit codes: 0 success, 1 validation error, 2 search timeout.
+--out. The report's parameters are the options that can change a result.
+Exit codes: 0 success, 1 validation error, 2 search timeout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import DegenerateLoopError, InvquotError, PolynomialSyntaxError, Se
 from .homs import BiDegree, all_residues, bidegree, representative_table, hom_table
 from .polynomials import InvertiblePolynomial, atomic_decomposition, parse, parse_json_matrix
 from .presets import get_preset
-from .reports import make_report
 from .search import candidate_window, max_exceptional, verify_collection
 from .symmetry import (
     DiagonalElement,
@@ -47,8 +47,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--preset", metavar="NAME", help="named input polynomial")
     sub.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in the report (reserved for sampled diagnostics)")
 
 
 def build_parser() -> _Parser:
@@ -71,8 +69,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window-max-a", type=int, default=None,
                    help="cap the candidate window at this total degree")
     p.add_argument("--timeout-secs", type=float, default=None)
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True,
-                   help="canonicalize the witness (lexicographically smallest optimum)")
 
     p = subs.add_parser("verify", help="check a collection supplied as JSON [a, b] pairs")
     _add_common(p)
@@ -394,12 +390,7 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
         cr = None
     verts, audit = candidate_window(sq, max_a=args.window_max_a)
     try:
-        result = max_exceptional(
-            sq,
-            vertices=verts,
-            deterministic=args.deterministic,
-            timeout_secs=args.timeout_secs,
-        )
+        result = max_exceptional(sq, vertices=verts, timeout_secs=args.timeout_secs)
     except SearchTimeoutError as exc:
         results = {
             "timed_out": True,
@@ -536,41 +527,43 @@ def main(argv=None) -> int:
         exit_code = 0
         if args.subcommand == "analyze":
             results = _run_analyze(poly, args)
-            parameters = {"seed": args.seed}
+            parameters = {}
             text = _text_analyze({**results, "input_polynomial": input_info["polynomial"]})
             csv = _csv_keyvals(results, [k for k in results if k != "atomic_blocks"])
         elif args.subcommand == "table":
             results = _run_table(poly, args)
-            parameters = {"seed": args.seed, "max_a": args.max_a}
+            parameters = {"max_a": args.max_a}
             text = _text_table(results)
             csv = _csv_table(results)
         elif args.subcommand == "chen-ruan":
             results = _run_chen_ruan(poly, args)
-            parameters = {"seed": args.seed}
+            parameters = {}
             text = _text_chen_ruan(results)
             csv = _csv_chen_ruan(results)
         elif args.subcommand == "search":
             results, exit_code = _run_search(poly, args)
             parameters = {
-                "seed": args.seed,
                 "window_max_a": args.window_max_a,
                 "timeout_secs": args.timeout_secs,
-                "deterministic": args.deterministic,
             }
             text = _text_search(results)
             csv = _csv_search(results)
         else:
             results = _run_verify(poly, args)
-            parameters = {"seed": args.seed, "collection": args.collection}
+            parameters = {"collection": args.collection}
             text = _text_verify(results)
             csv = _csv_verify(results)
 
-        report = make_report(
-            __version__, args.subcommand, input_info, parameters, results,
-            time.monotonic() - t0,
-        )
+        report = {
+            "tool": {"name": "invquot", "version": __version__},
+            "subcommand": args.subcommand,
+            "input": input_info,
+            "parameters": parameters,
+            "results": results,
+            "timings": {"total_s": round(time.monotonic() - t0, 4)},
+        }
         if args.format == "json":
-            payload = report.to_json()
+            payload = json.dumps(report, indent=2)
         elif args.format == "csv":
             payload = csv
         else:

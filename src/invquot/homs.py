@@ -30,9 +30,9 @@ from .symmetry import SymmetryQuotient
 _NO_EXT = (0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BiDegree:
-    """Total degree plus one residue per quotient factor."""
+    """Total degree plus one residue per quotient factor, ordered by (a, b)."""
 
     a: int
     b: tuple[int, ...]

@@ -14,12 +14,12 @@ backtracking undoes nothing. A vertex may join when it has no mutual arrow
 with a chosen one and closes no cycle; the cycle test expands the vertex's
 chosen descendants on demand. The same search, stopped at the first
 collection of the proven optimum size, gives the canonical witness: the
-lexicographically smallest optimal subset.
+lexicographically smallest optimal subset. Each pass returns its result with
+its own counters, so the witness pass leaves the optimum's report alone.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -47,7 +47,7 @@ def edge(sq: SymmetryQuotient, u: BiDegree, v: BiDegree) -> bool:
 
 
 def hom_digraph(sq: SymmetryQuotient, vertices) -> dict[BiDegree, list[BiDegree]]:
-    verts = sorted(set(vertices), key=lambda d: (d.a, d.b))
+    verts = sorted(set(vertices))
     out, _ = ext_table(sq).rows(verts)
     adj = {}
     for u, m in zip(verts, out):
@@ -64,36 +64,44 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
     """Finite vertex set that provably contains a maximum collection through
     the base, together with an audit trail of every exclusion.
 
-    Layer a keeps the vertices that do not form a mutual Ext cycle with the
-    base. Scanning stops two layers after the first row whose section count is
-    positive in every residue: positivity then propagates upward (multiply by
-    any monomial), so all later layers have arrows both ways with the base.
+    Layer a keeps the vertices v = (a, b) that do not form a mutual Ext cycle
+    with the base. The arrow base -> v is Hom: the sections of S/(W) in
+    bidegree (a, b). The arrow v -> base is Ext^3, by Serre duality dual to
+    the sections in bidegree (a + d - n, b + the canonical residue).
+
+    Scanning stops n - d layers after the first row whose section count is
+    positive in every residue: two on a cubic threefold, where the Serre term
+    has total degree d - n = -2, and never fewer than two (for d > 3 the
+    extra layers are excluded whole). Positivity propagates upward through
+    multiplication by a variable x_j that does not divide W: x_j then lies in
+    no associated prime of (W), whose associated primes are the principal
+    ideals of W's irreducible factors, so it is a nonzerodivisor on S/(W) and
+    maps bidegree (a, b) injectively into (a + 1, b + char x_j). Since
+    b -> b + char x_j permutes the residues, row a + 1 is positive wherever
+    row a is. So from the stop layer on, Hom and the Serre term are both
+    positive and every vertex has arrows both ways with the base. An
+    invertible W is divisible by x_j exactly when every defining monomial
+    contains x_j, which is what the free-variable check rules out.
     """
     _require_threefold(sq)
     table = ext_table(sq)
     base = base_vertex(sq)
     audit: dict = {"layers": [], "excluded": [], "certificate": None}
 
-    # certificate precondition: some defining monomial misses some variable,
-    # so multiplication by it proves positivity propagation in every residue
-    free_var = None
-    for row in sq.poly.matrix.entries:
-        for j, e in enumerate(row, start=1):
-            if e == 0:
-                free_var = j
-                break
-        if free_var:
-            break
-    if free_var is None:
+    # cutoff precondition: some defining monomial misses some variable x_j,
+    # so x_j does not divide W and multiplication by it is injective on S/(W)
+    if not any(0 in row for row in sq.poly.matrix.entries):
         raise UnsupportedGeometryError(
             "every defining monomial touches every variable, no cutoff certificate"
         )
+    # the Serre term lags the Hom term by n - d layers
+    span = max(2, -table.canonical[0])
 
     full_row = None
     a = 0
     vertices = []
     while True:
-        if full_row is not None and a >= full_row + 2:
+        if full_row is not None and a >= full_row + span:
             audit["certificate"] = {
                 "first_all_positive_row": full_row,
                 "stop_layer": a,
@@ -136,7 +144,6 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
         ):
             full_row = a
         a += 1
-    vertices.sort(key=lambda d: (d.a, d.b))
     return vertices, audit
 
 
@@ -193,9 +200,9 @@ def find_cycles(sq: SymmetryQuotient, vertices, max_len: int):
     g.add_edges_from((u, v) for u, vs in adj.items() for v in vs)
     out = []
     for cyc in nx.simple_cycles(g, length_bound=max_len):
-        k = min(range(len(cyc)), key=lambda i: (cyc[i].a, cyc[i].b))
+        k = cyc.index(min(cyc))
         out.append(tuple(cyc[k:] + cyc[:k]))
-    out.sort(key=lambda c: (len(c), [(d.a, d.b) for d in c]))
+    out.sort(key=lambda c: (len(c), c))
     return out
 
 
@@ -209,7 +216,8 @@ class SearchResult:
 
 
 class _TimeUp(Exception):
-    pass
+    """The deadline passed; args are the incumbent (size, mask) and the
+    interrupted pass's stats."""
 
 
 class _Found(Exception):
@@ -257,14 +265,6 @@ class _Solver:
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.conflicted = 0
-        self.stats = {
-            "nodes": 0,
-            "bound_prunes": 0,
-            "cycle_rejects": 0,
-            "improvements": [],
-        }
-        self.best_size = 0
-        self.best_mask = 0
 
     def _closes_cycle(self, v: int, chosen: int) -> bool:
         """True when adding v to the acyclic set chosen closes a cycle: some
@@ -336,29 +336,29 @@ class _Solver:
 
     # -- branch and bound ----------------------------------------------------
 
-    def _search(self, stop: bool):
+    def search(self, best: int, best_mask: int | None, stop: bool = False):
         """Depth-first search from the root state, include before exclude in
-        ascending index order. A node whose bound is at most best_size is
-        pruned; a collection larger than best_size becomes the incumbent, or,
-        with stop, ends the search by raising _Found."""
+        ascending index order, against the incumbent (best, best_mask). A
+        node whose bound is at most best is pruned; a larger collection
+        becomes the incumbent, or, with stop, ends the search. Returns
+        (size, mask, stats) with this pass's own counters; on the deadline
+        raises _TimeUp carrying the same three."""
         n = self.n
         deadline = self.deadline
         conflict_mask = self.conflict_mask
         closes_cycle = self._closes_cycle
         pair_bound = self._pair_bound if self.pair_cap is not None else None
-        improvements = self.stats["improvements"]
-        best = self.best_size
+        improvements = []
         nodes = prunes = rejects = 0
         monotonic = time.monotonic
 
         def dfs(pos, chosen, count, undecided, conflicted):
-            nonlocal best, nodes, prunes, rejects
+            nonlocal best, best_mask, nodes, prunes, rejects
             if count > best:
-                best = self.best_size = count
-                self.best_mask = chosen
+                best, best_mask = count, chosen
                 if stop:
                     raise _Found
-                improvements.append({"size": count, "nodes": self.stats["nodes"] + nodes})
+                improvements.append({"size": count, "nodes": nodes})
             nodes += 1
             if deadline is not None and monotonic() > deadline:
                 raise _TimeUp
@@ -384,30 +384,24 @@ class _Solver:
                         conflicted | conflict_mask[pos])
             dfs(pos + 1, chosen, count, undecided, conflicted)
 
+        def stats():
+            return {
+                "nodes": nodes,
+                "bound_prunes": prunes,
+                "cycle_rejects": rejects,
+                "improvements": improvements,
+            }
+
         try:
             dfs(0, self.chosen, self.chosen.bit_count(), self.undecided, self.conflicted)
-        finally:
-            self.stats["nodes"] += nodes
-            self.stats["bound_prunes"] += prunes
-            self.stats["cycle_rejects"] += rejects
-
-    def maximize(self, start_best: int, start_mask: int) -> tuple[int, int]:
-        self.best_size, self.best_mask = start_best, start_mask
-        self._search(stop=False)
-        return self.best_size, self.best_mask
-
-    def find_exact(self, target: int) -> int | None:
-        """First (include-first, ascending index) solution of the target size:
-        the lexicographically smallest optimal subset."""
-        self.best_size, self.best_mask = target - 1, None
-        try:
-            self._search(stop=True)
         except _Found:
-            return self.best_mask
-        return None
+            pass
+        except _TimeUp:
+            raise _TimeUp(best, best_mask, stats()) from None
+        return best, best_mask, stats()
 
-    def canonical_order(self, mask: int) -> list[int]:
-        """Topological order of the masked vertices, smallest ready index first."""
+    def witness(self, mask: int) -> tuple[BiDegree, ...]:
+        """The masked vertices in topological order, smallest ready index first."""
         members = [i for i in range(self.n) if (mask >> i) & 1]
         indeg = {i: (self.in_mask[i] & mask).bit_count() for i in members}
         ready = [i for i in members if indeg[i] == 0]
@@ -425,13 +419,12 @@ class _Solver:
                     heapq.heappush(ready, w)
         if len(order) != len(members):
             raise SearchInvariantError("collection mask is not acyclic")
-        return order
+        return tuple(self.verts[i] for i in order)
 
 
 def max_exceptional(
     sq: SymmetryQuotient,
     vertices=None,
-    deterministic: bool = True,
     timeout_secs: float | None = None,
 ) -> SearchResult:
     """Size and witness of a maximum exceptional collection inside the window.
@@ -441,10 +434,9 @@ def max_exceptional(
     twisted to contain it, so this loses nothing). An explicit vertex list is
     searched as given, without forcing.
 
-    deterministic=True additionally canonicalizes the witness to the
-    lexicographically smallest optimal subset, ordered by a deterministic
-    topological sort. Raises SearchTimeoutError with the best collection found
-    so far when the budget runs out.
+    The witness is canonical: the lexicographically smallest optimal subset,
+    ordered by a deterministic topological sort. Raises SearchTimeoutError
+    with the best collection found so far when the budget runs out.
     """
     _require_threefold(sq)
     t0 = time.monotonic()
@@ -455,7 +447,7 @@ def max_exceptional(
         proof_log["window"] = audit
         forced = True
     else:
-        verts = sorted(set(vertices), key=lambda d: (d.a, d.b))
+        verts = sorted(set(vertices))
         forced = False
     base = base_vertex(sq)
     proof_log["vertices"] = len(verts)
@@ -482,53 +474,44 @@ def max_exceptional(
     proof_log["seeds"] = seeds
 
     try:
-        best_size, best_mask = solver.maximize(best_size, best_mask)
-        optimal = True
-    except _TimeUp:
-        order = solver.canonical_order(solver.best_mask)
-        witness = tuple(verts[i] for i in order)
+        best_size, best_mask, stats = solver.search(best_size, best_mask)
+    except _TimeUp as up:
+        size, mask, stats = up.args
         raise SearchTimeoutError(
             f"search budget exhausted after {time.monotonic() - t0:.1f}s",
-            best_size=solver.best_size,
-            best_witness=witness,
-            proof_log={**proof_log, "stats": solver.stats},
-        )
-
-    # a real copy: the witness pass below counts into solver.stats too
-    proof_log["stats"] = copy.deepcopy(solver.stats)
+            best_size=size,
+            best_witness=solver.witness(mask),
+            proof_log={**proof_log, "stats": stats},
+        ) from None
+    proof_log["stats"] = stats
     proof_log["optimum"] = best_size
 
-    if deterministic:
-        try:
-            exact = solver.find_exact(best_size)
-        except _TimeUp:
-            # the optimum is already proven, but the canonical witness is not;
-            # a deterministic run must not return an arbitrary one
-            order = solver.canonical_order(best_mask)
-            witness = tuple(verts[i] for i in order)
-            raise SearchTimeoutError(
-                "budget exhausted while canonicalizing the witness "
-                f"(optimum {best_size} already proven)",
-                best_size=best_size,
-                best_witness=witness,
-                proof_log={**proof_log, "optimum_proven": True},
-            )
-        if exact is None:
-            raise SearchInvariantError(
-                f"no collection of the proven optimum size {best_size} found"
-            )
-        best_mask = exact
-    order = solver.canonical_order(best_mask)
-    witness = tuple(verts[i] for i in order)
-    witness_set = tuple(sorted(witness, key=lambda d: (d.a, d.b)))
-    report = verify_collection(sq, witness)
-    if not report.valid:
+    # the witness pass: the same search, stopped at the first collection of
+    # the optimum size; its counters stay out of the report
+    try:
+        size, exact, _ = solver.search(best_size - 1, None, stop=True)
+    except _TimeUp:
+        # the optimum is already proven, but the canonical witness is not;
+        # the run must not return an arbitrary one
+        raise SearchTimeoutError(
+            "budget exhausted while canonicalizing the witness "
+            f"(optimum {best_size} already proven)",
+            best_size=best_size,
+            best_witness=solver.witness(best_mask),
+            proof_log={**proof_log, "optimum_proven": True},
+        ) from None
+    if size != best_size:
+        raise SearchInvariantError(
+            f"no collection of the proven optimum size {best_size} found"
+        )
+    witness = solver.witness(exact)
+    if not verify_collection(sq, witness).valid:
         raise SearchInvariantError("search produced an invalid collection")
     return SearchResult(
         size=best_size,
         witness=witness,
-        witness_set=witness_set,
-        optimal=optimal,
+        witness_set=tuple(sorted(witness)),
+        optimal=True,
         proof_log=proof_log,
     )
 

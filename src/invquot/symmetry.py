@@ -175,33 +175,6 @@ class FiniteAbelianGroup:
             out.add(tuple(vec))
         return frozenset(out)
 
-    def elements(self) -> list[DiagonalElement]:
-        m = self.exponent
-        return sorted(
-            (DiagonalElement.of(vec, m) for vec in self.element_residues(m)),
-            key=DiagonalElement.sort_key,
-        )
-
-    def contains(self, elem: DiagonalElement) -> bool:
-        if elem.n != self.nvars:
-            return False
-        if self.exponent % elem.order:
-            return False
-        return elem.residues(self.exponent) in self.element_residues()
-
-    def same_subgroup(self, other: "FiniteAbelianGroup") -> bool:
-        """Equality as subsets of the torus, independent of chosen generators."""
-        if self.nvars != other.nvars or self.order != other.order:
-            return False
-        m = lcm(self.exponent, other.exponent)
-        return self.element_residues(m) == other.element_residues(m)
-
-    def verify_by_enumeration(self, limit: int = 10**4) -> bool:
-        """Check |<generators>| equals the claimed order (skipped above limit)."""
-        if self.order > limit:
-            return True
-        return len(self.element_residues()) == self.order
-
 
 def generated_residues(
     nvars: int, generators, modulus: int

@@ -257,8 +257,28 @@ class TestOutput:
         assert out == ""
         assert json.loads(path.read_text())["subcommand"] == "analyze"
 
-    def test_seed_recorded(self, capsys):
-        _, out, _ = run(
-            capsys, "analyze", PENTAGON, "--format", "json", "--seed", "7"
-        )
-        assert json.loads(out)["parameters"]["seed"] == 7
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["analyze"], []),
+            (["table"], ["max_a"]),
+            (["chen-ruan"], []),
+            (["search"], ["window_max_a", "timeout_secs"]),
+            (["verify", "--collection", "COLLECTION"], ["collection"]),
+        ],
+        ids=["analyze", "table", "chen-ruan", "search", "verify"],
+    )
+    def test_parameters_are_result_options(self, capsys, tmp_path, argv, keys):
+        # parameters lists only the options that can change a result; the
+        # removed knobs are rejected as unknown options
+        path = tmp_path / "collection.json"
+        path.write_text(json.dumps([[0, 0], [0, 1]]))
+        argv = [str(path) if x == "COLLECTION" else x for x in argv]
+        code, out, _ = run(capsys, *argv, PENTAGON, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["parameters"]) == keys
+        for removed in (["--seed", "7"], ["--no-deterministic"], ["--deterministic"]):
+            code, out, err = run(capsys, *argv, PENTAGON, *removed)
+            assert code == 1
+            assert out == ""
+            assert "unrecognized arguments" in err

@@ -1,6 +1,7 @@
 """Candidate window, exceptional collection verification, and the
 branch-and-bound maximum search."""
 
+import copy
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import networkx as nx
@@ -30,11 +31,12 @@ from invquot import (
     verify_collection,
 )
 from invquot.cli import main
-from invquot.search import _Solver, base_vertex, edge, hom_digraph
+from invquot.search import _Solver, _TimeUp, base_vertex, edge, hom_digraph
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
 FERMAT = "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"
+QUADRIC = "x1^2 + x2^2 + x3^2 + x4^2 + x5^2"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 REFERENCE_SEQUENCE = [
@@ -83,6 +85,30 @@ class TestWindow:
     def test_cap_zero_keeps_layer_zero(self, sq):
         verts, _ = candidate_window(sq, max_a=0)
         assert len(verts) == 11
+
+    def test_window_is_sorted_by_bidegree(self):
+        # built layer by layer in residue order, so already in the (a, b)
+        # order that BiDegree compares by
+        sq = symmetry_quotient(parse(FERMAT))
+        verts, _ = candidate_window(sq)
+        assert verts == sorted(verts, key=lambda d: (d.a, d.b)) == sorted(verts)
+
+    def test_quadric_scans_past_the_serre_lag(self):
+        # on a quadric threefold the Serre term has total degree d - n = -3:
+        # the scan runs three layers past the first all-positive row, and the
+        # last of them still keeps a vertex
+        sq = symmetry_quotient(parse(QUADRIC))
+        verts, audit = candidate_window(sq)
+        cert = audit["certificate"]
+        assert cert["first_all_positive_row"] == 4
+        assert cert["stop_layer"] == 7
+        assert [layer["kept"] for layer in audit["layers"]][4:] == [11, 5, 1]
+        base = base_vertex(sq)
+        for v in verts:
+            assert not (edge(sq, base, v) and edge(sq, v, base))
+        for a in (7, 8):
+            for v in degs(sq, [(a, b) for b in product(range(2), repeat=4)]):
+                assert edge(sq, base, v) and edge(sq, v, base)
 
     def test_requires_free_variable(self):
         # every monomial of the chain-and-fermat mix below touches x1, so
@@ -274,22 +300,40 @@ class TestMaxExceptional:
         assert log["stats"]["nodes"] > 0
 
     def test_witness_pass_leaves_report_stats(self, sq, monkeypatch):
-        # the witness pass counts into the solver's stats; the report keeps
-        # the counts of the optimum search alone
-        plain = max_exceptional(sq, deterministic=False).proof_log["stats"]
-        after = {}
-        real = _Solver.find_exact
+        # each search pass returns fresh stats; the report keeps those of the
+        # optimum search as it returned them, whatever the witness pass counts
+        snapshots = []
+        real = _Solver.search
 
-        def spy(solver, target):
-            found = real(solver, target)
-            solver.stats["improvements"].append({"size": target, "nodes": -1})
-            after.update(solver.stats)
-            return found
+        def spy(solver, *args, **kwargs):
+            size, mask, stats = real(solver, *args, **kwargs)
+            snapshots.append(copy.deepcopy(stats))
+            return size, mask, stats
 
-        monkeypatch.setattr(_Solver, "find_exact", spy)
+        monkeypatch.setattr(_Solver, "search", spy)
         stats = max_exceptional(sq).proof_log["stats"]
-        assert stats == plain
-        assert after["nodes"] > stats["nodes"]
+        optimum, witness = snapshots
+        assert stats == optimum
+        assert witness["nodes"] > 0
+        assert witness["improvements"] == []
+
+    def test_witness_pass_timeout_keeps_proven_optimum(self, sq, monkeypatch):
+        real = _Solver.search
+
+        def spy(solver, best, best_mask, stop=False):
+            if stop:
+                raise _TimeUp(best, best_mask, {})
+            return real(solver, best, best_mask, stop)
+
+        monkeypatch.setattr(_Solver, "search", spy)
+        with pytest.raises(SearchTimeoutError, match="optimum 24 already proven") as err:
+            max_exceptional(sq)
+        assert err.value.best_size == 24
+        assert len(err.value.best_witness) == 24
+        assert verify_collection(sq, err.value.best_witness).valid
+        log = err.value.proof_log
+        assert log["optimum_proven"] and log["optimum"] == 24
+        assert log["stats"]["nodes"] == 298
 
     def test_witness_is_lex_min_optimal_subset(self, sq):
         # the canonical witness must contain the base vertex and be

@@ -125,7 +125,7 @@ class TestSymmetryGroup:
         assert g.is_cyclic
         expected = DiagonalElement.of((1, 31, 4, 25, 16), 33)
         assert spans_group(g, [expected])
-        assert g.verify_by_enumeration()
+        assert len(g.element_residues()) == g.order
 
     def test_brute_force_small_matrices(self):
         rng = random.Random(40)
