@@ -10,9 +10,12 @@ Every dimension between O(u) and O(v) depends only on the difference v - u.
 One ExtTable per quotient, from ext_table(sq), holds the section counts per
 total degree and the Ext dimensions per difference (total degree, residue
 number), one total degree at a time on first use; the public per-pair
-functions are thin wrappers over it. The long-exact-sequence route reads only
-the section counts and its own Laurent monomial counts, kept per quotient
-beside the table, never the Ext entries.
+functions are thin wrappers over it. The Ext digraph on distinct vertices is
+built the same way, by residue translation: the targets of a source in one
+layer are that layer's vertices at the source's residue plus each nonzero
+entry of one difference row. The long-exact-sequence route reads only the
+section counts and its own Laurent monomial counts, kept per quotient beside
+the table, never the Ext entries.
 
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
@@ -26,9 +29,6 @@ from itertools import product
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
 from .symmetry import SymmetryQuotient
-
-_NO_EXT = (0, 0, 0, 0)
-
 
 @dataclass(frozen=True, order=True)
 class BiDegree:
@@ -144,6 +144,7 @@ class ExtTable:
         )
         self._counts: dict[int, list[int]] = {}
         self._ext: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._supports: dict[int, tuple[bool, list[int]]] = {}
 
     def residue_index(self, b) -> int:
         """Number of a residue; anything but a normalized tuple goes through
@@ -190,33 +191,61 @@ class ExtTable:
         r = self.diff[self.residue_index(source.b)][self.residue_index(target.b)]
         return self._ext_row(target.a - source.a)[r]
 
-    def rows(self, verts) -> tuple[list[int], list[int]]:
-        """Bit rows of the Ext digraph on distinct vertices: bit j of out[i]
-        is set when some Ext from verts[i] to verts[j] is nonzero (i != j),
-        and in_ is the transpose."""
+    def _support(self, a: int) -> tuple[bool, list[int]]:
+        """(True, the residue numbers s with some nonzero Ext in difference
+        (a, s)), or (False, those with all Ext zero) when these are fewer."""
+        support = self._supports.get(a)
+        if support is None:
+            row = self._ext_row(a)
+            nonzero = [s for s, dims in enumerate(row) if any(dims)]
+            zero = [s for s, dims in enumerate(row) if not any(dims)]
+            support = (True, nonzero) if len(nonzero) <= len(zero) else (False, zero)
+            self._supports[a] = support
+        return support
+
+    def rows(self, verts) -> list[int]:
+        """Out rows of the Ext digraph on vertices that must be distinct (a
+        repeat raises ValueError): bit j of out[i] is set when some Ext from
+        verts[i] to verts[j] is nonzero (i != j).
+
+        An arrow u -> v depends only on v - u. So the targets of a source
+        (a, r) in layer a' are that layer's vertices at residues r + s, with
+        s running over the nonzero entries of difference row a' - a, or the
+        whole layer less those at r + s over the zero entries when these are
+        fewer. Each layer keeps the bit of its vertex at every residue number
+        (0 where it has none), and distinct vertices make each sum an OR.
+        """
         _require_threefold(self.sq)
-        keys = [(v.a, self.residue_index(v.b)) for v in verts]
-        layers: dict[int, list[tuple[int, int]]] = {}
-        for j, (a, r) in enumerate(keys):
-            layers.setdefault(a, []).append((1 << j, r))
+        layers: dict[int, list[int]] = {}
+        keys = []
+        for j, v in enumerate(verts):
+            r = self.residue_index(v.b)
+            bits = layers.get(v.a)
+            if bits is None:
+                bits = layers[v.a] = [0] * len(self.residues)
+            if bits[r]:
+                raise ValueError(f"vertex {v} given twice")
+            bits[r] = 1 << j
+            keys.append((v.a, r))
+        # per source layer: for each target layer, its bit lookup, its whole
+        # mask and the support of the difference row between them
+        steps = {
+            ua: [
+                (bits.__getitem__, sum(bits), *self._support(va - ua))
+                for va, bits in layers.items()
+            ]
+            for ua in layers
+        }
+        diff = self.diff
         out = []
         for i, (ua, ur) in enumerate(keys):
-            drow = self.diff[ur]
+            plus = diff[diff[ur][0]].__getitem__   # residue number s -> r + s
             m = 0
-            for va, members in layers.items():
-                row = self._ext_row(va - ua)
-                for bit, vr in members:
-                    if row[drow[vr]] != _NO_EXT:
-                        m |= bit
+            for bit_at, full, nonzero, support in steps[ua]:
+                hit = sum(map(bit_at, map(plus, support)))
+                m |= hit if nonzero else full - hit
             out.append(m & ~(1 << i))
-        in_ = [0] * len(keys)
-        for i, m in enumerate(out):
-            bit = 1 << i
-            while m:
-                low = m & -m
-                in_[low.bit_length() - 1] |= bit
-                m ^= low
-        return out, in_
+        return out
 
 
 def ext_table(sq: SymmetryQuotient) -> ExtTable:

@@ -21,6 +21,7 @@ its own counters, so the witness pass leaves the optimum's report alone.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -46,9 +47,17 @@ def edge(sq: SymmetryQuotient, u: BiDegree, v: BiDegree) -> bool:
     return u != v and any(ext_dims(sq, u, v))
 
 
+def _sorted_distinct(vertices) -> list[BiDegree]:
+    """The vertices sorted by bidegree without repeats; a list that is already
+    strictly increasing, like a candidate window, is returned as it is."""
+    if isinstance(vertices, list) and all(map(operator.lt, vertices, vertices[1:])):
+        return vertices
+    return sorted(set(vertices))
+
+
 def hom_digraph(sq: SymmetryQuotient, vertices) -> dict[BiDegree, list[BiDegree]]:
-    verts = sorted(set(vertices))
-    out, _ = ext_table(sq).rows(verts)
+    verts = _sorted_distinct(vertices)
+    out = ext_table(sq).rows(verts)
     adj = {}
     for u, m in zip(verts, out):
         targets = []
@@ -119,13 +128,16 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
                 "no all-positive row found within the scan limit"
             )
         kept = []
-        for b in table.residues:
+        # the base is (0, residue number 0): forward reads difference (a, r),
+        # backward (-a, -r)
+        forward_row, backward_row = table._ext_row(a), table._ext_row(-a)
+        for r, b in enumerate(table.residues):
             v = BiDegree(a=a, b=b)
             if v == base:
                 kept.append(v)
                 continue
-            forward = table.dims(base, v)
-            backward = table.dims(v, base)
+            forward = forward_row[r]
+            backward = backward_row[table.diff[r][0]]
             if any(forward) and any(backward):
                 audit["excluded"].append(
                     {
@@ -241,7 +253,14 @@ class _Solver:
         self.deadline = deadline
         self.index = {v: i for i, v in enumerate(verts)}
         table = ext_table(sq)
-        self.out_mask, self.in_mask = table.rows(verts)
+        self.out_mask = table.rows(verts)
+        self.in_mask = [0] * n
+        for i, m in enumerate(self.out_mask):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                self.in_mask[low.bit_length() - 1] |= bit
+                m ^= low
         self.conflict_mask = [
             self.out_mask[i] & self.in_mask[i] for i in range(n)
         ]
@@ -447,7 +466,7 @@ def max_exceptional(
         proof_log["window"] = audit
         forced = True
     else:
-        verts = sorted(set(vertices))
+        verts = _sorted_distinct(vertices)
         forced = False
     base = base_vertex(sq)
     proof_log["vertices"] = len(verts)
@@ -531,13 +550,17 @@ def export_digraph_dot(sq: SymmetryQuotient, vertices) -> str:
 def export_digraph_json(sq: SymmetryQuotient, vertices) -> dict:
     """The Ext digraph as {"vertices": [[a, b], ...], "edges": [[u, v], ...]}.
 
-    Each vertex is one [a, b] list, with b a list, and the same list object
-    is shared by "vertices" and every edge at that vertex: copy an entry
-    before mutating it.
+    Vertices are sorted by bidegree, and edges by source, then target. Each
+    vertex is one [a, b] list, with b a list, and the same list object is
+    shared by "vertices" and every edge at that vertex: copy an entry before
+    mutating it.
     """
-    adj = hom_digraph(sq, vertices)
-    node = {u: [u.a, list(u.b)] for u in adj}
-    return {
-        "vertices": list(node.values()),
-        "edges": [[node[u], node[v]] for u, vs in adj.items() for v in vs],
-    }
+    verts = _sorted_distinct(vertices)
+    node = [[v.a, list(v.b)] for v in verts]
+    edges = []
+    for u, m in zip(node, ext_table(sq).rows(verts)):
+        while m:
+            low = m & -m
+            edges.append([u, node[low.bit_length() - 1]])
+            m ^= low
+    return {"vertices": node, "edges": edges}

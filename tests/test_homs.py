@@ -43,6 +43,7 @@ from invquot.symmetry import SymmetryQuotient
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
+FERMAT = "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # every (a, b) with a nonzero section count in rows 0..3, written as frozen
@@ -297,6 +298,46 @@ class TestExtTable:
             for r, dims in enumerate(row):
                 d = BiDegree(a=a, b=table.residues[r])
                 assert dims == ext_dims_via_les(sq, o, d), (a, r)
+
+    @pytest.mark.parametrize(
+        "case", ["fermat", "pentagon", "z9", "trivial", "irregular"]
+    )
+    def test_rows_match_per_pair_dims(self, case):
+        # the residue-translated rows against one Ext lookup per ordered pair
+        poly = {"fermat": FERMAT, "z9": Z9, "trivial": get_preset("cubic-trivial-quotient")}
+        sq = symmetry_quotient(parse(poly.get(case, PENTAGON)))
+        if case == "trivial":
+            # one residue, so every layer is a single vertex
+            verts = [bidegree(sq, a) for a in range(-4, 5)]
+        elif case == "irregular":
+            # unsorted, residues missing from every layer, no layer 1, and a
+            # negative layer
+            pairs = [(2, 5), (-1, 3), (0, 0), (0, 7), (3, 1), (-1, 0), (3, 10), (2, 2)]
+            verts = [bidegree(sq, a, b) for a, b in pairs]
+            with pytest.raises(ValueError, match="given twice"):
+                ext_table(sq).rows(verts + verts[3:4])
+        else:
+            verts, _ = candidate_window(sq)
+        table = ext_table(sq)
+        out = table.rows(verts)
+        assert out == [
+            sum(
+                1 << j
+                for j, v in enumerate(verts)
+                if i != j and any(ext_dims(sq, u, v))
+            )
+            for i, u in enumerate(verts)
+        ]
+        if case == "fermat":
+            # nonzero counts per difference row reach 0 and 81, and both
+            # branches ran
+            assert len(verts) == 518 and sum(map(int.bit_count, out)) == 53_449
+            sizes = {
+                len(support) if nonzero else 81 - len(support)
+                for nonzero, support in table._supports.values()
+            }
+            assert {0, 81} <= sizes
+            assert {nonzero for nonzero, _ in table._supports.values()} == {True, False}
 
     def test_quotients_do_not_share_entries(self, sq, trivial_sq):
         # queried in alternation, each quotient answers from its own table

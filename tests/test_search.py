@@ -31,7 +31,14 @@ from invquot import (
     verify_collection,
 )
 from invquot.cli import main
-from invquot.search import _Solver, _TimeUp, base_vertex, edge, hom_digraph
+from invquot.search import (
+    _Solver,
+    _sorted_distinct,
+    _TimeUp,
+    base_vertex,
+    edge,
+    hom_digraph,
+)
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
@@ -165,6 +172,18 @@ class TestDigraph:
         for u in verts:
             for v in graph[u]:
                 assert edge(sq, u, v)
+
+    def test_vertex_list_is_sorted_and_deduplicated(self, sq):
+        verts, _ = candidate_window(sq, max_a=1)
+        assert _sorted_distinct(verts) is verts
+        graph = hom_digraph(sq, verts)
+        data = export_digraph_json(sq, verts)
+        for given in (sorted(verts + verts[:3]), verts[::-1], tuple(verts), iter(verts)):
+            again = hom_digraph(sq, given)
+            assert again == graph and list(again) == verts
+        assert export_digraph_json(sq, sorted(verts + verts[-2:])) == data
+        doubled = max_exceptional(sq, sorted(verts + verts[:3]))
+        assert doubled.witness == max_exceptional(sq, verts).witness
 
     def test_acyclic_subsets_are_orderable(self, sq):
         verts, _ = candidate_window(sq, max_a=1)
@@ -363,6 +382,10 @@ class TestClosesCycle:
             graph.add_edges_from(
                 (u, w) for w in range(n) if (solver.out_mask[u] >> w) & 1
             )
+        # the in rows are the transpose of the out rows
+        assert solver.in_mask == [
+            sum(1 << u for u in graph.predecessors(w)) for w in range(n)
+        ]
         rng = random.Random(seed)
         chosen = 0
         stack = []
