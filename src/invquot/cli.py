@@ -1,10 +1,11 @@
 """Command line driver.
 
-Subcommands: analyze | table | chen-ruan | search | verify. Input is a
-positional polynomial string, --json-matrix FILE, or --preset NAME; output is
-text, JSON (a full run report), or CSV via --format, optionally written to
---out. The report's parameters are the options that can change a result.
-Exit codes: 0 success, 1 validation error, 2 search timeout.
+Subcommands: analyze | table | chen-ruan | search | verify. All of them take
+one input (a positional polynomial string, --json-matrix FILE or --preset
+NAME) and the output options --format text|json|csv and --out FILE; only the
+requested format is rendered. A JSON report's parameters are the
+subcommand's own options. Exit codes: 0 success, 1 validation error,
+2 search timeout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from . import __version__
 from .chen_ruan import chen_ruan_dim, enumerate_sectors, untwisted_invariants
 from .errors import DegenerateLoopError, InvquotError, PolynomialSyntaxError, SearchTimeoutError
 from .homs import BiDegree, all_residues, bidegree, representative_table, hom_table
-from .polynomials import InvertiblePolynomial, atomic_decomposition, parse, parse_json_matrix
+from .polynomials import (
+    InvertiblePolynomial,
+    atomic_decomposition,
+    decomposition_text,
+    parse,
+    parse_json_matrix,
+)
 from .presets import get_preset
 from .search import candidate_window, max_exceptional, verify_collection
 from .symmetry import (
@@ -41,39 +48,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("polynomial", nargs="?", help="polynomial string, e.g. 'x1^2*x2 + x2^2*x1'")
-    sub.add_argument("--json-matrix", metavar="FILE", help='file with {"matrix": [[...], ...]}')
-    sub.add_argument("--preset", metavar="NAME", help="named input polynomial")
-    sub.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
+# argument names that are not a subcommand's own options, so not parameters
+_SHARED = ("subcommand", "polynomial", "json_matrix", "preset", "format", "out")
 
 
 def build_parser() -> _Parser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("polynomial", nargs="?", help="polynomial string, e.g. 'x1^2*x2 + x2^2*x1'")
+    shared.add_argument("--json-matrix", metavar="FILE", help='file with {"matrix": [[...], ...]}')
+    shared.add_argument("--preset", metavar="NAME", help="named input polynomial")
+    shared.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
+    shared.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
+
     parser = _Parser(prog="invquot", description=__doc__)
     parser.add_argument("--version", action="version", version=f"invquot {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("analyze", help="symmetry groups, quotient, characters")
-    _add_common(p)
+    def add(name, summary):
+        return subs.add_parser(name, help=summary, parents=[shared])
 
-    p = subs.add_parser("table", help="bigraded section dimensions and representatives")
-    _add_common(p)
+    add("analyze", "symmetry groups, quotient, characters")
+    p = add("table", "bigraded section dimensions and representatives")
     p.add_argument("--max-a", type=int, default=3)
-
-    p = subs.add_parser("chen-ruan", help="orbifold cohomology dimension and sectors")
-    _add_common(p)
-
-    p = subs.add_parser("search", help="maximum exceptional collection of line bundles")
-    _add_common(p)
+    add("chen-ruan", "orbifold cohomology dimension and sectors")
+    p = add("search", "maximum exceptional collection of line bundles")
     p.add_argument("--window-max-a", type=int, default=None,
                    help="cap the candidate window at this total degree")
     p.add_argument("--timeout-secs", type=float, default=None)
-
-    p = subs.add_parser("verify", help="check a collection supplied as JSON [a, b] pairs")
-    _add_common(p)
+    p = add("verify", "check a collection supplied as JSON [a, b] pairs")
     p.add_argument("--collection", metavar="FILE", required=True)
-
     return parser
 
 
@@ -117,22 +120,19 @@ def _deg_json(d: BiDegree) -> list:
     return [d.a, list(d.b)]
 
 
-def _b_label(b: tuple[int, ...]) -> str:
+def _b_label(b: list[int] | tuple[int, ...]) -> str:
     return ".".join(map(str, b)) if b else "0"
 
 
 # -- analyze -----------------------------------------------------------------
 
 
-def _loop_formula_check(poly: InvertiblePolynomial, group: FiniteAbelianGroup):
+def _loop_formula_check(poly: InvertiblePolynomial, blocks, group: FiniteAbelianGroup):
     """Cross-check the closed-form loop generator against the Smith-form group.
 
-    Returns None unless the polynomial is a single loop in all variables.
+    Returns None unless blocks (empty when the polynomial has no atomic
+    decomposition) is a single loop in all variables.
     """
-    try:
-        blocks = atomic_decomposition(poly).blocks
-    except InvquotError:
-        return None
     if len(blocks) != 1 or blocks[0].kind != "loop" or len(blocks[0].variables) != poly.n:
         return None
     block = blocks[0]
@@ -147,22 +147,21 @@ def _loop_formula_check(poly: InvertiblePolynomial, group: FiniteAbelianGroup):
     return spans_group(group, [DiagonalElement.from_fractions(phases)])
 
 
-def _run_analyze(poly: InvertiblePolynomial, args) -> dict:
-    sq = symmetry_quotient(poly)
+def _run_analyze(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
     try:
-        blocks = [
-            {"kind": b.kind, "variables": list(b.variables), "exponents": list(b.exponents)}
-            for b in atomic_decomposition(poly).blocks
-        ]
+        blocks = atomic_decomposition(poly).blocks
     except InvquotError:
-        blocks = None
-    results = {
+        blocks = ()  # no atomic decomposition: reported as None
+    return {
         "n": poly.n,
         "determinant": poly.determinant(),
         "weights": list(poly.weights),
         "degree": poly.degree,
         "quasi_smooth_certified": poly.quasi_smooth_certified,
-        "atomic_blocks": blocks,
+        "atomic_blocks": [
+            {"kind": b.kind, "variables": list(b.variables), "exponents": list(b.exponents)}
+            for b in blocks
+        ] or None,
         "symmetry_group": {
             "order": sq.group.order,
             "invariant_factors": list(sq.group.invariant_factors),
@@ -183,25 +182,22 @@ def _run_analyze(poly: InvertiblePolynomial, args) -> dict:
             ),
         },
         "splitting_coefficients": list(sq.splitting),
-        "loop_formula_agrees": _loop_formula_check(poly, sq.group),
+        "loop_formula_agrees": _loop_formula_check(poly, blocks, sq.group),
     }
-    return results
 
 
-def _text_analyze(results: dict) -> str:
+def _text_analyze(report: dict) -> str:
+    results = report["results"]
     lines = [
-        f"polynomial: {results['input_polynomial']}",
+        f"polynomial: {report['input']['polynomial']}",
         f"variables: {results['n']}   determinant: {results['determinant']}",
         f"weights: {tuple(results['weights'])}   degree: {results['degree']}",
         f"quasi-smooth certified: {results['quasi_smooth_certified']}",
     ]
     if results["atomic_blocks"] is not None:
-        names = {"fermat": "Fermat", "loop": "Loop", "chain": "Chain"}
-        parts = [
-            f"{names[b['kind']]}({', '.join(map(str, b['exponents']))})"
-            for b in results["atomic_blocks"]
-        ]
-        lines.append("atomic decomposition: " + " + ".join(parts))
+        lines.append("atomic decomposition: " + decomposition_text(
+            (b["kind"], b["exponents"]) for b in results["atomic_blocks"]
+        ))
     else:
         lines.append("atomic decomposition: none found")
     g = results["symmetry_group"]
@@ -228,19 +224,18 @@ def _text_analyze(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_keyvals(results: dict, keys: list[str]) -> str:
+def _csv_analyze(report: dict) -> str:
     rows = ["key,value"]
-    for k in keys:
-        v = results[k]
-        rows.append(f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}")
+    for k, v in report["results"].items():
+        if k != "atomic_blocks":
+            rows.append(f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}")
     return "\n".join(rows)
 
 
 # -- table ---------------------------------------------------------------------
 
 
-def _run_table(poly: InvertiblePolynomial, args) -> dict:
-    sq = symmetry_quotient(poly)
+def _run_table(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
     dims = hom_table(sq, args.max_a)
     reps = representative_table(sq, args.max_a)
     residues = all_residues(sq)
@@ -260,7 +255,8 @@ def _run_table(poly: InvertiblePolynomial, args) -> dict:
     }
 
 
-def _text_table(results: dict) -> str:
+def _text_table(report: dict) -> str:
+    results = report["results"]
     res = results["residues"]
     width = max(8, max(len(r) for r in res) + 2)
     head = "a\\b".ljust(6) + "".join(r.rjust(width) for r in res)
@@ -281,7 +277,8 @@ def _text_table(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_table(results: dict) -> str:
+def _csv_table(report: dict) -> str:
+    results = report["results"]
     res = results["residues"]
     lines = ["# dimensions", "a," + ",".join(res)]
     for row in results["rows"]:
@@ -298,8 +295,7 @@ def _csv_table(results: dict) -> str:
 # -- chen-ruan -------------------------------------------------------------------
 
 
-def _run_chen_ruan(poly: InvertiblePolynomial, args) -> dict:
-    sq = symmetry_quotient(poly)
+def _run_chen_ruan(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
     untwisted = untwisted_invariants(sq)
     sectors = enumerate_sectors(sq)
     twisted = sum(s.contribution for s in sectors)
@@ -327,7 +323,8 @@ def _run_chen_ruan(poly: InvertiblePolynomial, args) -> dict:
     }
 
 
-def _text_chen_ruan(results: dict) -> str:
+def _text_chen_ruan(report: dict) -> str:
+    results = report["results"]
     u = results["untwisted"]
     lines = [
         f"orbifold cohomology dimension: {results['total']}",
@@ -342,7 +339,7 @@ def _text_chen_ruan(results: dict) -> str:
     ]
     for s in results["sectors"]:
         if s["contribution"] or s["fixed_coords"]:
-            cls = ".".join(map(str, s["class_powers"])) or "0"
+            cls = _b_label(s["class_powers"])
             fixed = ",".join(f"x{i}" for i in s["fixed_coords"]) or "-"
             lines.append(
                 f"{cls:<8} {s['eigenphase']:>10}  {fixed:<6} {s['contribution']}"
@@ -350,7 +347,8 @@ def _text_chen_ruan(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_chen_ruan(results: dict) -> str:
+def _csv_chen_ruan(report: dict) -> str:
+    results = report["results"]
     lines = ["class_powers,eigenphase,fixed_coords,contribution"]
     for s in results["sectors"]:
         cls = ".".join(map(str, s["class_powers"]))
@@ -366,24 +364,15 @@ def _csv_chen_ruan(results: dict) -> str:
 
 
 def _verdict(size: int, cr: int | None) -> str:
+    head = f"maximum line-bundle exceptional collection = {size}"
     if cr is None:
-        return (
-            f"maximum line-bundle exceptional collection = {size} "
-            "(orbifold dimension unavailable for comparison)"
-        )
+        return f"{head} (orbifold dimension unavailable for comparison)"
     if size < cr:
-        return (
-            f"maximum line-bundle exceptional collection = {size} < {cr} "
-            "= required full-collection length"
-        )
-    return (
-        f"maximum line-bundle exceptional collection = {size}, "
-        f"not below the required full-collection length {cr}"
-    )
+        return f"{head} < {cr} = required full-collection length"
+    return f"{head}, not below the required full-collection length {cr}"
 
 
-def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
-    sq = symmetry_quotient(poly)
+def _run_search(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
     try:
         cr: int | None = chen_ruan_dim(sq)
     except InvquotError:
@@ -392,7 +381,7 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
     try:
         result = max_exceptional(sq, vertices=verts, timeout_secs=args.timeout_secs)
     except SearchTimeoutError as exc:
-        results = {
+        return {
             "timed_out": True,
             "window_size": len(verts),
             "best_size": exc.best_size,
@@ -401,8 +390,7 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
             "chen_ruan_dim": cr,
             "verdict": None,
         }
-        return results, 2
-    results = {
+    return {
         "timed_out": False,
         "window_size": len(verts),
         "window": [_deg_json(d) for d in verts],
@@ -414,10 +402,10 @@ def _run_search(poly: InvertiblePolynomial, args) -> tuple[dict, int]:
         "verdict": _verdict(result.size, cr),
         "proof_log": {"window": audit, **result.proof_log},
     }
-    return results, 0
 
 
-def _text_search(results: dict) -> str:
+def _text_search(report: dict) -> str:
+    results = report["results"]
     if results["timed_out"]:
         lines = [
             "search timed out",
@@ -427,7 +415,7 @@ def _text_search(results: dict) -> str:
         if results["best_witness"]:
             lines.append("witness (partial search):")
             lines.append("  " + " ".join(
-                f"({a},{_b_label(tuple(b))})" for a, b in results["best_witness"]
+                f"({a},{_b_label(b)})" for a, b in results["best_witness"]
             ))
         return "\n".join(lines)
     stats = results["proof_log"].get("stats", {})
@@ -435,7 +423,7 @@ def _text_search(results: dict) -> str:
         f"window size: {results['window_size']}",
         f"maximum exceptional collection: {results['optimum']} (certified optimal)",
         "witness (exceptional order):",
-        "  " + " ".join(f"({a},{_b_label(tuple(b))})" for a, b in results["witness"]),
+        "  " + " ".join(f"({a},{_b_label(b)})" for a, b in results["witness"]),
         f"search nodes: {stats.get('nodes')}, bound prunes: {stats.get('bound_prunes')}, "
         f"cycle rejects: {stats.get('cycle_rejects')}",
         f"orbifold cohomology dimension: {results['chen_ruan_dim']}",
@@ -445,10 +433,11 @@ def _text_search(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_search(results: dict) -> str:
+def _csv_search(report: dict) -> str:
+    results = report["results"]
     lines = ["position,a,b"]
     for i, (a, b) in enumerate(results.get("witness", results.get("best_witness") or [])):
-        lines.append(f"{i},{a},{_b_label(tuple(b))}")
+        lines.append(f"{i},{a},{_b_label(b)}")
     lines.append(f"# optimum,{results.get('optimum', results.get('best_size'))}")
     if results.get("verdict"):
         lines.append(f"# verdict,{results['verdict']}")
@@ -470,15 +459,23 @@ def _load_collection(sq: SymmetryQuotient, path: str) -> list[BiDegree]:
         raise PolynomialSyntaxError("collection file must be a JSON list of [a, b] pairs")
     out = []
     for item in data:
-        if not isinstance(item, list) or len(item) != 2:
-            raise PolynomialSyntaxError(f"collection entry {item!r} is not an [a, b] pair")
-        a, b = item
-        out.append(bidegree(sq, int(a), b if isinstance(b, int) else list(b)))
+        a, b = item if type(item) is list and len(item) == 2 else (None, None)
+        residues = b if type(b) is list else [b]
+        # JSON integers only (type, not isinstance: a bool is an int); int()
+        # would read true as 1, 1.5 as 1 and "2" as 2
+        if type(a) is not int or any(type(x) is not int for x in residues):
+            raise PolynomialSyntaxError(
+                f"collection entry {item!r} is not an [a, b] pair of integers "
+                "(b may be a list of integers)"
+            )
+        try:
+            out.append(bidegree(sq, a, b))
+        except ValueError as exc:
+            raise PolynomialSyntaxError(f"collection entry {item!r}: {exc}") from exc
     return out
 
 
-def _run_verify(poly: InvertiblePolynomial, args) -> dict:
-    sq = symmetry_quotient(poly)
+def _run_verify(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
     collection = _load_collection(sq, args.collection)
     report = verify_collection(sq, collection)
     return {
@@ -488,7 +485,8 @@ def _run_verify(poly: InvertiblePolynomial, args) -> dict:
     }
 
 
-def _text_verify(results: dict) -> str:
+def _text_verify(report: dict) -> str:
+    results = report["results"]
     lines = [
         f"objects: {results['size']}",
         "collection is exceptional" if results["valid"] else "collection is NOT exceptional",
@@ -503,7 +501,8 @@ def _text_verify(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_verify(results: dict) -> str:
+def _csv_verify(report: dict) -> str:
+    results = report["results"]
     lines = ["kind,source,target,ext", ]
     for v in results["violations"]:
         lines.append(
@@ -518,68 +517,42 @@ def _csv_verify(results: dict) -> str:
 # -- driver ---------------------------------------------------------------------------
 
 
+# subcommand -> (run, text renderer, CSV renderer); run takes the polynomial,
+# its symmetry quotient and the parsed arguments, a renderer the whole report
+_SUBCOMMANDS = {
+    "analyze": (_run_analyze, _text_analyze, _csv_analyze),
+    "table": (_run_table, _text_table, _csv_table),
+    "chen-ruan": (_run_chen_ruan, _text_chen_ruan, _csv_chen_ruan),
+    "search": (_run_search, _text_search, _csv_search),
+    "verify": (_run_verify, _text_verify, _csv_verify),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         t0 = time.monotonic()
         poly, input_info = _resolve_input(args)
-        exit_code = 0
-        if args.subcommand == "analyze":
-            results = _run_analyze(poly, args)
-            parameters = {}
-            text = _text_analyze({**results, "input_polynomial": input_info["polynomial"]})
-            csv = _csv_keyvals(results, [k for k in results if k != "atomic_blocks"])
-        elif args.subcommand == "table":
-            results = _run_table(poly, args)
-            parameters = {"max_a": args.max_a}
-            text = _text_table(results)
-            csv = _csv_table(results)
-        elif args.subcommand == "chen-ruan":
-            results = _run_chen_ruan(poly, args)
-            parameters = {}
-            text = _text_chen_ruan(results)
-            csv = _csv_chen_ruan(results)
-        elif args.subcommand == "search":
-            results, exit_code = _run_search(poly, args)
-            parameters = {
-                "window_max_a": args.window_max_a,
-                "timeout_secs": args.timeout_secs,
-            }
-            text = _text_search(results)
-            csv = _csv_search(results)
-        else:
-            results = _run_verify(poly, args)
-            parameters = {"collection": args.collection}
-            text = _text_verify(results)
-            csv = _csv_verify(results)
-
+        run, text, csv = _SUBCOMMANDS[args.subcommand]
+        results = run(poly, symmetry_quotient(poly), args)
         report = {
             "tool": {"name": "invquot", "version": __version__},
             "subcommand": args.subcommand,
             "input": input_info,
-            "parameters": parameters,
+            "parameters": {k: v for k, v in vars(args).items() if k not in _SHARED},
             "results": results,
             "timings": {"total_s": round(time.monotonic() - t0, 4)},
         }
         if args.format == "json":
             payload = json.dumps(report, indent=2)
-        elif args.format == "csv":
-            payload = csv
         else:
-            payload = text
+            payload = (csv if args.format == "csv" else text)(report)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload + "\n")
         else:
             print(payload)
-        return exit_code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SearchTimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if results.get("timed_out") else 0
     except InvquotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

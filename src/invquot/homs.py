@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
+from .polynomials import monomial_text
 from .symmetry import SymmetryQuotient
 
 @dataclass(frozen=True, order=True)
@@ -392,16 +393,6 @@ def hom_table(sq: SymmetryQuotient, max_a: int) -> dict[BiDegree, int]:
     }
 
 
-def _monomial_text(e: tuple[int, ...]) -> str:
-    parts = []
-    for j, x in enumerate(e, start=1):
-        if x == 1:
-            parts.append(f"x{j}")
-        elif x > 1:
-            parts.append(f"x{j}^{x}")
-    return "*".join(parts) if parts else "1"
-
-
 def representative_table(
     sq: SymmetryQuotient, max_a: int
 ) -> dict[BiDegree, str | None]:
@@ -422,7 +413,7 @@ def representative_table(
         for r, b in enumerate(table.residues):
             deg = BiDegree(a=a, b=b)
             if table.hom(a, r) > 0:
-                out[deg] = _monomial_text(found[b])
+                out[deg] = monomial_text(found[b])
             else:
                 out[deg] = None
     return out

@@ -111,17 +111,19 @@ class InvertiblePolynomial:
     def determinant(self) -> int:
         return self.matrix.det()
 
-    def monomial_text(self, row: int) -> str:
-        parts = []
-        for j, e in enumerate(self.matrix.entries[row], start=1):
-            if e == 1:
-                parts.append(f"x{j}")
-            elif e > 1:
-                parts.append(f"x{j}^{e}")
-        return "*".join(parts)
-
     def to_text(self) -> str:
-        return " + ".join(self.monomial_text(i) for i in range(self.n))
+        return " + ".join(map(monomial_text, self.matrix.entries))
+
+
+def monomial_text(exponents) -> str:
+    """The monomial with these exponents, e.g. x1^2*x3; the constant is 1."""
+    parts = []
+    for j, e in enumerate(exponents, start=1):
+        if e == 1:
+            parts.append(f"x{j}")
+        elif e > 1:
+            parts.append(f"x{j}^{e}")
+    return "*".join(parts) or "1"
 
 
 def from_matrix(rows) -> InvertiblePolynomial:
@@ -218,10 +220,13 @@ class AtomicDecomposition:
     blocks: tuple[Block, ...]
 
     def summary(self) -> str:
-        names = {"fermat": "Fermat", "loop": "Loop", "chain": "Chain"}
-        return " + ".join(
-            f"{names[b.kind]}({', '.join(map(str, b.exponents))})" for b in self.blocks
-        )
+        return decomposition_text((b.kind, b.exponents) for b in self.blocks)
+
+
+def decomposition_text(blocks) -> str:
+    """Blocks given as (kind, exponents) pairs, e.g. Fermat(3) + Loop(2, 2)."""
+    names = {"fermat": "Fermat", "loop": "Loop", "chain": "Chain"}
+    return " + ".join(f"{names[kind]}({', '.join(map(str, e))})" for kind, e in blocks)
 
 
 def _decompose(matrix: IntMatrix) -> tuple[Block, ...]:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -234,11 +235,30 @@ class TestVerify:
         assert code == 0
         assert "collection is exceptional" in out
 
-    def test_malformed_collection(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"not": "a list"}',
+            "[[0, [1, 2]]]",
+            '[["x", 0]]',
+            '[[0, {"a": 1}]]',
+            "[[0, 1.5]]",
+            "[[0, 0], [1.5, 0]]",
+            "[[0, 0], [true, 0]]",
+            '[[0, 0], ["2", 0]]',
+        ],
+        ids=[
+            "not-a-list", "wrong-width", "string-a", "dict-b", "float-b",
+            "float-a", "bool-a", "string-a-digit",
+        ],
+    )
+    def test_malformed_collection(self, capsys, tmp_path, text):
         path = tmp_path / "collection.json"
-        path.write_text("{\"not\": \"a list\"}")
-        code, _, err = run(capsys, "verify", PENTAGON, "--collection", str(path))
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", PENTAGON, "--collection", str(path))
         assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(
@@ -282,3 +302,159 @@ class TestOutput:
             assert code == 1
             assert out == ""
             assert "unrecognized arguments" in err
+
+
+GOLDEN_INPUTS = {
+    "pentagon": ["--preset", "lu-counterexample"],
+    "trivial": ["--preset", "cubic-trivial-quotient"],
+    "binary": ["x1^3+x2^3"],
+}
+GOLDEN_COMMANDS = {
+    "analyze": ["analyze"],
+    "table": ["table"],
+    "table-max-a-2": ["table", "--max-a", "2"],
+    "chen-ruan": ["chen-ruan"],
+    "search": ["search"],
+    "search-window-0": ["search", "--window-max-a", "0"],
+    "verify": ["verify", "--collection", "collection.json"],
+}
+TOO_SMALL = (
+    "error: 2 variables give an ambient space too small for this line bundle model\n"
+)
+# SHA-256 of stdout for every successful run, keyed command-input-format; a
+# JSON report is hashed with its timings removed, re-dumped with indent=2
+GOLDEN = {
+    "analyze-pentagon-text":
+        "6c676abdcdd268076c6c9d9f77e260eb84d81569d7598e46b0f7a02b13a9fb21",
+    "analyze-pentagon-json":
+        "54c0ea666a00f0ee360efaf2549f8085f59598626e43754fcdea6f5ede572e46",
+    "analyze-pentagon-csv":
+        "ac335e6129d8246a2dd6a4796abfbbc20d4c424d8583b19e33f5ac94181d4658",
+    "analyze-trivial-text":
+        "c4f969bd39544092f040ae0b17bd27a4d36cf66619c444a7eabe08cc7e22d9e8",
+    "analyze-trivial-json":
+        "7a97d8002aae51a814efbb02f78896a297bcc0e778c518249a93810ecd9be51a",
+    "analyze-trivial-csv":
+        "2df2ffa36806fec3345183610c787fed81fbc3e6781f938d0d6011e97e58a899",
+    "analyze-binary-text":
+        "2b33f27d1eaa5101c4aa517c81b716e011e3bf1753fa0f7b714ae584d43515d8",
+    "analyze-binary-json":
+        "f603e4b159671ea14cc7aecdbd6ec57fd47cbc4b85adc05ad3e3553895efae4f",
+    "analyze-binary-csv":
+        "a56ec146f611e92bee224b4de496f3c6b9e0e8c9b806ea8694b7dbf9c2042c3a",
+    "table-pentagon-text":
+        "d52003f2a4eb68ac0fb1ba701899ede4b88825be6de668997d41ede47d563437",
+    "table-pentagon-json":
+        "40a5457a09acbe31e7fd477befa1f761e5d12def6e39cf9572eda03e17d51323",
+    "table-pentagon-csv":
+        "221e63c6bda537c0469598c7377932a6dfad86edabb7e7eecd262d60817b0b0a",
+    "table-trivial-text":
+        "2872b44d072b849b3ae12ad82ba6be48909567a818495a133e3d41da0466b9a3",
+    "table-trivial-json":
+        "c5d34aaa65b0875c9917f5721ba0f6ebf9f9d96e908c7f04d56961f4f84eda4c",
+    "table-trivial-csv":
+        "d4103f52537e7f1720cac7fa5224dad721a3347ad20f2b777425d5d5bda8e68b",
+    "table-max-a-2-pentagon-text":
+        "e05b526059334632ac1c01f319e7d05c1d8e569c7ce261daa99f8e3cac1b02ba",
+    "table-max-a-2-pentagon-json":
+        "76a35932889d71266a3ced845f74d02edf073789941683d5b63d01e1582cc68b",
+    "table-max-a-2-pentagon-csv":
+        "98bf0f00681aa0fadc37d1ed0ea19f4e3158c7603235ff1caa2644e2d388abbe",
+    "table-max-a-2-trivial-text":
+        "19f364dc3970201af7e572ba8446936a48479b85194b64a8a44f47c4a5e734d7",
+    "table-max-a-2-trivial-json":
+        "f1f62297f47364ef6dddcf27c20bd4191905d018bddf9a69ec80b80aaf90b7ce",
+    "table-max-a-2-trivial-csv":
+        "f54a9535abcf2e6b89d1ca647f2916322e370fbcdca0ce1d4f0870b4d1d518c9",
+    "chen-ruan-pentagon-text":
+        "f25734b25a41400e85e36694168dbe7297af66fcb5201cb2e3e839501e3cee47",
+    "chen-ruan-pentagon-json":
+        "bb533ed6bb373fff442f748c5f1ab22a9e919bd007f60a75dbc4497547b0a8b0",
+    "chen-ruan-pentagon-csv":
+        "53b84476bd50d87d20519037b166677e5b87ede82c1e1f111824b96d868ef4a0",
+    "chen-ruan-trivial-text":
+        "53e90393f88dc6fc69d41a527e4ece1b97289d5e4f8923f26c7abced7be1a655",
+    "chen-ruan-trivial-json":
+        "682ac48e5a4455362a6e912daa786c1013c9c80ec12ea0c5af3336ba9defab4a",
+    "chen-ruan-trivial-csv":
+        "540682744d7d38a10ca3735eacbc48fb81267d640a22288e55d50a74588c2125",
+    "search-pentagon-text":
+        "558b344637fbb803accf007bb46ea00439a1cf9319b0c5fcdc9fdbbb6007a425",
+    "search-pentagon-json":
+        "98a135cdbd8c6d77f2d1736c76b9a576dc921e423994b8541861b9662cb3e286",
+    "search-pentagon-csv":
+        "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
+    "search-trivial-text":
+        "147ee41f822f772c65837aada531867767edc8287e349e7bb679021ed3488821",
+    "search-trivial-json":
+        "5e69ff5d60671161235116c83e29e41f5c43c9cfc467ccb3c4cf3b663aaa7ef9",
+    "search-trivial-csv":
+        "732e1bbe2709eaf5dcb1ae74ea1a33a98444a590a461f8a534b5064f40394446",
+    "search-window-0-pentagon-text":
+        "b5f86cd582be1e0c52786be3c1465e06a3adaa4e98f119679f6e476bb4f58bfd",
+    "search-window-0-pentagon-json":
+        "26ff81377fec1c3efac84dfd7561f51191a3f9c8d26e3906d1fe6347c1c3dda4",
+    "search-window-0-pentagon-csv":
+        "b1dd66db7279a7c5b9bc70119db8a7a0c34e4695aec223066e874824d1c5034c",
+    "search-window-0-trivial-text":
+        "585080b79dd4344c6732644bb7bfdf06c4955dc3125194b757dab2486e910795",
+    "search-window-0-trivial-json":
+        "d9bd03dce5e457b96b4d503026beeb84f39822f3571c190b76bc177681b48730",
+    "search-window-0-trivial-csv":
+        "1664d8daec2da01ccfa1d9b98d08b49f90b2a7a817f8b6c86ceffb80c7ed116d",
+    "verify-pentagon-text":
+        "b28f405c3738f518a464e80b0bd52afe005c8246edde207ec41873eb7a2ce51f",
+    "verify-pentagon-json":
+        "9d9d4553e7bd8b57a60da8a92f9c57c683fc27a2f4aa633617910bf3020cd5f7",
+    "verify-pentagon-csv":
+        "8aef663f2108ac7747dbec985976b91a8e072d45ac21371875b42403a804b495",
+    "verify-trivial-text":
+        "12a23b9c896e7862b52d1a2e4de5983a0d7ab416ab84a749f956ea49636eb2e1",
+    "verify-trivial-json":
+        "10b7f43fef7b4bfbf86001eb6ca270996618a97b5940a76d362e50b13afaf089",
+    "verify-trivial-csv":
+        "80046329f190cb84714f94aa9d5e02a41a6508f52efcc1d9d3250f2c46b3e9cc",
+}
+
+
+def _golden_run(capsys, monkeypatch, tmp_path, argv):
+    # a relative collection path keeps parameters.collection fixed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "collection.json").write_text(json.dumps([[0, 0], [2, 0], [1, 0]]))
+    code, out, err = run(capsys, *argv)
+    report = None
+    if "json" in argv and out:
+        report = json.loads(out)
+        del report["timings"]
+        out = json.dumps(report, indent=2)
+    return code, out, err, report
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("source", list(GOLDEN_INPUTS))
+    @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+    def test_output_pinned(self, capsys, monkeypatch, tmp_path, command, source, fmt):
+        argv = [*GOLDEN_COMMANDS[command], *GOLDEN_INPUTS[source], "--format", fmt]
+        code, out, err, _ = _golden_run(capsys, monkeypatch, tmp_path, argv)
+        if source == "binary" and command != "analyze":
+            assert (code, out, err) == (1, "", TOO_SMALL)
+            return
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, GOLDEN[f"{command}-{source}-{fmt}"], "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("source", list(GOLDEN_INPUTS))
+    def test_timeout_pinned(self, capsys, monkeypatch, tmp_path, source, fmt):
+        # best_size depends on timing: pin the exit code and the result keys
+        argv = ["search", "--timeout-secs", "1e-9", *GOLDEN_INPUTS[source], "--format", fmt]
+        code, out, err, report = _golden_run(capsys, monkeypatch, tmp_path, argv)
+        if source == "binary":
+            assert (code, out, err) == (1, "", TOO_SMALL)
+            return
+        assert (code, err) == (2, "")
+        if report is not None:
+            assert list(report["results"]) == [
+                "timed_out", "window_size", "best_size", "best_witness",
+                "proof_log", "chen_ruan_dim", "verdict",
+            ]

@@ -16,7 +16,7 @@ from invquot import (
     parse,
     parse_json_matrix,
 )
-from invquot.polynomials import from_matrix
+from invquot.polynomials import from_matrix, monomial_text
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 
@@ -41,6 +41,11 @@ class TestParsing:
     def test_roundtrip_through_text(self, pentagon_poly):
         again = parse(pentagon_poly.to_text())
         assert again.matrix.entries == pentagon_poly.matrix.entries
+
+    def test_monomial_text(self):
+        assert monomial_text((2, 0, 1)) == "x1^2*x3"
+        assert monomial_text([0, 1]) == "x2"
+        assert monomial_text((0, 0, 0)) == "1"
 
     def test_fermat_and_chain(self):
         p = parse("x1^3 + x2^2*x1")
