@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -48,6 +49,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _nonnegative(convert):
+    """An argparse type for a cap or a time budget: convert(text), finite and >= 0.
+
+    A negative cap would present an empty window as a verdict, a negative
+    budget has expired before the search starts and a NaN one, failing every
+    comparison, never expires.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite nonnegative {convert.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 # argument names that are not a subcommand's own options, so not parameters
 _SHARED = ("subcommand", "polynomial", "json_matrix", "preset", "format", "out")
 
@@ -69,12 +92,12 @@ def build_parser() -> _Parser:
 
     add("analyze", "symmetry groups, quotient, characters")
     p = add("table", "bigraded section dimensions and representatives")
-    p.add_argument("--max-a", type=int, default=3)
+    p.add_argument("--max-a", type=_nonnegative(int), default=3)
     add("chen-ruan", "orbifold cohomology dimension and sectors")
     p = add("search", "maximum exceptional collection of line bundles")
-    p.add_argument("--window-max-a", type=int, default=None,
+    p.add_argument("--window-max-a", type=_nonnegative(int), default=None,
                    help="cap the candidate window at this total degree")
-    p.add_argument("--timeout-secs", type=float, default=None)
+    p.add_argument("--timeout-secs", type=_nonnegative(float), default=None)
     p = add("verify", "check a collection supplied as JSON [a, b] pairs")
     p.add_argument("--collection", metavar="FILE", required=True)
     return parser

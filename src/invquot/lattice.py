@@ -1,7 +1,9 @@
 """Exact integer matrix kernel: Smith normal form, weight systems, splitting coefficients.
 
-Everything here runs on arbitrary-precision Python integers. Floating point is
-never used; rational intermediates are fractions.Fraction.
+Everything here runs on arbitrary-precision Python integers and no step solves
+over the rationals: weights come from Cramer's rule on Bareiss determinants.
+Floating point is never used; fractions.Fraction appears only in the ratios of
+_best_shift and in the text of the NoPositiveWeightsError message.
 """
 
 from __future__ import annotations
@@ -89,24 +91,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1 (so it is integral)."""
-        n = self.rows
-        if n != self.cols or abs(self.det()) != 1:
-            raise SingularMatrixError("integral inverse needs determinant +-1")
-        columns = []
-        for j in range(n):
-            rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-            col = _solve_rational(self, rhs)
-            if any(x.denominator != 1 for x in col):
-                raise LatticeInvariantError(
-                    "inverse of a determinant +-1 matrix is not integral"
-                )
-            columns.append([int(x) for x in col])
-        return IntMatrix.from_rows(
-            [[columns[j][i] for j in range(n)] for i in range(n)]
-        )
 
 
 @dataclass(frozen=True)
@@ -231,47 +215,38 @@ def smith_normal_form(matrix: IntMatrix) -> SnfDecomposition:
     )
 
 
-def _solve_rational(matrix: IntMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve matrix @ x = rhs over the rationals; raises on a singular matrix."""
-    n = matrix.rows
-    aug = [[Fraction(matrix[i, j]) for j in range(n)] + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("exponent matrix is singular over the rationals")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                c = aug[i][k]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
-
-
 def solve_positive_weights(matrix: IntMatrix) -> tuple[tuple[int, ...], int]:
     """Primitive positive integer weights q and degree d with matrix @ q = d (1,...,1).
 
-    The rational solution is unique because the matrix is invertible; it is
-    scaled to the primitive integer vector. Raises NoPositiveWeightsError when
-    some rational weight is zero or negative.
+    By Cramer's rule the unique rational solution of A x = (1,...,1) is
+    x_j = det(A_j) / det(A), where A_j is A with column j replaced by ones;
+    every determinant is an exact Bareiss integer. The weights are positive
+    exactly when each det(A_j) has the sign of det(A), and q is then the
+    vector of |det(A_j)| divided by their gcd. Raises SingularMatrixError when
+    det(A) = 0 and NoPositiveWeightsError when some rational weight is zero or
+    negative.
+
+    >>> solve_positive_weights(IntMatrix.from_rows([[1, 2], [2, 1]]))
+    ((1, 1), 3)
     """
     n = matrix.rows
     if n != matrix.cols:
         raise SingularMatrixError("weight system needs a square matrix")
-    ones = [Fraction(1)] * n
-    q_rat = _solve_rational(matrix, ones)
-    if any(x <= 0 for x in q_rat):
-        raise NoPositiveWeightsError(f"rational weights {q_rat} are not all positive")
-    scale = 1
-    for x in q_rat:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    q_int = [int(x * scale) for x in q_rat]
-    g = 0
-    for x in q_int:
-        g = gcd(g, x)
-    q = tuple(x // g for x in q_int)
+    det = matrix.det()
+    if det == 0:
+        raise SingularMatrixError("exponent matrix is singular over the rationals")
+    cramer = [
+        IntMatrix(tuple(row[:j] + (1,) + row[j + 1:] for row in matrix.entries)).det()
+        for j in range(n)
+    ]
+    if any(c * det <= 0 for c in cramer):
+        weights = [Fraction(c, det) for c in cramer]
+        raise NoPositiveWeightsError(f"rational weights {weights} are not all positive")
+    g = gcd(*cramer)
+    q = tuple(abs(c) // g for c in cramer)
     d = sum(matrix[0, j] * q[j] for j in range(n))
+    if any(sum(a * x for a, x in zip(row, q)) != d for row in matrix.entries):
+        raise LatticeInvariantError(f"weights {q} do not give every monomial degree {d}")
     return q, d
 
 

@@ -22,12 +22,7 @@ from .errors import (
     SymmetryInvariantError,
     UnsupportedGeometryError,
 )
-from .lattice import (
-    IntMatrix,
-    smith_normal_form,
-    splitting_coefficients,
-    _solve_rational,
-)
+from .lattice import IntMatrix, smith_normal_form, splitting_coefficients
 from .polynomials import InvertiblePolynomial
 
 
@@ -115,9 +110,6 @@ class DiagonalElement:
     def fixed_coordinates(self) -> tuple[int, ...]:
         """1-based indices of coordinates with phase zero."""
         return tuple(i + 1 for i, x in enumerate(self.num) if x == 0)
-
-    def sort_key(self):
-        return self.phases
 
 
 @dataclass(frozen=True)
@@ -359,24 +351,29 @@ def _quotient_class_reps(poly: InvertiblePolynomial):
     The quotient of the symmetry group by the scalar subgroup is the cokernel
     of the columns of [A | 1] acting on phase space: A columns give the unit
     lattice relations, the ones column kills the scalar generator.
+
+    With U [A | 1] V = D, column i of [A | 1] V is d_i times column i of
+    U^-1, that is A V[:n, i] + V[n, i] (1,...,1) = d_i U^-1 e_i. The
+    representative of factor i is A^-1 U^-1 e_i, and since A^-1 (1,...,1) =
+    q / d for the weights q and degree d, it is (V[:n, i] + V[n, i] q / d) /
+    d_i: phases (V[j, i] d + V[n, i] q_j) / (d_i d), all integers.
     """
-    a = poly.matrix
     n = poly.n
-    aug = IntMatrix.from_rows(
-        [list(a.entries[i]) + [1] for i in range(n)]
+    q, deg = poly.weights, poly.degree
+    snf = smith_normal_form(
+        IntMatrix.from_rows([list(row) + [1] for row in poly.matrix.entries])
     )
-    snf = smith_normal_form(aug)
-    uinv = snf.U.inverse_unimodular()
+    v = snf.V
     factors = []
     reps = []
     for i in range(n):
         d = snf.D[i, i]
         if d <= 1:
             continue
-        rhs = [Fraction(uinv[r, i]) for r in range(n)]
-        phases = _solve_rational(a, rhs)
         factors.append(d)
-        reps.append(DiagonalElement.from_fractions(phases))
+        reps.append(
+            DiagonalElement.of([v[j, i] * deg + v[n, i] * q[j] for j in range(n)], d * deg)
+        )
     return tuple(factors), tuple(reps)
 
 
@@ -410,7 +407,7 @@ def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
                 cand = base**k
                 if cand.order != m:
                     continue
-                if best is None or cand.sort_key() < best.sort_key():
+                if best is None or cand.num < best.num:
                     best = cand
         if best is None:
             characters = None

@@ -111,6 +111,27 @@ class TestInputValidation:
         code, _, err = run(capsys, "search", "x1^2 + x2^2")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--window-max-a", "-3"],
+            ["table", "--max-a", "-1"],
+            ["search", "--timeout-secs", "nan"],
+            ["search", "--timeout-secs", "-1"],
+            ["search", "--timeout-secs", "inf"],
+        ],
+        ids=[
+            "negative-window-cap", "negative-table-cap", "nan-budget",
+            "negative-budget", "infinite-budget",
+        ],
+    )
+    def test_out_of_range_option(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--preset", "lu-counterexample")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: invquot {argv[0]}: argument {argv[1]}: ")
+        assert err.count("\n") == 1
+
 
 class TestTable:
     def test_text_table(self, capsys):

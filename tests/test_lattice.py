@@ -2,8 +2,9 @@
 brute-force lattice enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -113,22 +114,6 @@ class TestDeterminant:
         assert IntMatrix.from_rows(PENTAGON_ROWS).det() == 33
 
 
-class TestInverseUnimodular:
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            m = random_matrix(rng, n, n, bound=4)
-            snf = smith_normal_form(m)
-            for u in (snf.U, snf.V):
-                inv = u.inverse_unimodular()
-                assert u.mul(inv).entries == IntMatrix.identity(n).entries
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(SingularMatrixError):
-            IntMatrix.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
-
-
 class TestPositiveWeights:
     def test_pentagon_weights(self):
         m = IntMatrix.from_rows(PENTAGON_ROWS)
@@ -159,6 +144,43 @@ class TestPositiveWeights:
             assert gcd(*q) if len(q) > 1 else q[0] == 1
             for row in rows:
                 assert sum(a * x for a, x in zip(row, q)) == d
+
+    def test_matches_sympy_random(self):
+        # the primitive positive ray of sympy's exact solution of A x = 1, or
+        # the error a rational solve of A x = 1 gives
+        rng = random.Random(20261018)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = IntMatrix.from_rows(
+                [[rng.choice((-1, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            )
+            a = sympy.Matrix(m.to_lists())
+            det = a.det()
+            if det == 0:
+                expected = (SingularMatrixError, "exponent matrix is singular over the rationals")
+            else:
+                x = [Fraction(int(v.p), int(v.q)) for v in a.LUsolve(sympy.ones(n, 1))]
+                if any(v <= 0 for v in x):
+                    expected = (NoPositiveWeightsError, f"rational weights {x} are not all positive")
+                else:
+                    scale = lcm(*(v.denominator for v in x))
+                    ints = [int(v * scale) for v in x]
+                    q = tuple(v // gcd(*ints) for v in ints)
+                    (d,) = set(a * sympy.Matrix(q))
+                    expected = (q, int(d))
+            try:
+                got = solve_positive_weights(m)
+            except (SingularMatrixError, NoPositiveWeightsError) as exc:
+                got = (type(exc), str(exc))
+            assert got == expected
+            kind = expected[0] if isinstance(expected[0], type) else "weights"
+            outcomes[kind, det < 0] += 1
+        # every outcome occurs, the weights on both determinant signs
+        assert outcomes[SingularMatrixError, False] > 0
+        assert outcomes[NoPositiveWeightsError, False] > 0
+        assert outcomes["weights", False] > 0
+        assert outcomes["weights", True] > 0
 
     def test_no_positive_solution(self):
         # x1^2 and x1*x2: weights must satisfy 2q1 = q1 + q2 = d, so q1 = q2,

@@ -5,27 +5,32 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from invquot import (
     DegenerateLoopError,
     DiagonalElement,
     IntMatrix,
+    InvquotError,
     SingularMatrixError,
     UnsupportedGeometryError,
     diagonal_symmetry_group,
     loop_generator,
     parse,
+    smith_normal_form,
     spans_group,
     symmetry_group_of_matrix,
     symmetry_quotient,
 )
-from invquot.symmetry import generated_residues
+from invquot.polynomials import from_matrix
+from invquot.symmetry import _quotient_class_reps, generated_residues
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -301,14 +306,58 @@ class TestSymmetryQuotient:
             seen.add(coset)
 
 
+def rational_route_reps(a: IntMatrix):
+    """Quotient invariant factors and representatives A^-1 U^-1 e_i, from the
+    Smith form U [A | 1] V = D, computed over the rationals by sympy."""
+    snf = smith_normal_form(IntMatrix.from_rows([list(row) + [1] for row in a.entries]))
+    uinv = sympy.Matrix(snf.U.to_lists()).inv()
+    a_sym = sympy.Matrix(a.to_lists())
+    factors, reps = [], []
+    for i in range(a.rows):
+        if snf.D[i, i] > 1:
+            col = a_sym.LUsolve(uinv[:, i])
+            factors.append(snf.D[i, i])
+            reps.append(
+                DiagonalElement.from_fractions(Fraction(int(v.p), int(v.q)) for v in col)
+            )
+    return tuple(factors), tuple(reps)
+
+
+class TestQuotientClassReps:
+    def test_matches_rational_route(self):
+        # the representatives read off V are the same elements as those of
+        # the inverse-of-U route, on split, non-split and multi-factor inputs
+        rng = random.Random(0)
+        inputs = [
+            parse("x1^2 + x2^2 + x3^2 + x4^2 + x5^2"),
+            parse("x1^3 + x2^3 + x3^3 + x4^3 + x5^3"),
+            parse("x1*x2^3 + x1^3*x2"),
+            parse("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"),
+        ]
+        while len(inputs) < 200:
+            n = rng.randint(1, 6)
+            try:
+                inputs.append(
+                    from_matrix([[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)])
+                )
+            except InvquotError:
+                pass
+        kinds = Counter()
+        for poly in inputs:
+            assert _quotient_class_reps(poly) == rational_route_reps(poly.matrix)
+            sq = symmetry_quotient(poly)
+            kinds["negative determinant"] += poly.determinant() < 0
+            kinds["non-split"] += sq.characters is None
+            kinds["multi-factor"] += len(sq.quotient_orders) > 1
+        assert min(kinds.values()) > 0 and len(kinds) == 3, kinds
+
+
 class TestInvariantErrors:
     def test_raise_under_optimize(self):
         # python -O strips asserts; the typed errors of the symmetry and
         # lattice kernels must still fire
         script = textwrap.dedent(
             """
-            from fractions import Fraction
-
             assert False, "stripped under -O"
             from invquot import (
                 DiagonalElement, IntMatrix, LatticeInvariantError,
@@ -328,9 +377,9 @@ class TestInvariantErrors:
                     make()
                 except SymmetryInvariantError as exc:
                     print("raised:", exc)
-            lattice._solve_rational = lambda m, rhs: [Fraction(1, 2)] * len(rhs)
+            IntMatrix.det = lambda self: 1
             try:
-                IntMatrix.identity(2).inverse_unimodular()
+                lattice.solve_positive_weights(IntMatrix.from_rows([[2, 0], [0, 1]]))
             except LatticeInvariantError as exc:
                 print("raised:", exc)
             """
@@ -345,5 +394,5 @@ class TestInvariantErrors:
             "raised: phases (2, 4) over 6 share a common factor",
             "raised: generator DiagonalElement(num=(1, 1), den=2) does not have "
             "order 3 on 2 variables",
-            "raised: inverse of a determinant +-1 matrix is not integral",
+            "raised: weights (1, 1) do not give every monomial degree 2",
         ]
