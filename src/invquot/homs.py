@@ -1,10 +1,13 @@
 """Bigraded Hom and Ext dimensions between line bundles on the quotient.
 
 Line bundles are indexed by a bidegree: an integer total degree together with
-one residue per quotient factor. Section spaces are counted exactly by
-enumerating monomials of the coordinate ring; higher Ext groups come from
-Serre duality, with an independent long-exact-sequence route kept alongside
-for cross-checking.
+one residue per quotient factor. Section spaces are counted exactly by the
+generating-function recurrence over the variables: the degree-a monomials
+over x_1..x_j are those over x_1..x_{j-1} together with x_j times the
+degree-(a - 1) monomials over x_1..x_j, whose residues move by char x_j.
+Higher Ext groups come from Serre duality, with an independent
+long-exact-sequence route, which enumerates its Laurent monomials one by one,
+kept alongside for cross-checking.
 
 Every dimension between O(u) and O(v) depends only on the difference v - u.
 One ExtTable per quotient, from ext_table(sq), holds the section counts per
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, sub
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
 from .polynomials import monomial_text
@@ -122,14 +126,35 @@ def _difference_table(orders: tuple[int, ...]) -> list[list[int]]:
     return table
 
 
+def _count_step(a: int, minus, last) -> list[list[int]]:
+    """One total degree a >= 0 of the monomial-count recurrence over a
+    sequence of variables y_1, y_2, ...
+
+    last[k] is the count row of degree a - 1 over y_1..y_{k+1}, by residue
+    number. Returns the rows of degree a over y_1..y_{k+1} for every k: the
+    row over y_1..y_k plus the degree-(a - 1) row over y_1..y_{k+1}
+    multiplied by y_{k+1}, that is read through minus[k], which maps residue
+    number r to the number of r - char y_{k+1}.
+    """
+    rows = []
+    # degree a over no variable: the monomial 1, at the zero residue (number 0)
+    row = [int(a == 0)] + [0] * (len(minus[0]) - 1)
+    for m, prev in zip(minus, last):
+        row = list(map(add, row, map(prev.__getitem__, m)))
+        rows.append(row)
+    return rows
+
+
 class ExtTable:
     """Section and Ext dimensions of one quotient, looked up by difference.
 
     Residues are numbered by their position in all_residues; index maps a
-    residue tuple to its number and diff[i][j] is the number of j - i. Section
-    counts are kept per total degree, Ext dimensions per difference
-    (a_target - a_source, residue-difference number); both are filled one
-    total degree at a time, for every residue, on first use.
+    residue tuple to its number and diff[i][j] is the number of j - i;
+    minus[j][r] is the number of r - char x_{j+1}. Monomial counts are kept
+    per total degree and filled upward by _count_step, from the last row of
+    each variable prefix; section and Ext dimensions are kept per difference
+    (a_target - a_source, residue-difference number), one whole row of
+    residues per total degree, on first use.
     """
 
     def __init__(self, sq: SymmetryQuotient):
@@ -138,12 +163,22 @@ class ExtTable:
         self.residues = all_residues(sq)
         self.index = {b: i for i, b in enumerate(self.residues)}
         self.diff = _difference_table(sq.quotient_orders)
+        units = [[int(i == j) for i in range(sq.n)] for j in range(sq.n)]
+        self.minus = [self.diff[self.index[sq.char_of_exponents(e)]] for e in units]
         # canonical bundle: total degree d - n, residue of minus the character sum
         self.canonical = (
             sq.degree - sq.n,
             self.residue_index([-sum(chars) for chars in sq.characters]),
         )
-        self._counts: dict[int, list[int]] = {}
+        # kr - r for every residue number r, kr the canonical residue number:
+        # the Serre residue of difference r
+        self._serre_column = [row[self.canonical[1]] for row in self.diff]
+        self._zeros = [0] * len(self.residues)
+        self._counts: list[list[int]] = []
+        # the count row of the highest degree filled, over each prefix x_1..x_j;
+        # rows are never mutated, so the prefixes may share the zero row
+        self._last = [self._zeros] * sq.n
+        self._homs: dict[int, list[int]] = {}
         self._ext: dict[int, list[tuple[int, int, int, int]]] = {}
         self._supports: dict[int, tuple[bool, list[int]]] = {}
 
@@ -155,34 +190,54 @@ class ExtTable:
         except (KeyError, TypeError):
             return self.index[bidegree(self.sq, 0, b).b]
 
-    def monomials(self, a: int, r: int) -> int:
-        """Degree-a monomials of the ambient ring with residue number r."""
+    def monomial_row(self, a: int) -> list[int]:
+        """Degree-a monomials of the ambient ring, by residue number.
+
+        Filled upward from degree 0 by the generating-function recurrence:
+        the row of degree a over x_1..x_j is the row over x_1..x_{j-1} plus
+        the degree-(a - 1) row over x_1..x_j translated by char x_j. Each
+        step is one map over the residue numbers per variable, so a degree
+        costs n row sums, whatever its number of monomials.
+        """
         if a < 0:
-            return 0
-        counts = self._counts.get(a)
-        if counts is None:
-            counts = [0] * len(self.residues)
-            for e in _compositions(a, self.sq.n):
-                counts[self.index[self.sq.char_of_exponents(e)]] += 1
-            self._counts[a] = counts
-        return counts[r]
+            return self._zeros
+        counts = self._counts
+        while len(counts) <= a:
+            self._last = _count_step(len(counts), self.minus, self._last)
+            counts.append(self._last[-1])
+        return counts[a]
+
+    def hom_row(self, a: int) -> list[int]:
+        """Sections of the coordinate ring in every difference of total
+        degree a, by residue number: ambient monomials modulo multiples of W,
+        which has bidegree (d, 0), so the monomial row of a less that of
+        a - d; zeros when a < 0."""
+        row = self._homs.get(a)
+        if row is None:
+            row = self._homs[a] = list(
+                map(sub, self.monomial_row(a), self.monomial_row(a - self.sq.degree))
+            )
+        return row
 
     def hom(self, a: int, r: int) -> int:
-        """Sections of the coordinate ring in difference (a, r): ambient
-        monomials modulo multiples of W, which has bidegree (d, 0)."""
-        return self.monomials(a, r) - self.monomials(a - self.sq.degree, r)
+        """Sections of the coordinate ring in difference (a, r)."""
+        return self.hom_row(a)[r]
 
     def _ext_row(self, a: int) -> list[tuple[int, int, int, int]]:
-        """Ext dimensions of every difference of total degree a, by residue number."""
+        """Ext dimensions of every difference of total degree a, by residue
+        number: Hom from the section row of a, Ext^3 by Serre duality from
+        the section row of the canonical degree less a, read at kr - r."""
         row = self._ext.get(a)
         if row is None:
-            ka, kr = self.canonical
+            serre = self.hom_row(self.canonical[0] - a)
             # the two middle groups vanish whenever the ambient middle cohomology
             # does; that is checked explicitly by the long-exact-sequence route
             # in ext_dims_via_les
             row = self._ext[a] = [
-                (self.hom(a, r), 0, 0, self.hom(ka - a, self.diff[r][kr]))
-                for r in range(len(self.residues))
+                (h, 0, 0, s)
+                for h, s in zip(
+                    self.hom_row(a), map(serre.__getitem__, self._serre_column)
+                )
             ]
         return row
 
@@ -260,7 +315,7 @@ def ext_table(sq: SymmetryQuotient) -> ExtTable:
 def monomial_dim(sq: SymmetryQuotient, deg: BiDegree) -> int:
     """Dimension of the ambient polynomial ring in one bidegree."""
     table = ext_table(sq)
-    return table.monomials(deg.a, table.residue_index(deg.b))
+    return table.monomial_row(deg.a)[table.residue_index(deg.b)]
 
 
 def _w_degree(sq: SymmetryQuotient) -> BiDegree:
@@ -387,9 +442,9 @@ def hom_table(sq: SymmetryQuotient, max_a: int) -> dict[BiDegree, int]:
     """Section dimensions of O(a, b) for 0 <= a <= max_a and every residue b."""
     table = ext_table(sq)
     return {
-        BiDegree(a=a, b=b): table.hom(a, r)
+        BiDegree(a=a, b=b): h
         for a in range(max_a + 1)
-        for r, b in enumerate(table.residues)
+        for b, h in zip(table.residues, table.hom_row(a))
     }
 
 
@@ -401,19 +456,41 @@ def representative_table(
     Any single monomial is a valid representative of its section space: a
     monomial never lies in the ideal generated by a polynomial with several
     terms.
+
+    The exponents are chosen one variable at a time, each the smallest that
+    the later variables can still complete to the cell; whether they can is
+    read off count rows over the suffixes x_j..x_n, filled by the count
+    recurrence over the variables in reverse order.
     """
     table = ext_table(sq)
+    n = sq.n
+    # suffix[a][k]: the count row of degree a over x_{n-k}..x_n
+    suffix = []
+    last = [[0] * len(table.residues)] * n
+    reverse = table.minus[::-1]
+    for a in range(max_a + 1):
+        last = _count_step(a, reverse, last)
+        suffix.append(last)
     out: dict[BiDegree, str | None] = {}
     for a in range(max_a + 1):
-        found: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for e in _compositions(a, sq.n):
-            key = sq.char_of_exponents(e)
-            if key not in found:
-                found[key] = e  # _compositions yields in lexicographic order
-        for r, b in enumerate(table.residues):
-            deg = BiDegree(a=a, b=b)
-            if table.hom(a, r) > 0:
-                out[deg] = monomial_text(found[b])
-            else:
-                out[deg] = None
+        for r, (b, h) in enumerate(zip(table.residues, table.hom_row(a))):
+            if h <= 0:
+                out[BiDegree(a=a, b=b)] = None
+                continue
+            exps = []
+            rest, s = a, r
+            for j in range(n - 1):
+                # smallest power e of x_{j+1} such that x_{j+2}..x_n have a
+                # monomial of degree rest - e whose residue is what the cell
+                # still lacks, s: r less the characters of the powers chosen
+                # so far, e of them x_{j+1}; some e <= rest works, since the
+                # cell is nonempty
+                e = 0
+                while not suffix[rest - e][n - 2 - j][s]:
+                    s = table.minus[j][s]
+                    e += 1
+                exps.append(e)
+                rest -= e
+            exps.append(rest)
+            out[BiDegree(a=a, b=b)] = monomial_text(exps)
     return out

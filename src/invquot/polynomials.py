@@ -129,6 +129,8 @@ def monomial_text(exponents) -> str:
 def from_matrix(rows) -> InvertiblePolynomial:
     """Build directly from an exponent matrix (one row per monomial)."""
     matrix = rows if isinstance(rows, IntMatrix) else IntMatrix.from_rows(rows)
+    if not matrix.entries:
+        raise PolynomialSyntaxError("empty exponent matrix: no monomials")
     if matrix.rows != matrix.cols:
         raise NotSquareError(
             f"{matrix.rows} monomials but {matrix.cols} variables"

@@ -151,9 +151,7 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
                 kept.append(v)
         vertices.extend(kept)
         audit["layers"].append({"a": a, "kept": len(kept)})
-        if full_row is None and all(
-            table.hom(a, r) > 0 for r in range(len(table.residues))
-        ):
+        if full_row is None and min(table.hom_row(a)) > 0:
             full_row = a
         a += 1
     return vertices, audit
@@ -175,18 +173,22 @@ def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     _require_threefold(sq)
     table = ext_table(sq)
     objs = list(order)
+    keys = [(e.a, table.residue_index(e.b)) for e in objs]
     violations = []
     if len(set(objs)) != len(objs):
         violations.append({"kind": "duplicate objects"})
-    for i, e in enumerate(objs):
-        self_ext = table.dims(e, e)
-        if self_ext != (1, 0, 0, 0):
-            violations.append(
-                {"kind": "not exceptional", "object": str(e), "ext": list(self_ext)}
-            )
-    for j in range(len(objs)):
+    # every endomorphism Ext is that of the zero difference
+    self_ext = table._ext_row(0)[0]
+    if self_ext != (1, 0, 0, 0):
+        violations.extend(
+            {"kind": "not exceptional", "object": str(e), "ext": list(self_ext)}
+            for e in objs
+        )
+    diff = table.diff
+    for j, (ja, jr) in enumerate(keys):
         for i in range(j):
-            back = table.dims(objs[j], objs[i])
+            ia, ir = keys[i]
+            back = table._ext_row(ia - ja)[diff[jr][ir]]
             if any(back):
                 violations.append(
                     {
@@ -267,7 +269,7 @@ class _Solver:
         m = sq.quotient_order
         ka, kr = table.canonical
         # residue number 0 is the zero residue
-        two_up_all = all(table.hom(2, r) > 0 for r in range(1, m))
+        two_up_all = all(h > 0 for h in table.hom_row(2)[1:])
         serre_back = table.hom(ka + 2, kr) > 0
         self.pair_cap = (m + 1) if (two_up_all and serre_back and m > 1) else None
         # the pair bound runs along chains of layers with total degrees two

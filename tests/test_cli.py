@@ -103,6 +103,14 @@ class TestInputValidation:
         code, _, err = run(capsys, "analyze", "--json-matrix", "/nonexistent.json")
         assert code == 1
 
+    def test_empty_matrix(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"matrix": []}))
+        code, out, err = run(capsys, "analyze", "--json-matrix", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: empty exponent matrix: no monomials\n"
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "analyze", PENTAGON, "--bogus")
         assert code == 1
@@ -248,6 +256,19 @@ class TestVerify:
         results = json.loads(out)["results"]
         assert results["valid"] is False
         assert results["violations"]
+
+    def test_large_total_degree(self, capsys, tmp_path):
+        # about 10^9 monomials of degree 398 stand behind the Serre term,
+        # counted by the recurrence rather than listed
+        path = tmp_path / "collection.json"
+        path.write_text(json.dumps([[0, 0], [400, 0]]))
+        code, out, err = run(capsys, "verify", PENTAGON, "--collection", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "objects: 2",
+            "collection is NOT exceptional",
+            "  violation: Ext((400, 0), (0, 0)) = [0, 0, 0, 2887344]",
+        ]
 
     def test_integer_residues_accepted(self, capsys, tmp_path):
         path = tmp_path / "collection.json"

@@ -21,10 +21,12 @@ from invquot import (
     get_preset,
     hom_dim,
     hom_table,
+    homs,
     monomial_dim,
     parse,
     representative_table,
     symmetry_quotient,
+    verify_collection,
 )
 from invquot.homs import (
     BiDegree,
@@ -39,11 +41,21 @@ from invquot.homs import (
     negate,
     shift,
 )
+from invquot.polynomials import monomial_text
 from invquot.symmetry import SymmetryQuotient
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
 FERMAT = "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"
+QUADRIC = "x1^2 + x2^2 + x3^2 + x4^2 + x5^2"
+# quotients beside the pentagon whose counts are checked against the oracles:
+# Z/9, (Z/3)^4, trivial and (Z/2)^4
+OTHER_QUOTIENTS = {
+    "z9": Z9,
+    "fermat": FERMAT,
+    "trivial": get_preset("cubic-trivial-quotient"),
+    "quadric": QUADRIC,
+}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # every (a, b) with a nonzero section count in rows 0..3, written as frozen
@@ -74,6 +86,19 @@ def oracle_monomial_count(sq, a, b_tuple):
     return count
 
 
+def oracle_representative(sq, a, b_tuple):
+    """Lexicographically smallest exponent tuple of degree a and quotient
+    character b, by enumerating actual monomials; None when there is none."""
+    found = []
+    for combo in combinations_with_replacement(range(sq.n), a):
+        exps = [0] * sq.n
+        for i in combo:
+            exps[i] += 1
+        if sq.char_of_exponents(exps) == b_tuple:
+            found.append(tuple(exps))
+    return min(found, default=None)
+
+
 class TestMonomialCounts:
     def test_matches_oracle_everywhere(self, sq):
         for a in range(9):
@@ -81,11 +106,20 @@ class TestMonomialCounts:
                 deg = bidegree(sq, a, list(b))
                 assert monomial_dim(sq, deg) == oracle_monomial_count(sq, a, b)
 
+    @pytest.mark.parametrize("case", sorted(OTHER_QUOTIENTS))
+    def test_matches_oracle_on_other_quotients(self, case):
+        sq = symmetry_quotient(parse(OTHER_QUOTIENTS[case]))
+        for a in range(10):
+            for b in all_residues(sq):
+                deg = bidegree(sq, a, list(b))
+                assert monomial_dim(sq, deg) == oracle_monomial_count(sq, a, b), (a, b)
+
     def test_negative_degree_is_zero(self, sq):
         assert monomial_dim(sq, bidegree(sq, -1, 0)) == 0
 
     def test_total_over_residues_is_binomial(self, sq):
-        for a in range(10):
+        # degree 400 has about 10^9 monomials: only the recurrence reaches it
+        for a in [*range(10), 400]:
             total = sum(
                 monomial_dim(sq, bidegree(sq, a, list(b))) for b in all_residues(sq)
             )
@@ -126,6 +160,12 @@ class TestHomDims:
                 hom_dim_delta(sq, bidegree(sq, a, list(b))) for b in all_residues(sq)
             )
             assert total == comb(a + 4, 4) - comb(a + 1, 4)
+
+    def test_whole_rows(self, sq):
+        # the rows the Ext table reads at large and negative total degrees
+        table = ext_table(sq)
+        assert sum(table.hom_row(398)) == comb(402, 4) - comb(399, 4)
+        assert table.hom_row(-1) == [0] * 11
 
     def test_depends_only_on_difference(self, sq):
         u = bidegree(sq, 1, 4)
@@ -271,6 +311,20 @@ class TestRepresentatives:
             assert sum(exps) == deg.a
             assert sq.char_of_exponents(exps) == deg.b
 
+    @pytest.mark.parametrize("case", ["pentagon", *sorted(OTHER_QUOTIENTS)])
+    def test_match_enumeration(self, case):
+        # the smallest monomial of each cell against an enumeration of every
+        # monomial, in cells with sections; None exactly where there are none
+        sq = symmetry_quotient(parse(OTHER_QUOTIENTS.get(case, PENTAGON)))
+        reps = representative_table(sq, 4)
+        assert len(reps) == 5 * len(all_residues(sq))
+        for deg, text in reps.items():
+            if hom_dim_delta(sq, deg) > 0:
+                exps = oracle_representative(sq, deg.a, deg.b)
+                assert text == monomial_text(exps), deg
+            else:
+                assert text is None, deg
+
 
 class TestExtTable:
     @pytest.mark.parametrize("orders", [(), (11,), (2, 12), (3, 3, 6), (3, 3, 3, 3)])
@@ -377,6 +431,22 @@ class TestExtTable:
         assert sorted(first.derived["neg_counts"]) == list(range(-9, 7))
         assert any(dims[3] for dims in les)
         assert les == [ext_dims(sq, base, d) for sq, base, d in pairs]
+
+    def test_serre_route_enumerates_nothing(self, monkeypatch):
+        # counts, sections, Ext rows, the window, verification and
+        # representatives come from the count recurrence; only the
+        # long-exact-sequence route enumerates monomials
+        def enumerate_monomials(total, parts):
+            raise AssertionError("monomials enumerated")
+
+        monkeypatch.setattr(homs, "_compositions", enumerate_monomials)
+        sq = symmetry_quotient(parse(PENTAGON))
+        verts, _ = candidate_window(sq)
+        assert verify_collection(sq, verts).violations
+        assert len(hom_table(sq, 30)) == len(representative_table(sq, 30)) == 31 * 11
+        assert ext_dims(sq, verts[0], bidegree(sq, 400, 0))[0] > 0
+        with pytest.raises(AssertionError, match="enumerated"):
+            ext_dims_via_les(sq, bidegree(sq, 2, 0), verts[0])
 
     def test_unnormalized_residue(self, sq):
         o = bidegree(sq, 0, 0)

@@ -183,10 +183,10 @@ class TestPositiveWeights:
         assert outcomes["weights", True] > 0
 
     def test_no_positive_solution(self):
-        # x1^2 and x1*x2: weights must satisfy 2q1 = q1 + q2 = d, so q1 = q2,
-        # fine; use a genuinely unsolvable one instead
-        m = IntMatrix.from_rows([[1, 0], [3, 0]])
-        with pytest.raises((NoPositiveWeightsError, SingularMatrixError, ValueError)):
+        # x1*x2^3 and x1*x2: nonsingular, but q1 + 3 q2 = q1 + q2 forces
+        # q2 = 0, so the rational weights are (1, 0) and none is positive
+        m = IntMatrix.from_rows([[1, 3], [1, 1]])
+        with pytest.raises(NoPositiveWeightsError):
             solve_positive_weights(m)
 
 

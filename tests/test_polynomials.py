@@ -123,6 +123,11 @@ class TestFromMatrix:
         with pytest.raises(PolynomialSyntaxError):
             from_matrix(IntMatrix.from_rows([[0, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("rows", [[], IntMatrix.from_rows([])], ids=["list", "matrix"])
+    def test_rejects_empty(self, rows):
+        with pytest.raises(PolynomialSyntaxError, match="no monomials"):
+            from_matrix(rows)
+
 
 class TestAtomicDecomposition:
     def test_pentagon_is_single_loop(self, pentagon_poly):
