@@ -247,6 +247,17 @@ class _Solver:
     chosen one. Each branch passes a new state down the recursion and nothing
     is mutated, so backtracking is returning. The root state (nothing chosen,
     or the forced vertex) is kept in chosen, undecided and conflicted.
+
+    The pair cap: when Hom in total degree 2 is nonzero at every nonzero
+    residue difference (two_up_all) and Ext^3 from (a + 2, r) back to (a, r)
+    is nonzero (serre_back: by Serre duality it is dual to the sections in
+    bidegree (2, 0) + K), two layers of total degrees a and a + 2 hold at
+    most m + 1 vertices of any collection, m the quotient order. For if
+    residues r != s both occur in both layers, then
+    (a, r) -> (a + 2, s) -> (a, s) -> (a + 2, r) -> (a, r) is a 4-cycle, two
+    Hom arrows and two Ext^3 arrows. So at most one residue occurs in both
+    layers, and a layer holds at most one vertex per residue. With m = 1
+    there are no two residues and no cap.
     """
 
     def __init__(self, sq: SymmetryQuotient, verts: list[BiDegree], deadline):
@@ -268,6 +279,7 @@ class _Solver:
         ]
         m = sq.quotient_order
         ka, kr = table.canonical
+        # the pair cap's two preconditions (see the class docstring);
         # residue number 0 is the zero residue
         two_up_all = all(h > 0 for h in table.hom_row(2)[1:])
         serre_back = table.hom(ka + 2, kr) > 0
@@ -310,28 +322,36 @@ class _Solver:
 
     def _pair_bound(self, chosen: int, avail: int) -> int:
         """Admissible upper bound when two layers of total degrees a and a + 2
-        together hold at most pair_cap chosen vertices: a maximization over
-        per-layer counts, chain by chain. A layer's count lies between its
-        chosen vertices and those plus its available ones."""
+        together hold at most pair_cap chosen vertices: chain by chain, the
+        largest sum of per-layer counts x_i with lo_i <= x_i <= hi_i and
+        x_i + x_(i+1) <= cap, where lo_i counts the layer's chosen vertices
+        and hi_i adds its available ones.
+
+        One greedy pass from the lowest layer up is exact: it takes
+        x_i = min(hi_i, cap - x_(i-1), cap - lo_(i+1)). Given an optimum y,
+        at the first index where y differs, y_i < x_i (each term bounds y_i
+        too); raising y_i to x_i and lowering y_(i+1) by as much, but not
+        below lo_(i+1), keeps every constraint (the cap - lo_(i+1) term
+        covers a y_(i+1) held at its floor) and does not lower the sum. So
+        some optimum agrees with the greedy choice everywhere. The problem is
+        infeasible exactly when some lo_i + lo_(i+1) > cap, which no
+        reachable state allows.
+        """
         cap = self.pair_cap
         total = 0
-        for chain in self.chains:
-            dp: dict[int, int] | None = None
-            for bits in chain:
-                lo = (chosen & bits).bit_count()
-                xs = range(lo, lo + (avail & bits).bit_count() + 1)
-                if dp is None:
-                    dp = {x: x for x in xs}
-                    continue
-                ndp = {}
-                for x in xs:
-                    fits = [s for px, s in dp.items() if px + x <= cap]
-                    if fits:
-                        ndp[x] = max(fits) + x
-                if not ndp:
+        for first, *rest in self.chains:
+            lo = (chosen & first).bit_count()
+            # room: the largest x_i that the layer and x_(i-1) allow
+            room = lo + (avail & first).bit_count()
+            for bits in rest:
+                next_lo = (chosen & bits).bit_count()
+                x = min(room, cap - next_lo)
+                if x < lo:
                     raise SearchInvariantError("pair bound infeasible on a reachable state")
-                dp = ndp
-            total += max(dp.values())
+                total += x
+                lo = next_lo
+                room = min(lo + (avail & bits).bit_count(), cap - x)
+            total += room
         return total
 
     # -- root state and greedy seeding ---------------------------------------

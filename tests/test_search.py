@@ -11,11 +11,13 @@ import sys
 import textwrap
 from itertools import combinations, permutations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
 from invquot import (
+    SearchInvariantError,
     SearchTimeoutError,
     UnsupportedGeometryError,
     bidegree,
@@ -56,6 +58,30 @@ REFERENCE_SEQUENCE = [
 
 def degs(sq, pairs):
     return [bidegree(sq, a, b) for a, b in pairs]
+
+
+def _pair_bound_dp(chains, cap, chosen, avail):
+    """Reference for _Solver._pair_bound: a dynamic program over each chain,
+    from every count of a layer to the best sum of the chain up to it."""
+    total = 0
+    for chain in chains:
+        dp = None
+        for bits in chain:
+            lo = (chosen & bits).bit_count()
+            xs = range(lo, lo + (avail & bits).bit_count() + 1)
+            if dp is None:
+                dp = {x: x for x in xs}
+                continue
+            ndp = {}
+            for x in xs:
+                fits = [s for px, s in dp.items() if px + x <= cap]
+                if fits:
+                    ndp[x] = max(fits) + x
+            if not ndp:
+                raise SearchInvariantError("pair bound infeasible")
+            dp = ndp
+        total += max(dp.values())
+    return total
 
 
 class TestWindow:
@@ -407,6 +433,129 @@ class TestClosesCycle:
             chosen |= 1 << v
             includes += 1
         assert includes > 50 and undos > 20 and rejects > 20
+
+
+class TestPairCap:
+    """The pentagon's pair cap: two layers of total degrees a and a + 2 hold
+    at most m + 1 vertices of a collection, because of 4-cycles of two
+    degree-2 Hom arrows and two Ext^3 arrows. Its preconditions are checked
+    here on the long-exact-sequence route."""
+
+    def test_preconditions_by_les(self, sq):
+        zero = bidegree(sq, 0, [0])
+        hom_two = [ext_dims_via_les(sq, zero, bidegree(sq, 2, [b]))[0] for b in range(11)]
+        assert hom_two[0] == 0
+        assert all(h > 0 for h in hom_two[1:])
+        assert ext_dims_via_les(sq, bidegree(sq, 2, [0]), zero) == (0, 0, 0, 1)
+
+    def test_four_cycles_between_layers_0_and_2(self, sq):
+        window, _ = candidate_window(sq)
+        layers = [v for v in window if v.a in (0, 2)]
+        assert len(layers) == 22
+        expected = [
+            tuple(degs(sq, [(0, r), (2, s), (0, s), (2, r)]))
+            for r, s in combinations(range(11), 2)
+        ]
+        assert len(expected) == 55
+        assert find_cycles(sq, layers, max_len=4) == expected
+
+    @pytest.mark.parametrize(
+        "poly, cap",
+        [
+            (PENTAGON, 12),
+            (Z9, None),
+            (FERMAT, None),
+            (get_preset("cubic-trivial-quotient"), None),
+        ],
+        ids=["pentagon", "z9", "fermat", "cubic-trivial-quotient"],
+    )
+    def test_cap_is_set_only_on_the_pentagon(self, poly, cap):
+        sq = symmetry_quotient(parse(poly))
+        window, _ = candidate_window(sq)
+        assert _Solver(sq, window, None).pair_cap == cap
+
+
+class TestPairBound:
+    """The one-pass pair bound against the dynamic program it replaced."""
+
+    @staticmethod
+    def recorded_states(monkeypatch, run):
+        """Every (solver, chosen, avail) at which run() asks for the bound."""
+        states = []
+        real = _Solver._pair_bound
+
+        def spy(solver, chosen, avail):
+            states.append((solver, chosen, avail))
+            return real(solver, chosen, avail)
+
+        monkeypatch.setattr(_Solver, "_pair_bound", spy)
+        run()
+        monkeypatch.undo()
+        return states
+
+    @pytest.mark.parametrize("path", ["cli", "forced-base"])
+    def test_pentagon_search_states(self, sq, monkeypatch, capsys, path):
+        if path == "cli":
+            states = self.recorded_states(
+                monkeypatch, lambda: main(["search", PENTAGON, "--format", "json"])
+            )
+            capsys.readouterr()
+        else:
+            states = self.recorded_states(monkeypatch, lambda: max_exceptional(sq))
+        assert len(states) > 300
+        binding = 0
+        for solver, chosen, avail in states:
+            bound = solver._pair_bound(chosen, avail)
+            assert bound == _pair_bound_dp(solver.chains, solver.pair_cap, chosen, avail)
+            binding += bound < (chosen | avail).bit_count()
+        assert binding > 100
+
+    def test_synthetic_chains(self):
+        rng = random.Random(7)
+        feasible = binding = 0
+        for _ in range(3000):
+            chains = []
+            chosen = avail = 0
+            bit = 0
+            for _ in range(rng.randint(1, 3)):
+                chain = []
+                for _ in range(rng.randint(1, 5)):
+                    size = rng.randint(0, 8)
+                    chain.append(((1 << size) - 1) << bit)
+                    for i in range(bit, bit + size):
+                        kind = rng.random()
+                        if kind < 0.3:
+                            chosen |= 1 << i
+                        elif kind < 0.7:
+                            avail |= 1 << i
+                    bit += size
+                chains.append(chain)
+            cap = rng.randint(0, 12)
+            solver = SimpleNamespace(chains=chains, pair_cap=cap)
+            try:
+                expected = _pair_bound_dp(chains, cap, chosen, avail)
+            except SearchInvariantError:
+                with pytest.raises(SearchInvariantError):
+                    _Solver._pair_bound(solver, chosen, avail)
+                continue
+            bound = _Solver._pair_bound(solver, chosen, avail)
+            assert bound == expected, (chains, cap, chosen, avail)
+            feasible += 1
+            binding += bound < (chosen | avail).bit_count()
+        assert feasible > 1000 and binding > 500
+
+    def test_infeasible_state_raises(self):
+        # layers of 4 and 3 chosen vertices under a cap of 6
+        chains = [[0b1111, 0b111 << 4]]
+        solver = SimpleNamespace(chains=chains, pair_cap=6)
+        chosen = (1 << 7) - 1
+        with pytest.raises(SearchInvariantError, match="pair bound infeasible"):
+            _Solver._pair_bound(solver, chosen, 0)
+        with pytest.raises(SearchInvariantError):
+            _pair_bound_dp(chains, 6, chosen, 0)
+        assert _Solver._pair_bound(
+            SimpleNamespace(chains=chains, pair_cap=7), chosen, 0
+        ) == 7
 
 
 class TestBruteForce:
