@@ -6,8 +6,8 @@ generating-function recurrence over the variables: the degree-a monomials
 over x_1..x_j are those over x_1..x_{j-1} together with x_j times the
 degree-(a - 1) monomials over x_1..x_j, whose residues move by char x_j.
 Higher Ext groups come from Serre duality, with an independent
-long-exact-sequence route, which enumerates its Laurent monomials one by one,
-kept alongside for cross-checking.
+long-exact-sequence route, which counts its Laurent monomials by character
+classes, kept alongside for cross-checking.
 
 Every dimension between O(u) and O(v) depends only on the difference v - u.
 One ExtTable per quotient, from ext_table(sq), holds the section counts per
@@ -27,8 +27,10 @@ dimension down to the 5-variable case.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from operator import add, sub
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
@@ -100,16 +102,6 @@ def _require_threefold(sq: SymmetryQuotient):
         raise UnsupportedGeometryError(
             f"Ext bookkeeping is fixed to dimension 3 (5 variables), got {sq.n}"
         )
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of nonnegative integers of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _difference_table(orders: tuple[int, ...]) -> list[list[int]]:
@@ -354,6 +346,12 @@ def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]
     """Counts of Laurent monomials with all exponents <= -1 summing to a,
     by quotient character. These index top ambient cohomology.
 
+    Counted by character classes, never listed: write the exponents as
+    -1 - f with f >= 0 summing to t = -n - a. The k variables of one
+    character c have C(s + k - 1, k - 1) choices of their f summing to s,
+    all moving the character by -s c, so convolving the classes over s
+    counts every character; the -1s contribute minus the character sum.
+
     Kept per total degree in a table in sq.derived, beside the ExtTable and
     apart from it, so the long-exact-sequence route shares no entry with the
     Serre-duality route and never hashes the quotient."""
@@ -362,14 +360,27 @@ def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]
     if counts is not None:
         return counts
     counts = table[a] = {}
-    n = sq.n
-    total = -n - a
+    total = -sq.n - a
     if total < 0:
         return counts
-    for f in _compositions(total, n):
-        e = tuple(-1 - x for x in f)
-        key = sq.char_of_exponents(e)
-        counts[key] = counts.get(key, 0) + 1
+    orders = sq.quotient_orders
+    classes = Counter(
+        tuple(chars[j] for chars in sq.characters) for j in range(sq.n)
+    )
+    # (sum of f so far, character so far) -> number of choices
+    start = tuple(-sum(chars) % m for chars, m in zip(sq.characters, orders))
+    spread = {(0, start): 1}
+    for i, (c, k) in enumerate(classes.items()):
+        last = i == len(classes) - 1
+        nxt: dict = {}
+        for (used, ch), ways in spread.items():
+            # the last class takes whatever is left of t
+            for s in range(total - used if last else 0, total - used + 1):
+                key = (used + s, tuple((x - s * y) % m for x, y, m in zip(ch, c, orders)))
+                nxt[key] = nxt.get(key, 0) + ways * comb(s + k - 1, k - 1)
+        spread = nxt
+    for (_, ch), ways in spread.items():
+        counts[ch] = ways
     return counts
 
 

@@ -15,7 +15,9 @@ with a chosen one and closes no cycle; the cycle test expands the vertex's
 chosen descendants on demand. The same search, stopped at the first
 collection of the proven optimum size, gives the canonical witness: the
 lexicographically smallest optimal subset. Each pass returns its result with
-its own counters, so the witness pass leaves the optimum's report alone.
+its own counters, so the witness pass leaves the optimum's report alone. On
+the candidate window, where the base is forced, the search also keeps only
+one layer-0 set per translation class (see _Solver).
 """
 
 from __future__ import annotations
@@ -226,6 +228,7 @@ class SearchResult:
     witness: tuple[BiDegree, ...]       # in a valid exceptional order
     witness_set: tuple[BiDegree, ...]   # the same objects sorted by bidegree
     optimal: bool
+    vertices: tuple[BiDegree, ...]      # the vertex list searched, sorted
     proof_log: dict = field(repr=False, default_factory=dict)
 
 
@@ -258,6 +261,27 @@ class _Solver:
     Hom arrows and two Ext^3 arrows. So at most one residue occurs in both
     layers, and a layer holds at most one vertex per residue. With m = 1
     there are no two residues and no cap.
+
+    The translation leader, a lex-leader (Crawford-Ginsberg-Luks-Roy) for
+    the quotient's own translations (0, r), is used only on the candidate
+    window with the base forced, possibly cut by max_a. Once every layer-0
+    vertex is decided, with R the chosen layer-0 residues, the node is kept
+    only if, for every r in R, the sorted list of R is no larger than that
+    of R - r; ties are kept. It is sound: suppose a collection C contains
+    the base and (0, r). Twisting is an automorphism of the Ext digraph, so
+    C - (0, r) is again a collection. It contains the base (the image of
+    (0, r)), keeps the layer of every member, and, since it holds the base,
+    has no member in mutual conflict with the base; so it lies in the same
+    window, even one cut by max_a. Its layer-0 set is R - r. The smallest
+    translate of R is a leader, since the translates of R - r are again
+    translates of R, so some optimum survives. The canonical witness W*
+    survives too: the layer-0 vertices are the window's first indices, in
+    residue order, and for sets of one size comparing sorted index lists is
+    include-first DFS order. If some translate of W*'s layer-0 set came
+    earlier, the same translate of W* would be an optimal subset found
+    before W*, which is the DFS-first one. So the witness pass with the
+    leader on returns W* unchanged. An explicit vertex list need not be
+    closed under translation and is searched without the leader.
     """
 
     def __init__(self, sq: SymmetryQuotient, verts: list[BiDegree], deadline):
@@ -298,6 +322,9 @@ class _Solver:
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.conflicted = 0
+        # with the translation leader on, the residue numbers of layer 0 by
+        # vertex index
+        self.layer0: list[int] | None = None
 
     def _closes_cycle(self, v: int, chosen: int) -> bool:
         """True when adding v to the acyclic set chosen closes a cycle: some
@@ -364,6 +391,20 @@ class _Solver:
         self.undecided &= ~(1 << v)
         self.conflicted |= self.conflict_mask[v]
 
+    def lead_translations(self, table):
+        """Keep one layer-0 set per translation class (see the class
+        docstring). Sound only on the candidate window with the base forced;
+        the window starts with layer 0, in residue order."""
+        self.layer0 = [table.residue_index(v.b) for v in self.verts if v.a == 0]
+        self.diff = table.diff
+
+    def _leads(self, chosen: int) -> bool:
+        """True when the chosen layer-0 residues R, as a sorted list, are no
+        larger than R - r for any r in R."""
+        diff = self.diff
+        rs = [r for i, r in enumerate(self.layer0) if chosen >> i & 1]
+        return all(rs <= sorted(diff[r][s] for s in rs) for r in rs)
+
     def greedy(self, order: list[int]) -> tuple[int, int]:
         """From the root state, add vertices in the given order whenever
         legal; returns (size, mask)."""
@@ -381,60 +422,90 @@ class _Solver:
         """Depth-first search from the root state, include before exclude in
         ascending index order, against the incumbent (best, best_mask). A
         node whose bound is at most best is pruned; a larger collection
-        becomes the incumbent, or, with stop, ends the search. Returns
-        (size, mask, stats) with this pass's own counters; on the deadline
-        raises _TimeUp carrying the same three."""
+        becomes the incumbent, or, with stop, ends the search. With the
+        translation leader on, a state whose layer-0 set is no leader is cut
+        as layer 0 is passed. Returns (size, mask, stats) with this pass's
+        own counters; on the deadline raises _TimeUp carrying the same
+        three."""
         n = self.n
         deadline = self.deadline
         conflict_mask = self.conflict_mask
         closes_cycle = self._closes_cycle
         pair_bound = self._pair_bound if self.pair_cap is not None else None
         improvements = []
-        nodes = prunes = rejects = 0
+        nodes = prunes = rejects = symmetry = 0
         monotonic = time.monotonic
 
-        def dfs(pos, chosen, count, undecided, conflicted):
-            nonlocal best, best_mask, nodes, prunes, rejects
-            if count > best:
-                best, best_mask = count, chosen
-                if stop:
-                    raise _Found
-                improvements.append({"size": count, "nodes": nodes})
-            nodes += 1
-            if deadline is not None and monotonic() > deadline:
-                raise _TimeUp
-            while pos < n and not (undecided >> pos) & 1:
-                pos += 1
-            if pos == n:
-                return
-            avail = undecided & ~conflicted
-            if pair_bound is None:
-                bound = count + avail.bit_count()
-            else:
-                bound = pair_bound(chosen, avail)
-            if bound <= best:
-                prunes += 1
-                return
-            bit = 1 << pos
-            undecided ^= bit
-            if not conflicted & bit:
-                if closes_cycle(pos, chosen):
-                    rejects += 1
+        def node(descend=None):
+            """The node function; it hands each child state to descend, by
+            default to itself."""
+
+            def dfs(pos, chosen, count, undecided, conflicted):
+                nonlocal best, best_mask, nodes, prunes, rejects
+                if count > best:
+                    best, best_mask = count, chosen
+                    if stop:
+                        raise _Found
+                    improvements.append({"size": count, "nodes": nodes})
+                nodes += 1
+                if deadline is not None and monotonic() > deadline:
+                    raise _TimeUp
+                while pos < n and not (undecided >> pos) & 1:
+                    pos += 1
+                if pos == n:
+                    return
+                avail = undecided & ~conflicted
+                if pair_bound is None:
+                    bound = count + avail.bit_count()
                 else:
-                    dfs(pos + 1, chosen | bit, count + 1, undecided,
-                        conflicted | conflict_mask[pos])
-            dfs(pos + 1, chosen, count, undecided, conflicted)
+                    bound = pair_bound(chosen, avail)
+                if bound <= best:
+                    prunes += 1
+                    return
+                bit = 1 << pos
+                undecided ^= bit
+                if not conflicted & bit:
+                    if closes_cycle(pos, chosen):
+                        rejects += 1
+                    else:
+                        down(pos + 1, chosen | bit, count + 1, undecided,
+                             conflicted | conflict_mask[pos])
+                down(pos + 1, chosen, count, undecided, conflicted)
+
+            down = descend or dfs
+            return dfs
+
+        root = dfs = node()
+        if self.layer0 is not None:
+            # layer-0 nodes hand their children to the gate; past layer 0 it
+            # admits leaders only, so the nodes beyond never test pos. A cut
+            # state counts as a node, and as a symmetry prune
+            last = len(self.layer0)
+            leads = self._leads
+
+            def gate(pos, chosen, count, undecided, conflicted):
+                nonlocal nodes, symmetry
+                if pos < last:
+                    head(pos, chosen, count, undecided, conflicted)
+                elif leads(chosen):
+                    dfs(pos, chosen, count, undecided, conflicted)
+                else:
+                    nodes += 1
+                    symmetry += 1
+
+            root = head = node(gate)
 
         def stats():
             return {
                 "nodes": nodes,
                 "bound_prunes": prunes,
                 "cycle_rejects": rejects,
+                "symmetry_prunes": symmetry,
                 "improvements": improvements,
             }
 
         try:
-            dfs(0, self.chosen, self.chosen.bit_count(), self.undecided, self.conflicted)
+            root(0, self.chosen, self.chosen.bit_count(), self.undecided, self.conflicted)
         except _Found:
             pass
         except _TimeUp:
@@ -467,13 +538,16 @@ def max_exceptional(
     sq: SymmetryQuotient,
     vertices=None,
     timeout_secs: float | None = None,
+    max_a: int | None = None,
 ) -> SearchResult:
     """Size and witness of a maximum exceptional collection inside the window.
 
-    With no explicit vertex list the derived candidate window is used and the
-    base vertex is forced into the collection (any maximum collection can be
-    twisted to contain it, so this loses nothing). An explicit vertex list is
-    searched as given, without forcing.
+    With no explicit vertex list the candidate window is derived, cut at
+    total degree max_a if given, and the base vertex is forced into the
+    collection (any collection in the window can be twisted to contain it,
+    so this loses nothing); the search then keeps one layer-0 set per
+    translation class. An explicit vertex list is searched as given, without
+    forcing or the translation leader, and takes no max_a.
 
     The witness is canonical: the lexicographically smallest optimal subset,
     ordered by a deterministic topological sort. Raises SearchTimeoutError
@@ -483,20 +557,22 @@ def max_exceptional(
     t0 = time.monotonic()
     deadline = t0 + timeout_secs if timeout_secs is not None else None
     proof_log: dict = {}
-    if vertices is None:
-        verts, audit = candidate_window(sq)
+    window = vertices is None
+    if window:
+        verts, audit = candidate_window(sq, max_a=max_a)
         proof_log["window"] = audit
-        forced = True
+    elif max_a is not None:
+        raise ValueError("max_a cuts the derived window, not an explicit vertex list")
     else:
         verts = _sorted_distinct(vertices)
-        forced = False
     base = base_vertex(sq)
     proof_log["vertices"] = len(verts)
-    proof_log["forced_base"] = forced and base in verts
+    proof_log["forced_base"] = window
 
     solver = _Solver(sq, verts, deadline)
-    if proof_log["forced_base"]:
+    if window:
         solver.force(solver.index[base])
+        solver.lead_translations(ext_table(sq))
 
     # deterministic greedy seeds: plain order, and plain order with the
     # nonzero residues of layer 0 deferred to the end
@@ -553,6 +629,7 @@ def max_exceptional(
         witness=witness,
         witness_set=tuple(sorted(witness)),
         optimal=True,
+        vertices=tuple(verts),
         proof_log=proof_log,
     )
 

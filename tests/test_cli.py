@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from invquot.cli import main
+from invquot.cli import MAX_TOTAL_DEGREE, main
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 VERDICT = (
@@ -127,10 +127,11 @@ class TestInputValidation:
             ["search", "--timeout-secs", "nan"],
             ["search", "--timeout-secs", "-1"],
             ["search", "--timeout-secs", "inf"],
+            ["table", "--max-a", "1001"],
         ],
         ids=[
             "negative-window-cap", "negative-table-cap", "nan-budget",
-            "negative-budget", "infinite-budget",
+            "negative-budget", "infinite-budget", "table-cap-above-limit",
         ],
     )
     def test_out_of_range_option(self, capsys, argv):
@@ -270,6 +271,18 @@ class TestVerify:
             "  violation: Ext((400, 0), (0, 0)) = [0, 0, 0, 2887344]",
         ]
 
+    def test_degree_cap_is_inclusive(self, capsys, tmp_path):
+        # total degrees up to MAX_TOTAL_DEGREE in absolute value are served
+        assert MAX_TOTAL_DEGREE == 1000
+        path = tmp_path / "collection.json"
+        path.write_text(json.dumps([[-1000, 0], [1000, 0]]))
+        code, out, err = run(capsys, "verify", PENTAGON, "--collection", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("objects: 2\ncollection is NOT exceptional\n")
+        code, out, err = run(capsys, "table", PENTAGON, "--max-a", "1000", "-f", "csv")
+        assert (code, err) == (0, "")
+        assert out.count("\n1000,") == 2
+
     def test_integer_residues_accepted(self, capsys, tmp_path):
         path = tmp_path / "collection.json"
         path.write_text(json.dumps([[0, 0], [0, 1]]))
@@ -288,10 +301,13 @@ class TestVerify:
             "[[0, 0], [1.5, 0]]",
             "[[0, 0], [true, 0]]",
             '[[0, 0], ["2", 0]]',
+            "[[0, 0], [1001, 0]]",
+            "[[-1001, 0]]",
         ],
         ids=[
             "not-a-list", "wrong-width", "string-a", "dict-b", "float-b",
-            "float-a", "bool-a", "string-a-digit",
+            "float-a", "bool-a", "string-a-digit", "degree-above-cap",
+            "degree-below-cap",
         ],
     )
     def test_malformed_collection(self, capsys, tmp_path, text):
@@ -421,27 +437,27 @@ GOLDEN = {
     "chen-ruan-trivial-csv":
         "540682744d7d38a10ca3735eacbc48fb81267d640a22288e55d50a74588c2125",
     "search-pentagon-text":
-        "558b344637fbb803accf007bb46ea00439a1cf9319b0c5fcdc9fdbbb6007a425",
+        "bf6d9a70ac829737f19be7ce0d70f629be601295be607448cbbd4766ea340443",
     "search-pentagon-json":
-        "98a135cdbd8c6d77f2d1736c76b9a576dc921e423994b8541861b9662cb3e286",
+        "025db4f7958b66946cf9ad18e4d419cbdb5d42c8208ed9b9c60e4ffe152fff74",
     "search-pentagon-csv":
         "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
     "search-trivial-text":
-        "147ee41f822f772c65837aada531867767edc8287e349e7bb679021ed3488821",
+        "b6fe834603143899e078dd19864344a7c9313207407d088f5e1bc5d653e3c654",
     "search-trivial-json":
-        "5e69ff5d60671161235116c83e29e41f5c43c9cfc467ccb3c4cf3b663aaa7ef9",
+        "dcc589a2ae426c3a299289eacb34f3b5d88f3ee2431262c82a3dda72a8664a0e",
     "search-trivial-csv":
         "732e1bbe2709eaf5dcb1ae74ea1a33a98444a590a461f8a534b5064f40394446",
     "search-window-0-pentagon-text":
-        "b5f86cd582be1e0c52786be3c1465e06a3adaa4e98f119679f6e476bb4f58bfd",
+        "06ca60b413417475cff695027f3e9d6d7a78fb7e83be5c953eaed94061cefa9b",
     "search-window-0-pentagon-json":
-        "26ff81377fec1c3efac84dfd7561f51191a3f9c8d26e3906d1fe6347c1c3dda4",
+        "53ecceea6f5eebb25373fe456e621b68fbc6e9433c6eb58f00400a571ed1879e",
     "search-window-0-pentagon-csv":
         "b1dd66db7279a7c5b9bc70119db8a7a0c34e4695aec223066e874824d1c5034c",
     "search-window-0-trivial-text":
-        "585080b79dd4344c6732644bb7bfdf06c4955dc3125194b757dab2486e910795",
+        "7bc173d8b4530b99741144ba256bd4b37edc122743c31314ecaa14233b7746a5",
     "search-window-0-trivial-json":
-        "d9bd03dce5e457b96b4d503026beeb84f39822f3571c190b76bc177681b48730",
+        "70cd664d5cd546ff2ad6889341e2c0eb1acf5d73e8da7e6301e1be8edbd283f7",
     "search-window-0-trivial-csv":
         "1664d8daec2da01ccfa1d9b98d08b49f90b2a7a817f8b6c86ceffb80c7ed116d",
     "verify-pentagon-text":

@@ -3,6 +3,7 @@ branch-and-bound maximum search."""
 
 import copy
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -32,7 +33,9 @@ from invquot import (
     symmetry_quotient,
     verify_collection,
 )
+from invquot import search as search_module
 from invquot.cli import main
+from invquot.homs import ext_table
 from invquot.search import (
     _Solver,
     _sorted_distinct,
@@ -45,6 +48,7 @@ from invquot.search import (
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
 FERMAT = "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"
+FERMAT_LOOPS = "x1^3 + x2^2*x3 + x2*x3^2 + x4^2*x5 + x4*x5^2"
 QUADRIC = "x1^2 + x2^2 + x3^2 + x4^2 + x5^2"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -563,9 +567,10 @@ class TestBruteForce:
     with arrows taken from the long-exact-sequence route."""
 
     @staticmethod
-    def lex_min_optimum(sq, verts):
+    def lex_min_optimum(sq, verts, through=None):
         """The first acyclic subset of the largest size, subsets of one size
-        taken in lexicographic order of their sorted indices."""
+        taken in lexicographic order of their sorted indices; with through,
+        only subsets holding that index."""
         n = len(verts)
         preds = [0] * n
         for i, u in enumerate(verts):
@@ -585,7 +590,7 @@ class TestBruteForce:
 
         for k in range(n, -1, -1):
             for members in combinations(range(n), k):
-                if acyclic(members):
+                if (through is None or through in members) and acyclic(members):
                     return [verts[i] for i in members]
 
     @pytest.mark.parametrize(
@@ -615,32 +620,125 @@ class TestBruteForce:
             assert list(result.witness_set) == expected, seed
 
 
+def _counts(stats):
+    return (
+        stats["nodes"], stats["bound_prunes"], stats["cycle_rejects"],
+        stats["symmetry_prunes"],
+    )
+
+
 class TestSearchCounts:
     """The search's node and prune counts are part of its specification: a
-    faster core must take exactly the same decisions."""
+    faster core must take exactly the same decisions. The CLI searches the
+    candidate window with the base forced and the translation leader on."""
 
     @pytest.mark.parametrize(
         "poly, window, optimum, counts",
         [
-            (PENTAGON, 40, 24, (320, 159, 1)),
-            (Z9, 34, 20, (575_297, 232_055, 108_679)),
+            (PENTAGON, 40, 24, (298, 147, 1, 1)),
+            (Z9, 34, 20, (112_432, 45_367, 20_791, 197)),
         ],
         ids=["pentagon", "z9"],
     )
     def test_cli(self, capsys, poly, window, optimum, counts):
         assert main(["search", poly, "--format", "json"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        stats = results["proof_log"]["stats"]
         assert results["window_size"] == window
         assert results["optimum"] == optimum
         assert results["optimal_certified"] is True
-        assert (stats["nodes"], stats["bound_prunes"], stats["cycle_rejects"]) == counts
+        assert results["proof_log"]["forced_base"] is True
+        assert _counts(results["proof_log"]["stats"]) == counts
 
     def test_pentagon_forced_base(self, sq):
         stats = max_exceptional(sq).proof_log["stats"]
-        assert (stats["nodes"], stats["bound_prunes"], stats["cycle_rejects"]) == (
-            298, 148, 1,
+        assert _counts(stats) == (298, 147, 1, 1)
+
+    def test_explicit_list_is_not_forced(self, sq):
+        # the same 40 vertices as an explicit list: no forcing, no leader
+        window, _ = candidate_window(sq)
+        result = max_exceptional(sq, vertices=window)
+        assert result.proof_log["forced_base"] is False
+        assert _counts(result.proof_log["stats"]) == (320, 159, 1, 0)
+        assert result.witness == max_exceptional(sq).witness
+
+
+class TestTranslationLeader:
+    """The lex-leader over the quotient's translations (0, r), used on the
+    candidate window with the base forced. Switched off here by making every
+    layer-0 set a leader, which leaves the forced-base search alone."""
+
+    @staticmethod
+    def leader_off(monkeypatch):
+        monkeypatch.setattr(_Solver, "_leads", lambda solver, chosen: True)
+
+    @pytest.mark.parametrize(
+        "poly, max_a, forced_only_nodes",
+        [
+            (PENTAGON, None, 298),
+            (Z9, None, 407_031),
+            (Z9, 2, None),
+            (FERMAT_LOOPS, 2, None),
+        ],
+        ids=["pentagon", "z9", "z9-max-a-2", "fermat-loop2-loop2-max-a-2"],
+    )
+    def test_same_optimum_and_witness(self, monkeypatch, poly, max_a, forced_only_nodes):
+        on = max_exceptional(symmetry_quotient(parse(poly)), max_a=max_a)
+        self.leader_off(monkeypatch)
+        off = max_exceptional(symmetry_quotient(parse(poly)), max_a=max_a)
+        assert on.size == off.size
+        assert on.witness == off.witness
+        assert on.vertices == off.vertices
+        stats_on, stats_off = on.proof_log["stats"], off.proof_log["stats"]
+        assert stats_off["symmetry_prunes"] == 0
+        assert stats_on["nodes"] <= stats_off["nodes"]
+        if poly != PENTAGON:
+            assert stats_on["symmetry_prunes"] > 0
+            assert 3 * stats_on["nodes"] < stats_off["nodes"]
+        if forced_only_nodes is not None:
+            assert stats_off["nodes"] == forced_only_nodes
+
+    @pytest.mark.parametrize("poly", [Z9, FERMAT_LOOPS], ids=["z9", "fermat-loop2-loop2"])
+    def test_brute_force_on_layers_0_and_2(self, poly):
+        # every residue of layers 0 and 2 is in the window, so the union is
+        # closed under translation and the leader applies with the base forced
+        sq = symmetry_quotient(parse(poly))
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a in (0, 2)]
+        assert len(verts) == 18 and verts[0] == base_vertex(sq)
+        solver = _Solver(sq, verts, None)
+        solver.force(0)
+        solver.lead_translations(ext_table(sq))
+        size, _, stats = solver.search(0, None)
+        assert stats["symmetry_prunes"] > 0
+        _, mask, _ = solver.search(size - 1, None, stop=True)
+        found = [v for i, v in enumerate(verts) if mask >> i & 1]
+        expected = TestBruteForce.lex_min_optimum(sq, verts, through=0)
+        assert found == expected
+        assert verify_collection(sq, solver.witness(mask)).valid
+
+    def test_timeout_reports_valid_collection(self, monkeypatch):
+        # a clock that advances one microsecond per reading: the budget runs
+        # out after about 20,000 nodes of the 112,432, past the first cuts
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            search_module, "time", SimpleNamespace(monotonic=lambda: next(ticks) * 1e-6)
         )
+        sq = symmetry_quotient(parse(Z9))
+        with pytest.raises(SearchTimeoutError) as err:
+            max_exceptional(sq, timeout_secs=0.02)
+        log = err.value.proof_log
+        assert log["forced_base"] is True
+        assert 19_000 < log["stats"]["nodes"] < 21_000
+        assert log["stats"]["symmetry_prunes"] > 0
+        best = err.value.best_witness
+        assert len(best) == err.value.best_size >= max(s["size"] for s in log["seeds"])
+        assert base_vertex(sq) in best
+        assert verify_collection(sq, best).valid
+
+    def test_max_a_with_explicit_list_rejected(self, sq):
+        window, _ = candidate_window(sq, max_a=1)
+        with pytest.raises(ValueError, match="max_a"):
+            max_exceptional(sq, vertices=window, max_a=1)
 
 
 class TestInvariantErrors:
