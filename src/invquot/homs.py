@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 from operator import add, sub
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
@@ -348,9 +347,12 @@ def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]
 
     Counted by character classes, never listed: write the exponents as
     -1 - f with f >= 0 summing to t = -n - a. The k variables of one
-    character c have C(s + k - 1, k - 1) choices of their f summing to s,
-    all moving the character by -s c, so convolving the classes over s
-    counts every character; the -1s contribute minus the character sum.
+    character c contribute the factor 1/(1 - z w^-c)^k to the generating
+    function of the f by sum (z) and character (w), and the -1s shift every
+    character by minus the character sum. Each factor 1/(1 - z w^-c) is
+    multiplied out by its own first-order recurrence, q_s = p_s + w^-c q_(s-1),
+    one pass over the excesses 0..t, so the count is linear in t; the series
+    then holds the counts of every smaller excess too, which are kept.
 
     Kept per total degree in a table in sq.derived, beside the ExtTable and
     apart from it, so the long-exact-sequence route shares no entry with the
@@ -359,29 +361,29 @@ def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]
     counts = table.get(a)
     if counts is not None:
         return counts
-    counts = table[a] = {}
     total = -sq.n - a
     if total < 0:
+        counts = table[a] = {}
         return counts
     orders = sq.quotient_orders
+    residues = all_residues(sq)
+    number = {r: i for i, r in enumerate(residues)}
     classes = Counter(
         tuple(chars[j] for chars in sq.characters) for j in range(sq.n)
     )
-    # (sum of f so far, character so far) -> number of choices
+    # series[s][i]: choices of f summing to s that give residue number i
+    series = [[0] * len(residues) for _ in range(total + 1)]
     start = tuple(-sum(chars) % m for chars, m in zip(sq.characters, orders))
-    spread = {(0, start): 1}
-    for i, (c, k) in enumerate(classes.items()):
-        last = i == len(classes) - 1
-        nxt: dict = {}
-        for (used, ch), ways in spread.items():
-            # the last class takes whatever is left of t
-            for s in range(total - used if last else 0, total - used + 1):
-                key = (used + s, tuple((x - s * y) % m for x, y, m in zip(ch, c, orders)))
-                nxt[key] = nxt.get(key, 0) + ways * comb(s + k - 1, k - 1)
-        spread = nxt
-    for (_, ch), ways in spread.items():
-        counts[ch] = ways
-    return counts
+    series[0][number[start]] = 1
+    for c, k in classes.items():
+        # w^-c moves residue r to r - c, so the entry at r comes from r + c
+        up = [number[tuple((x + y) % m for x, y, m in zip(r, c, orders))] for r in residues]
+        for _ in range(k):
+            for s in range(1, total + 1):
+                series[s] = list(map(add, series[s], map(series[s - 1].__getitem__, up)))
+    for s, row in enumerate(series):
+        table.setdefault(-sq.n - s, {r: v for r, v in zip(residues, row) if v})
+    return table[a]
 
 
 def ambient_cohomology_dim(sq: SymmetryQuotient, i: int, deg: BiDegree) -> int:

@@ -10,9 +10,11 @@ cycle with the base can never join it.
 
 The branch and bound decides the window's vertices in index order, include
 before exclude, and passes its whole state down the recursion as ints, so
-backtracking undoes nothing. A vertex may join when it has no mutual arrow
-with a chosen one and closes no cycle; the cycle test expands the vertex's
-chosen descendants on demand. The same search, stopped at the first
+backtracking undoes nothing. A vertex may join when it closes no cycle with
+the chosen ones. Every vertex that would close one is kept in a blocked
+mask, updated as each vertex joins from its chosen ancestors and
+descendants, so the bound never counts a vertex that can no longer join,
+and the include test is one bit. The same search, stopped at the first
 collection of the proven optimum size, gives the canonical witness: the
 lexicographically smallest optimal subset. Each pass returns its result with
 its own counters, so the witness pass leaves the optimum's report alone. On
@@ -244,12 +246,25 @@ class _Found(Exception):
 class _Solver:
     """Branch and bound over one vertex list, the search state in plain ints.
 
-    A node's state is (pos, chosen, count, undecided, conflicted): the next
+    A node's state is (pos, chosen, count, undecided, blocked): the next
     index to decide, the chosen vertices as a bitmask and their number, the
-    vertices not decided yet, and the vertices with mutual arrows to some
-    chosen one. Each branch passes a new state down the recursion and nothing
-    is mutated, so backtracking is returning. The root state (nothing chosen,
-    or the forced vertex) is kept in chosen, undecided and conflicted.
+    vertices not decided yet, and the vertices that would close a cycle with
+    the chosen ones. Each branch passes a new state down the recursion and
+    nothing is mutated, so backtracking is returning. The root state (nothing
+    chosen, or the forced vertex) is kept in chosen, undecided and blocked.
+
+    The blocked mask: when v joins the acyclic set C, let A be v with its
+    ancestors inside C and D be v with its descendants inside C. The newly
+    blocked vertices are OR(in_mask[x], x in A) & OR(out_mask[y], y in D):
+    w is among them exactly when C + {v, w} has a cycle through v, namely
+    v -> .. -> y -> w -> x -> .. -> v with every inner vertex in C. A cycle
+    of C + {v, w} that misses v is one of C + {w}, so w was blocked before v
+    joined; a mutual arrow is the cycle of length two. No vertex of C + {v}
+    is ever blocked, since that set is acyclic. Blocking is admissible: a
+    blocked w closes a cycle in every superset of C + {v}, so it can join no
+    collection below the node. Taking it out of the available set lowers the
+    bound only by vertices that no descendant can hold, and the DFS order is
+    unchanged, so every optimum and the canonical witness stay as they are.
 
     The pair cap: when Hom in total degree 2 is nonzero at every nonzero
     residue difference (two_up_all) and Ext^3 from (a + 2, r) back to (a, r)
@@ -298,9 +313,6 @@ class _Solver:
                 low = m & -m
                 self.in_mask[low.bit_length() - 1] |= bit
                 m ^= low
-        self.conflict_mask = [
-            self.out_mask[i] & self.in_mask[i] for i in range(n)
-        ]
         m = sq.quotient_order
         ka, kr = table.canonical
         # the pair cap's two preconditions (see the class docstring);
@@ -321,31 +333,32 @@ class _Solver:
             chain_ending_at[a] = chain
         self.chosen = 0
         self.undecided = (1 << n) - 1
-        self.conflicted = 0
+        self.blocked = 0
         # with the translation leader on, the residue numbers of layer 0 by
         # vertex index
         self.layer0: list[int] | None = None
 
-    def _closes_cycle(self, v: int, chosen: int) -> bool:
-        """True when adding v to the acyclic set chosen closes a cycle: some
-        chosen predecessor of v is reachable from v inside chosen. Expands
-        the chosen descendants of v one frontier at a time."""
-        preds = self.in_mask[v] & chosen
-        if not preds:
-            return False
-        out_mask = self.out_mask
-        frontier = seen = out_mask[v] & chosen
+    def _blocks(self, v: int, chosen: int) -> int:
+        """The vertices that adding v to the acyclic set chosen newly blocks:
+        the in-neighbours of v and its chosen ancestors, met with the
+        out-neighbours of v and its chosen descendants (see the class
+        docstring). Each side expands one frontier at a time inside chosen."""
+        return self._reach(self.in_mask, v, chosen) & self._reach(self.out_mask, v, chosen)
+
+    @staticmethod
+    def _reach(rows: list[int], v: int, chosen: int) -> int:
+        """The union of rows over v and every vertex of chosen that v reaches
+        along rows inside chosen."""
+        union = rows[v]
+        frontier = done = union & chosen
         while frontier:
-            if frontier & preds:
-                return True
-            nxt = 0
             while frontier:
                 low = frontier & -frontier
-                nxt |= out_mask[low.bit_length() - 1]
+                union |= rows[low.bit_length() - 1]
                 frontier ^= low
-            frontier = nxt & chosen & ~seen
-            seen |= frontier
-        return False
+            frontier = union & chosen & ~done
+            done |= frontier
+        return union
 
     def _pair_bound(self, chosen: int, avail: int) -> int:
         """Admissible upper bound when two layers of total degrees a and a + 2
@@ -385,11 +398,11 @@ class _Solver:
 
     def force(self, v: int):
         """Put v into the root state."""
-        if self._closes_cycle(v, self.chosen):
+        if self.blocked >> v & 1:
             raise SearchInvariantError(f"forced vertex {self.verts[v]} closes a cycle")
+        self.blocked |= self._blocks(v, self.chosen)
         self.chosen |= 1 << v
         self.undecided &= ~(1 << v)
-        self.conflicted |= self.conflict_mask[v]
 
     def lead_translations(self, table):
         """Keep one layer-0 set per translation class (see the class
@@ -408,12 +421,12 @@ class _Solver:
     def greedy(self, order: list[int]) -> tuple[int, int]:
         """From the root state, add vertices in the given order whenever
         legal; returns (size, mask)."""
-        chosen, conflicted = self.chosen, self.conflicted
+        chosen, blocked = self.chosen, self.blocked
         for v in order:
-            if (chosen | conflicted) >> v & 1 or self._closes_cycle(v, chosen):
+            if (chosen | blocked) >> v & 1:
                 continue
+            blocked |= self._blocks(v, chosen)
             chosen |= 1 << v
-            conflicted |= self.conflict_mask[v]
         return chosen.bit_count(), chosen
 
     # -- branch and bound ----------------------------------------------------
@@ -429,8 +442,7 @@ class _Solver:
         three."""
         n = self.n
         deadline = self.deadline
-        conflict_mask = self.conflict_mask
-        closes_cycle = self._closes_cycle
+        blocks = self._blocks
         pair_bound = self._pair_bound if self.pair_cap is not None else None
         improvements = []
         nodes = prunes = rejects = symmetry = 0
@@ -440,7 +452,7 @@ class _Solver:
             """The node function; it hands each child state to descend, by
             default to itself."""
 
-            def dfs(pos, chosen, count, undecided, conflicted):
+            def dfs(pos, chosen, count, undecided, blocked):
                 nonlocal best, best_mask, nodes, prunes, rejects
                 if count > best:
                     best, best_mask = count, chosen
@@ -454,7 +466,7 @@ class _Solver:
                     pos += 1
                 if pos == n:
                     return
-                avail = undecided & ~conflicted
+                avail = undecided & ~blocked
                 if pair_bound is None:
                     bound = count + avail.bit_count()
                 else:
@@ -464,13 +476,12 @@ class _Solver:
                     return
                 bit = 1 << pos
                 undecided ^= bit
-                if not conflicted & bit:
-                    if closes_cycle(pos, chosen):
-                        rejects += 1
-                    else:
-                        down(pos + 1, chosen | bit, count + 1, undecided,
-                             conflicted | conflict_mask[pos])
-                down(pos + 1, chosen, count, undecided, conflicted)
+                if blocked & bit:
+                    rejects += 1
+                else:
+                    down(pos + 1, chosen | bit, count + 1, undecided,
+                         blocked | blocks(pos, chosen))
+                down(pos + 1, chosen, count, undecided, blocked)
 
             down = descend or dfs
             return dfs
@@ -483,12 +494,12 @@ class _Solver:
             last = len(self.layer0)
             leads = self._leads
 
-            def gate(pos, chosen, count, undecided, conflicted):
+            def gate(pos, chosen, count, undecided, blocked):
                 nonlocal nodes, symmetry
                 if pos < last:
-                    head(pos, chosen, count, undecided, conflicted)
+                    head(pos, chosen, count, undecided, blocked)
                 elif leads(chosen):
-                    dfs(pos, chosen, count, undecided, conflicted)
+                    dfs(pos, chosen, count, undecided, blocked)
                 else:
                     nodes += 1
                     symmetry += 1
@@ -505,7 +516,7 @@ class _Solver:
             }
 
         try:
-            root(0, self.chosen, self.chosen.bit_count(), self.undecided, self.conflicted)
+            root(0, self.chosen, self.chosen.bit_count(), self.undecided, self.blocked)
         except _Found:
             pass
         except _TimeUp:

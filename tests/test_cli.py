@@ -437,9 +437,9 @@ GOLDEN = {
     "chen-ruan-trivial-csv":
         "540682744d7d38a10ca3735eacbc48fb81267d640a22288e55d50a74588c2125",
     "search-pentagon-text":
-        "bf6d9a70ac829737f19be7ce0d70f629be601295be607448cbbd4766ea340443",
+        "9a0719878cd05baa35a875831728e2e0da37d506db4b3bb6ce7bea7c454c501a",
     "search-pentagon-json":
-        "025db4f7958b66946cf9ad18e4d419cbdb5d42c8208ed9b9c60e4ffe152fff74",
+        "c2d94366ba223205c73b4985762830d23be0ef01e33eea832d6cfcbeb1faa52e",
     "search-pentagon-csv":
         "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
     "search-trivial-text":

@@ -282,6 +282,14 @@ class TestLaurentCounts:
         assert time.perf_counter() - start < 1.0
         assert les == ext_dims(sq, source, target) == (0, 0, 0, 22414)
 
+    def test_degree_400_les_entry(self, sq):
+        # the Laurent counts are linear in the excess, here 395
+        source, target = bidegree(sq, 400, 0), bidegree(sq, 0, 0)
+        start = time.perf_counter()
+        les = ext_dims_via_les(sq, source, target)
+        assert time.perf_counter() - start < 1.0
+        assert les == ext_dims(sq, source, target) == (0, 0, 0, 2887344)
+
 
 class TestBidegreeArithmetic:
     def test_residue_normalization(self, sq):

@@ -382,7 +382,7 @@ class TestMaxExceptional:
         assert verify_collection(sq, err.value.best_witness).valid
         log = err.value.proof_log
         assert log["optimum_proven"] and log["optimum"] == 24
-        assert log["stats"]["nodes"] == 298
+        assert log["stats"]["nodes"] == 265
 
     def test_witness_is_lex_min_optimal_subset(self, sq):
         # the canonical witness must contain the base vertex and be
@@ -395,8 +395,10 @@ class TestMaxExceptional:
 
 
 class TestClosesCycle:
-    """The solver's cycle test against networkx, along seeded random
-    include/undo walks over the chosen set."""
+    """The solver's blocked mask against networkx, along seeded random
+    include/undo walks over the chosen set: a vertex is blocked exactly when
+    it would close a cycle, and _blocks adds exactly the vertices that close
+    one through the vertex joining."""
 
     @pytest.mark.parametrize("poly", ["pentagon", "z9"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -417,24 +419,40 @@ class TestClosesCycle:
             sum(1 << u for u in graph.predecessors(w)) for w in range(n)
         ]
         rng = random.Random(seed)
-        chosen = 0
+        chosen = blocked = 0
         stack = []
         includes = undos = rejects = 0
         for _ in range(600):
             members = [i for i in range(n) if (chosen >> i) & 1]
             if stack and rng.random() < 0.35:
-                chosen = stack.pop()
+                chosen, blocked = stack.pop()
                 undos += 1
                 continue
             v = rng.choice([i for i in range(n) if i not in members])
-            closes = solver._closes_cycle(v, chosen)
+            closes = bool(blocked >> v & 1)
             acyclic = nx.is_directed_acyclic_graph(graph.subgraph(members + [v]))
             assert closes == (not acyclic)
             if closes:
                 rejects += 1
                 continue
-            stack.append(chosen)
+            new = solver._blocks(v, chosen)
+            sub = graph.subgraph(members + [v]).copy()
+            for w in range(n):
+                if w == v or (chosen >> w) & 1:
+                    assert not (new >> w) & 1
+                    continue
+                sub.add_node(w)
+                sub.add_edges_from((w, x) for x in graph.successors(w) if x in sub)
+                sub.add_edges_from((x, w) for x in graph.predecessors(w) if x in sub)
+                # a cycle of sub, and whether one runs through v
+                cyclic = not nx.is_directed_acyclic_graph(sub)
+                through = cyclic and nx.has_path(sub, v, w) and nx.has_path(sub, w, v)
+                assert bool((new >> w) & 1) == through
+                assert bool(((blocked | new) >> w) & 1) == cyclic
+                sub.remove_node(w)
+            stack.append((chosen, blocked))
             chosen |= 1 << v
+            blocked |= new
             includes += 1
         assert includes > 50 and undos > 20 and rejects > 20
 
@@ -562,6 +580,27 @@ class TestPairBound:
         ) == 7
 
 
+# the 16 quasi-smooth five-variable cubic atomic sums, by block structure
+LADDER = {
+    "chain5": "x1^3 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x5^2",
+    "chain4+fermat": "x1^3 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x5^3",
+    "chain2+chain3": "x1^3 + x1*x2^2 + x2*x3^2 + x4^3 + x4*x5^2",
+    "chain3+fermat+fermat": "x1^3 + x1*x2^2 + x2*x3^2 + x4^3 + x5^3",
+    "chain3+loop2": "x1^3 + x1*x2^2 + x2*x3^2 + x4^2*x5 + x4*x5^2",
+    "chain2+chain2+fermat": "x1^3 + x1*x2^2 + x3^3 + x3*x4^2 + x5^3",
+    "chain2+fermat+fermat+fermat": "x1^3 + x1*x2^2 + x3^3 + x4^3 + x5^3",
+    "chain2+fermat+loop2": "x1^3 + x1*x2^2 + x3^3 + x4^2*x5 + x4*x5^2",
+    "chain2+loop3": "x1^3 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2",
+    "fermat+fermat+fermat+fermat+fermat": "x1^3 + x2^3 + x3^3 + x4^3 + x5^3",
+    "fermat+fermat+fermat+loop2": "x1^3 + x2^3 + x3^3 + x4^2*x5 + x4*x5^2",
+    "fermat+fermat+loop3": "x1^3 + x2^3 + x3^2*x4 + x4^2*x5 + x3*x5^2",
+    "fermat+loop2+loop2": "x1^3 + x2^2*x3 + x2*x3^2 + x4^2*x5 + x4*x5^2",
+    "fermat+loop4": "x1^3 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x2*x5^2",
+    "loop2+loop3": "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2",
+    "loop5": "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x1*x5^2",
+}
+
+
 class TestBruteForce:
     """Branch and bound against exhaustive enumeration on seeded sub-windows,
     with arrows taken from the long-exact-sequence route."""
@@ -602,8 +641,12 @@ class TestBruteForce:
             (Z9, None, range(1, 6)),
             (FERMAT, None, range(1, 6)),
             (get_preset("cubic-trivial-quotient"), None, (1,)),
+            *((poly, None, range(1, 7)) for poly in LADDER.values()),
         ],
-        ids=["pentagon", "pentagon-layers-0-2", "z9", "fermat", "cubic-trivial-quotient"],
+        ids=[
+            "pentagon", "pentagon-layers-0-2", "z9", "fermat", "cubic-trivial-quotient",
+            *(f"ladder-{name}" for name in LADDER),
+        ],
     )
     def test_sub_windows(self, poly, layers, seeds):
         sq = symmetry_quotient(parse(poly))
@@ -635,10 +678,11 @@ class TestSearchCounts:
     @pytest.mark.parametrize(
         "poly, window, optimum, counts",
         [
-            (PENTAGON, 40, 24, (298, 147, 1, 1)),
-            (Z9, 34, 20, (112_432, 45_367, 20_791, 197)),
+            (PENTAGON, 40, 24, (265, 132, 0, 1)),
+            (Z9, 34, 20, (52_635, 26_106, 30, 197)),
+            (FERMAT_LOOPS, 38, 20, (395_274, 196_202, 2_485, 193)),
         ],
-        ids=["pentagon", "z9"],
+        ids=["pentagon", "z9", "fermat-loop2-loop2"],
     )
     def test_cli(self, capsys, poly, window, optimum, counts):
         assert main(["search", poly, "--format", "json"]) == 0
@@ -651,14 +695,14 @@ class TestSearchCounts:
 
     def test_pentagon_forced_base(self, sq):
         stats = max_exceptional(sq).proof_log["stats"]
-        assert _counts(stats) == (298, 147, 1, 1)
+        assert _counts(stats) == (265, 132, 0, 1)
 
     def test_explicit_list_is_not_forced(self, sq):
         # the same 40 vertices as an explicit list: no forcing, no leader
         window, _ = candidate_window(sq)
         result = max_exceptional(sq, vertices=window)
         assert result.proof_log["forced_base"] is False
-        assert _counts(result.proof_log["stats"]) == (320, 159, 1, 0)
+        assert _counts(result.proof_log["stats"]) == (287, 144, 0, 0)
         assert result.witness == max_exceptional(sq).witness
 
 
@@ -674,8 +718,8 @@ class TestTranslationLeader:
     @pytest.mark.parametrize(
         "poly, max_a, forced_only_nodes",
         [
-            (PENTAGON, None, 298),
-            (Z9, None, 407_031),
+            (PENTAGON, None, 265),
+            (Z9, None, 221_529),
             (Z9, 2, None),
             (FERMAT_LOOPS, 2, None),
         ],
@@ -718,7 +762,7 @@ class TestTranslationLeader:
 
     def test_timeout_reports_valid_collection(self, monkeypatch):
         # a clock that advances one microsecond per reading: the budget runs
-        # out after about 20,000 nodes of the 112,432, past the first cuts
+        # out after about 20,000 nodes of the 52,635, past the first cuts
         ticks = itertools.count()
         monkeypatch.setattr(
             search_module, "time", SimpleNamespace(monotonic=lambda: next(ticks) * 1e-6)
