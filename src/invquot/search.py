@@ -19,7 +19,9 @@ collection of the proven optimum size, gives the canonical witness: the
 lexicographically smallest optimal subset. Each pass returns its result with
 its own counters, so the witness pass leaves the optimum's report alone. On
 the candidate window, where the base is forced, the search also keeps only
-one layer-0 set per translation class (see _Solver).
+one layer-0 set per translation class; on a cubic threefold, two layers of
+total degrees two apart hold at most m + alpha vertices, alpha found by the
+same search on an m-vertex digraph (see _Solver).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import heapq
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometryError
@@ -244,7 +247,8 @@ class _Found(Exception):
 
 
 class _Solver:
-    """Branch and bound over one vertex list, the search state in plain ints.
+    """Branch and bound over one digraph, given by its out rows, the search
+    state in plain ints.
 
     A node's state is (pos, chosen, count, undecided, blocked): the next
     index to decide, the chosen vertices as a bitmask and their number, the
@@ -252,6 +256,8 @@ class _Solver:
     the chosen ones. Each branch passes a new state down the recursion and
     nothing is mutated, so backtracking is returning. The root state (nothing
     chosen, or the forced vertex) is kept in chosen, undecided and blocked.
+    The same solver searches a window of bidegrees and the m-vertex digraph
+    behind the pair cap (see _pair_cap).
 
     The blocked mask: when v joins the acyclic set C, let A be v with its
     ancestors inside C and D be v with its descendants inside C. The newly
@@ -266,71 +272,81 @@ class _Solver:
     bound only by vertices that no descendant can hold, and the DFS order is
     unchanged, so every optimum and the canonical witness stay as they are.
 
-    The pair cap: when Hom in total degree 2 is nonzero at every nonzero
-    residue difference (two_up_all) and Ext^3 from (a + 2, r) back to (a, r)
-    is nonzero (serre_back: by Serre duality it is dual to the sections in
-    bidegree (2, 0) + K), two layers of total degrees a and a + 2 hold at
-    most m + 1 vertices of any collection, m the quotient order. For if
-    residues r != s both occur in both layers, then
-    (a, r) -> (a + 2, s) -> (a, s) -> (a + 2, r) -> (a, r) is a 4-cycle, two
-    Hom arrows and two Ext^3 arrows. So at most one residue occurs in both
-    layers, and a layer holds at most one vertex per residue. With m = 1
-    there are no two residues and no cap.
+    The pair cap on a cubic threefold, where K = (-2, k): two layers of
+    total degrees a and a + 2 hold at most cap(2) = m + alpha vertices of
+    any collection, m the quotient order. Twisting moves them to layers 0
+    and 2, and a collection stays one on any subset, so take layers 0 and 2
+    full, one vertex per residue. Three facts about their arrows, checked on
+    ExtTable.rows before the cap is derived: (1) no layer has an arrow
+    inside it; (2) the only arrows up are Hom arrows, (0, r) -> (2, s)
+    exactly when hom(2, s - r) > 0; (3) each (2, s) has exactly one arrow
+    down, an Ext^3 arrow dual to total degree 0, to (0, sigma(s)) with
+    sigma a translation (by k). Let R + S be a collection, R in layer 0 and
+    S in layer 2, and P = {s in S : sigma(s) in R}. Sigma is a bijection, so
+    it maps S - P injectively into the residues missing from R, and
+    |R| + |S| <= m + |P|. Let H be the digraph on the m residues with
+    t -> t' exactly when (0, t) -> (2, sigma^-1(t')), that is when
+    hom(2, sigma^-1(t') - t) > 0. A cycle t -> t' -> .. of H inside
+    sigma(P) lifts to the cycle (0, t) -> (2, sigma^-1(t')) -> (0, t') -> ..
+    inside R + S, so sigma(P) is acyclic in H and |P| <= alpha, the size of
+    the largest acyclic set of H. The cap is reached: take R all of layer 0
+    and S = sigma^-1(A), A an optimal acyclic set of H. By (1) and (3) a
+    cycle of R + S alternates up and down, each down arrow lands on some
+    sigma(s) in A, and so the cycle's layer-0 vertices form a cycle of H
+    inside A, which has none. H is translation-invariant, so alpha is found
+    by this same solver on H's m rows, with residue 0 forced and the
+    translation leader on (every translate of an acyclic set is one); a
+    loop of H at one residue is a loop at all, and then alpha = 0. A
+    quotient where a fact fails, the quadric for one, has no cap.
+
+    One full layer is a collection, so cap(2) >= m: the cap can bind only
+    where two layers two apart of the searched list hold more than m
+    vertices together, and alpha is computed only then, after the greedy
+    seeds and under the same deadline. The node bound is taken cheapest
+    first: count + available, and only when that does not prune, the pair
+    bound, which is never larger (see _pair_bound), so the order changes no
+    decision.
 
     The translation leader, a lex-leader (Crawford-Ginsberg-Luks-Roy) for
     the quotient's own translations (0, r), is used only on the candidate
-    window with the base forced, possibly cut by max_a. Once every layer-0
-    vertex is decided, with R the chosen layer-0 residues, the node is kept
-    only if, for every r in R, the sorted list of R is no larger than that
-    of R - r; ties are kept. It is sound: suppose a collection C contains
-    the base and (0, r). Twisting is an automorphism of the Ext digraph, so
-    C - (0, r) is again a collection. It contains the base (the image of
-    (0, r)), keeps the layer of every member, and, since it holds the base,
-    has no member in mutual conflict with the base; so it lies in the same
-    window, even one cut by max_a. Its layer-0 set is R - r. The smallest
-    translate of R is a leader, since the translates of R - r are again
-    translates of R, so some optimum survives. The canonical witness W*
-    survives too: the layer-0 vertices are the window's first indices, in
+    window with the base forced, possibly cut by max_a, and on H. Once every
+    layer-0 vertex is decided, with R the chosen layer-0 residues, the node
+    is kept only if, for every r in R, the sorted list of R is no larger
+    than that of R - r; ties are kept. It is sound: suppose a collection C
+    contains the base and (0, r). Twisting is an automorphism of the Ext
+    digraph, so C - (0, r) is again a collection. It contains the base (the
+    image of (0, r)), keeps the layer of every member, and, since it holds
+    the base, has no member in mutual conflict with the base; so it lies in
+    the same window, even one cut by max_a. Its layer-0 set is R - r. The
+    smallest translate of R is a leader, since the translates of R - r are
+    again translates of R, so some optimum survives. The canonical witness
+    W* survives too: the layer-0 vertices are the window's first indices, in
     residue order, and for sets of one size comparing sorted index lists is
     include-first DFS order. If some translate of W*'s layer-0 set came
     earlier, the same translate of W* would be an optimal subset found
     before W*, which is the DFS-first one. So the witness pass with the
-    leader on returns W* unchanged. An explicit vertex list need not be
-    closed under translation and is searched without the leader.
+    leader on returns W* unchanged. On H, every vertex is in "layer 0" and
+    the same argument holds with the forced residue 0 for the base. An
+    explicit vertex list need not be closed under translation and is
+    searched without the leader.
     """
 
-    def __init__(self, sq: SymmetryQuotient, verts: list[BiDegree], deadline):
-        self.verts = verts
-        self.n = n = len(verts)
+    def __init__(self, out_mask: list[int], deadline, chains: list[list[int]] = ()):
+        self.out_mask = out_mask
+        self.n = n = len(out_mask)
         self.deadline = deadline
-        self.index = {v: i for i, v in enumerate(verts)}
-        table = ext_table(sq)
-        self.out_mask = table.rows(verts)
         self.in_mask = [0] * n
-        for i, m in enumerate(self.out_mask):
+        for i, m in enumerate(out_mask):
             bit = 1 << i
             while m:
                 low = m & -m
                 self.in_mask[low.bit_length() - 1] |= bit
                 m ^= low
-        m = sq.quotient_order
-        ka, kr = table.canonical
-        # the pair cap's two preconditions (see the class docstring);
-        # residue number 0 is the zero residue
-        two_up_all = all(h > 0 for h in table.hom_row(2)[1:])
-        serre_back = table.hom(ka + 2, kr) > 0
-        self.pair_cap = (m + 1) if (two_up_all and serre_back and m > 1) else None
         # the pair bound runs along chains of layers with total degrees two
-        # apart; each chain is a list of layer bitmasks, lowest layer first
-        self.chains: list[list[int]] = []
-        chain_ending_at: dict[int, list[int]] = {}
-        for a in sorted({v.a for v in verts}):
-            chain = chain_ending_at.pop(a - 2, None)
-            if chain is None:
-                chain = []
-                self.chains.append(chain)
-            chain.append(sum(1 << i for i, v in enumerate(verts) if v.a == a))
-            chain_ending_at[a] = chain
+        # apart, each a list of layer bitmasks, lowest layer first; the cap is
+        # set once it is known
+        self.chains = chains
+        self.pair_cap: int | None = None
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.blocked = 0
@@ -365,7 +381,8 @@ class _Solver:
         together hold at most pair_cap chosen vertices: chain by chain, the
         largest sum of per-layer counts x_i with lo_i <= x_i <= hi_i and
         x_i + x_(i+1) <= cap, where lo_i counts the layer's chosen vertices
-        and hi_i adds its available ones.
+        and hi_i adds its available ones. It is never above count + avail,
+        since each x_i is at most hi_i.
 
         One greedy pass from the lowest layer up is exact: it takes
         x_i = min(hi_i, cap - x_(i-1), cap - lo_(i+1)). Given an optimum y,
@@ -379,11 +396,15 @@ class _Solver:
         """
         cap = self.pair_cap
         total = 0
-        for first, *rest in self.chains:
-            lo = (chosen & first).bit_count()
+        for chain in self.chains:
+            # the head, then the rest of the chain from the same iterator,
+            # so no call copies a chain
+            layers = iter(chain)
+            bits = next(layers)
+            lo = (chosen & bits).bit_count()
             # room: the largest x_i that the layer and x_(i-1) allow
-            room = lo + (avail & first).bit_count()
-            for bits in rest:
+            room = lo + (avail & bits).bit_count()
+            for bits in layers:
                 next_lo = (chosen & bits).bit_count()
                 x = min(room, cap - next_lo)
                 if x < lo:
@@ -399,17 +420,18 @@ class _Solver:
     def force(self, v: int):
         """Put v into the root state."""
         if self.blocked >> v & 1:
-            raise SearchInvariantError(f"forced vertex {self.verts[v]} closes a cycle")
+            raise SearchInvariantError(f"forced vertex {v} closes a cycle")
         self.blocked |= self._blocks(v, self.chosen)
         self.chosen |= 1 << v
         self.undecided &= ~(1 << v)
 
-    def lead_translations(self, table):
+    def lead_translations(self, residues: list[int], diff: list[list[int]]):
         """Keep one layer-0 set per translation class (see the class
-        docstring). Sound only on the candidate window with the base forced;
-        the window starts with layer 0, in residue order."""
-        self.layer0 = [table.residue_index(v.b) for v in self.verts if v.a == 0]
-        self.diff = table.diff
+        docstring). residues holds the residue numbers of the first vertices,
+        layer 0, in residue order, and diff the quotient's difference table.
+        Sound only on a list closed under translation with its base forced."""
+        self.layer0 = residues
+        self.diff = diff
 
     def _leads(self, chosen: int) -> bool:
         """True when the chosen layer-0 residues R, as a sorted list, are no
@@ -467,9 +489,9 @@ class _Solver:
                 if pos == n:
                     return
                 avail = undecided & ~blocked
-                if pair_bound is None:
-                    bound = count + avail.bit_count()
-                else:
+                # cheapest bound first; the pair bound is never larger
+                bound = count + avail.bit_count()
+                if bound > best and pair_bound is not None:
                     bound = pair_bound(chosen, avail)
                 if bound <= best:
                     prunes += 1
@@ -523,7 +545,7 @@ class _Solver:
             raise _TimeUp(best, best_mask, stats()) from None
         return best, best_mask, stats()
 
-    def witness(self, mask: int) -> tuple[BiDegree, ...]:
+    def order(self, mask: int) -> list[int]:
         """The masked vertices in topological order, smallest ready index first."""
         members = [i for i in range(self.n) if (mask >> i) & 1]
         indeg = {i: (self.in_mask[i] & mask).bit_count() for i in members}
@@ -542,7 +564,75 @@ class _Solver:
                     heapq.heappush(ready, w)
         if len(order) != len(members):
             raise SearchInvariantError("collection mask is not acyclic")
-        return tuple(self.verts[i] for i in order)
+        return order
+
+
+def _chains(verts: list[BiDegree]) -> list[list[int]]:
+    """The layers of a sorted vertex list as bitmasks, in chains of total
+    degrees two apart, lowest layer first."""
+    chains: list[list[int]] = []
+    chain_ending_at: dict[int, list[int]] = {}
+    layers: dict[int, int] = {}
+    for i, v in enumerate(verts):
+        layers[v.a] = layers.get(v.a, 0) | 1 << i
+    for a, bits in layers.items():
+        chain = chain_ending_at.pop(a - 2, None)
+        if chain is None:
+            chain = []
+            chains.append(chain)
+        chain.append(bits)
+        chain_ending_at[a] = chain
+    return chains
+
+
+def _cap_can_bind(verts: list[BiDegree], m: int) -> bool:
+    """True when two layers of total degrees two apart hold more than m of
+    the vertices together; otherwise cap(2) >= m cannot bind."""
+    sizes = Counter(v.a for v in verts)
+    return any(k + sizes.get(a + 2, 0) > m for a, k in sizes.items())
+
+
+def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
+    """{"cap": m + alpha, "alpha": alpha, "nodes": nodes of the alpha search},
+    or None when the three facts behind the cap fail (see _Solver). Kept with
+    the quotient; a deadline that passes in the alpha search raises _TimeUp
+    and keeps nothing."""
+    if "pair_cap" in sq.derived:
+        return sq.derived["pair_cap"]
+    table = ext_table(sq)
+    m = len(table.residues)
+    diff = table.diff
+    out = table.rows([BiDegree(a=a, b=b) for a in (0, 2) for b in table.residues])
+    layer = (1 << m) - 1
+    hom_two = table.hom_row(2)
+    # fact 3: the only arrow of (2, s) goes down to (0, s + c), one c for all s
+    shifts = {
+        diff[s][row.bit_length() - 1] if row & layer == row and row.bit_count() == 1 else None
+        for s, row in enumerate(out[m:])
+    }
+    # facts 1 and 2: (0, r) has arrows up only, to (2, s) when hom(2, s - r) > 0
+    facts = len(shifts) == 1 and None not in shifts and all(
+        row == sum(1 << m + s for s in range(m) if hom_two[diff[r][s]] > 0)
+        for r, row in enumerate(out[:m])
+    )
+    if not facts:
+        sq.derived["pair_cap"] = None
+        return None
+    (c,) = shifts
+    # H: t -> sigma(s) = s + c for every arrow (0, t) -> (2, s)
+    sigma = diff[diff[c][0]]        # s -> s + c
+    rows = [sum(1 << sigma[s] for s in range(m) if row >> m + s & 1) for row in out[:m]]
+    if rows[0] & 1:
+        # a loop at residue 0, so at every residue: no vertex of H can join
+        alpha, nodes = 0, 0
+    else:
+        solver = _Solver(rows, deadline)
+        solver.force(0)
+        solver.lead_translations(list(range(m)), diff)
+        alpha, _, stats = solver.search(1, solver.chosen)
+        nodes = stats["nodes"]
+    cap = sq.derived["pair_cap"] = {"cap": m + alpha, "alpha": alpha, "nodes": nodes}
+    return cap
 
 
 def max_exceptional(
@@ -558,7 +648,10 @@ def max_exceptional(
     collection (any collection in the window can be twisted to contain it,
     so this loses nothing); the search then keeps one layer-0 set per
     translation class. An explicit vertex list is searched as given, without
-    forcing or the translation leader, and takes no max_a.
+    forcing or the translation leader, and takes no max_a. Either way the
+    pair cap (see _Solver) is derived, after the greedy seeds, wherever it
+    can bind, and recorded in proof_log["pair_cap"] (None where it cannot
+    bind or the quotient has none).
 
     The witness is canonical: the lexicographically smallest optimal subset,
     ordered by a deterministic topological sort. Raises SearchTimeoutError
@@ -580,10 +673,22 @@ def max_exceptional(
     proof_log["vertices"] = len(verts)
     proof_log["forced_base"] = window
 
-    solver = _Solver(sq, verts, deadline)
+    table = ext_table(sq)
+    solver = _Solver(table.rows(verts), deadline, _chains(verts))
     if window:
-        solver.force(solver.index[base])
-        solver.lead_translations(ext_table(sq))
+        # the window starts with layer 0 in residue order, the base first
+        solver.force(0)
+        solver.lead_translations(
+            [table.residue_index(v.b) for v in verts if v.a == 0], table.diff
+        )
+
+    def timed_out(message, size, mask, log):
+        return SearchTimeoutError(
+            message,
+            best_size=size,
+            best_witness=tuple(verts[i] for i in solver.order(mask)),
+            proof_log=log,
+        )
 
     # deterministic greedy seeds: plain order, and plain order with the
     # nonzero residues of layer 0 deferred to the end
@@ -601,15 +706,29 @@ def max_exceptional(
             best_size, best_mask = size, mask
     proof_log["seeds"] = seeds
 
+    cap = None
+    if _cap_can_bind(verts, len(table.residues)):
+        try:
+            cap = _pair_cap(sq, deadline)
+        except _TimeUp as up:
+            raise timed_out(
+                f"search budget exhausted after {time.monotonic() - t0:.1f}s "
+                "while computing the pair cap",
+                best_size, best_mask,
+                {**proof_log, "pair_cap": {"timed_out": True, "nodes": up.args[2]["nodes"]}},
+            ) from None
+    if cap is not None:
+        solver.pair_cap = cap["cap"]
+        cap = dict(cap)
+    proof_log["pair_cap"] = cap
+
     try:
         best_size, best_mask, stats = solver.search(best_size, best_mask)
     except _TimeUp as up:
         size, mask, stats = up.args
-        raise SearchTimeoutError(
+        raise timed_out(
             f"search budget exhausted after {time.monotonic() - t0:.1f}s",
-            best_size=size,
-            best_witness=solver.witness(mask),
-            proof_log={**proof_log, "stats": stats},
+            size, mask, {**proof_log, "stats": stats},
         ) from None
     proof_log["stats"] = stats
     proof_log["optimum"] = best_size
@@ -621,18 +740,16 @@ def max_exceptional(
     except _TimeUp:
         # the optimum is already proven, but the canonical witness is not;
         # the run must not return an arbitrary one
-        raise SearchTimeoutError(
+        raise timed_out(
             "budget exhausted while canonicalizing the witness "
             f"(optimum {best_size} already proven)",
-            best_size=best_size,
-            best_witness=solver.witness(best_mask),
-            proof_log={**proof_log, "optimum_proven": True},
+            best_size, best_mask, {**proof_log, "optimum_proven": True},
         ) from None
     if size != best_size:
         raise SearchInvariantError(
             f"no collection of the proven optimum size {best_size} found"
         )
-    witness = solver.witness(exact)
+    witness = tuple(verts[i] for i in solver.order(exact))
     if not verify_collection(sq, witness).valid:
         raise SearchInvariantError("search produced an invalid collection")
     return SearchResult(

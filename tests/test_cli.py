@@ -439,25 +439,25 @@ GOLDEN = {
     "search-pentagon-text":
         "9a0719878cd05baa35a875831728e2e0da37d506db4b3bb6ce7bea7c454c501a",
     "search-pentagon-json":
-        "c2d94366ba223205c73b4985762830d23be0ef01e33eea832d6cfcbeb1faa52e",
+        "375ac1257bf02962c087db72102637c2aafe00f0b054e06ca483b3a82813fcf1",
     "search-pentagon-csv":
         "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
     "search-trivial-text":
         "b6fe834603143899e078dd19864344a7c9313207407d088f5e1bc5d653e3c654",
     "search-trivial-json":
-        "dcc589a2ae426c3a299289eacb34f3b5d88f3ee2431262c82a3dda72a8664a0e",
+        "40e8190da90ff54ea7036e89200cd21863724af3b9a3394d2ab6066263beb46e",
     "search-trivial-csv":
         "732e1bbe2709eaf5dcb1ae74ea1a33a98444a590a461f8a534b5064f40394446",
     "search-window-0-pentagon-text":
         "06ca60b413417475cff695027f3e9d6d7a78fb7e83be5c953eaed94061cefa9b",
     "search-window-0-pentagon-json":
-        "53ecceea6f5eebb25373fe456e621b68fbc6e9433c6eb58f00400a571ed1879e",
+        "eb018c1e093312a9b5a5268be02485092ece026df485139889e562a8898728cc",
     "search-window-0-pentagon-csv":
         "b1dd66db7279a7c5b9bc70119db8a7a0c34e4695aec223066e874824d1c5034c",
     "search-window-0-trivial-text":
         "7bc173d8b4530b99741144ba256bd4b37edc122743c31314ecaa14233b7746a5",
     "search-window-0-trivial-json":
-        "70cd664d5cd546ff2ad6889341e2c0eb1acf5d73e8da7e6301e1be8edbd283f7",
+        "57fe11f17dbc380a6ae059a7883596dac136923e7b0c6ffad20ee7a066f7d48f",
     "search-window-0-trivial-csv":
         "1664d8daec2da01ccfa1d9b98d08b49f90b2a7a817f8b6c86ceffb80c7ed116d",
     "verify-pentagon-text":
