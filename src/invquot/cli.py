@@ -184,7 +184,9 @@ def _loop_formula_check(poly: InvertiblePolynomial, blocks, group: FiniteAbelian
     return spans_group(group, [DiagonalElement.from_fractions(phases)])
 
 
-def _run_analyze(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
+def _run_analyze(
+    poly: InvertiblePolynomial, sq: SymmetryQuotient, args, stages: dict
+) -> dict:
     try:
         blocks = atomic_decomposition(poly).blocks
     except InvquotError:
@@ -272,7 +274,9 @@ def _csv_analyze(report: dict) -> str:
 # -- table ---------------------------------------------------------------------
 
 
-def _run_table(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
+def _run_table(
+    poly: InvertiblePolynomial, sq: SymmetryQuotient, args, stages: dict
+) -> dict:
     dims = hom_table(sq, args.max_a)
     reps = representative_table(sq, args.max_a)
     residues = all_residues(sq)
@@ -332,7 +336,9 @@ def _csv_table(report: dict) -> str:
 # -- chen-ruan -------------------------------------------------------------------
 
 
-def _run_chen_ruan(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
+def _run_chen_ruan(
+    poly: InvertiblePolynomial, sq: SymmetryQuotient, args, stages: dict
+) -> dict:
     untwisted = untwisted_invariants(sq)
     sectors = enumerate_sectors(sq)
     twisted = sum(s.contribution for s in sectors)
@@ -409,11 +415,16 @@ def _verdict(size: int, cr: int | None) -> str:
     return f"{head}, not below the required full-collection length {cr}"
 
 
-def _run_search(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
+def _run_search(
+    poly: InvertiblePolynomial, sq: SymmetryQuotient, args, stages: dict
+) -> dict:
+    t0 = time.monotonic()
     try:
         cr: int | None = chen_ruan_dim(sq)
     except InvquotError:
         cr = None
+    t1 = time.monotonic()
+    stages["chen_ruan_s"] = round(t1 - t0, 4)
     try:
         result = max_exceptional(
             sq, timeout_secs=args.timeout_secs, max_a=args.window_max_a
@@ -428,6 +439,8 @@ def _run_search(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
             "chen_ruan_dim": cr,
             "verdict": None,
         }
+    finally:
+        stages["search_s"] = round(time.monotonic() - t1, 4)
     return {
         "timed_out": False,
         "window_size": len(result.vertices),
@@ -519,7 +532,9 @@ def _load_collection(sq: SymmetryQuotient, path: str) -> list[BiDegree]:
     return out
 
 
-def _run_verify(poly: InvertiblePolynomial, sq: SymmetryQuotient, args) -> dict:
+def _run_verify(
+    poly: InvertiblePolynomial, sq: SymmetryQuotient, args, stages: dict
+) -> dict:
     collection = _load_collection(sq, args.collection)
     report = verify_collection(sq, collection)
     return {
@@ -562,7 +577,8 @@ def _csv_verify(report: dict) -> str:
 
 
 # subcommand -> (run, text renderer, CSV renderer); run takes the polynomial,
-# its symmetry quotient and the parsed arguments, a renderer the whole report
+# its symmetry quotient, the parsed arguments and a dict to which it may add
+# the seconds of its stages, a renderer the whole report
 _SUBCOMMANDS = {
     "analyze": (_run_analyze, _text_analyze, _csv_analyze),
     "table": (_run_table, _text_table, _csv_table),
@@ -578,14 +594,15 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         poly, input_info = _resolve_input(args)
         run, text, csv = _SUBCOMMANDS[args.subcommand]
-        results = run(poly, symmetry_quotient(poly), args)
+        stages: dict = {}
+        results = run(poly, symmetry_quotient(poly), args, stages)
         report = {
             "tool": {"name": "invquot", "version": __version__},
             "subcommand": args.subcommand,
             "input": input_info,
             "parameters": {k: v for k, v in vars(args).items() if k not in _SHARED},
             "results": results,
-            "timings": {"total_s": round(time.monotonic() - t0, 4)},
+            "timings": {"total_s": round(time.monotonic() - t0, 4), **stages},
         }
         if args.format == "json":
             payload = json.dumps(report, indent=2)

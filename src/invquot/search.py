@@ -246,6 +246,27 @@ class _Found(Exception):
     pass
 
 
+def _blocks(in_rows: list[int], out_rows: list[int], v: int, chosen: int) -> int:
+    """The vertices that adding v to the acyclic set chosen newly blocks: the
+    in-neighbours of v and its chosen ancestors, met with the out-neighbours
+    of v and its chosen descendants (see _Solver). Each side is the union of
+    its rows over v and every vertex of chosen that v reaches along them
+    inside chosen, expanded one frontier at a time."""
+    met = -1
+    for rows in (in_rows, out_rows):
+        union = rows[v]
+        frontier = done = union & chosen
+        while frontier:
+            while frontier:
+                low = frontier & -frontier
+                union |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = union & chosen & ~done
+            done |= frontier
+        met &= union
+    return met
+
+
 class _Solver:
     """Branch and bound over one digraph, given by its out rows, the search
     state in plain ints.
@@ -343,10 +364,11 @@ class _Solver:
                 self.in_mask[low.bit_length() - 1] |= bit
                 m ^= low
         # the pair bound runs along chains of layers with total degrees two
-        # apart, each a list of layer bitmasks, lowest layer first; the cap is
-        # set once it is known
+        # apart, each a list of layer bitmasks, lowest layer first; the cap
+        # and the per-position plan are set once the cap is known
         self.chains = chains
         self.pair_cap: int | None = None
+        self.plan: list[tuple] = []
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.blocked = 0
@@ -354,29 +376,36 @@ class _Solver:
         # vertex index
         self.layer0: list[int] | None = None
 
-    def _blocks(self, v: int, chosen: int) -> int:
-        """The vertices that adding v to the acyclic set chosen newly blocks:
-        the in-neighbours of v and its chosen ancestors, met with the
-        out-neighbours of v and its chosen descendants (see the class
-        docstring). Each side expands one frontier at a time inside chosen."""
-        return self._reach(self.in_mask, v, chosen) & self._reach(self.out_mask, v, chosen)
+    def set_pair_cap(self, cap: int):
+        """Turn the pair bound on with cap, and plan its pass for every
+        index pos of a node's next vertex: the bits of pos's layer, then, for
+        each chain with a layer at or above pos (pos's chain first), its last
+        layer wholly below pos (0 if none) and its layers from there up. The
+        plan is the same for every pos of one layer. Each layer of a sorted
+        vertex list is one index range and holds at most m <= cap vertices;
+        a larger layer is an invariant error."""
+        if any(bits.bit_count() > cap for chain in self.chains for bits in chain):
+            raise SearchInvariantError("a layer holds more vertices than the pair cap")
+        self.pair_cap = cap
+        self.plan = plan = [()] * self.n
+        for chain in self.chains:
+            for bits in chain:
+                if not bits:
+                    continue
+                first = (bits & -bits).bit_length() - 1
+                runs = []
+                for other in self.chains:
+                    k = next((k for k, b in enumerate(other) if b >> first), None)
+                    if k is None:
+                        continue
+                    run = (other[k - 1] if k else 0, tuple(other[k:]))
+                    if other is chain:
+                        runs.insert(0, run)
+                    else:
+                        runs.append(run)
+                plan[first:bits.bit_length()] = [(bits, tuple(runs))] * bits.bit_count()
 
-    @staticmethod
-    def _reach(rows: list[int], v: int, chosen: int) -> int:
-        """The union of rows over v and every vertex of chosen that v reaches
-        along rows inside chosen."""
-        union = rows[v]
-        frontier = done = union & chosen
-        while frontier:
-            while frontier:
-                low = frontier & -frontier
-                union |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = union & chosen & ~done
-            done |= frontier
-        return union
-
-    def _pair_bound(self, chosen: int, avail: int) -> int:
+    def _pair_bound(self, pos: int, chosen: int, count: int, avail: int) -> int:
         """Admissible upper bound when two layers of total degrees a and a + 2
         together hold at most pair_cap chosen vertices: chain by chain, the
         largest sum of per-layer counts x_i with lo_i <= x_i <= hi_i and
@@ -393,26 +422,37 @@ class _Solver:
         some optimum agrees with the greedy choice everywhere. The problem is
         infeasible exactly when some lo_i + lo_(i+1) > cap, which no
         reachable state allows.
+
+        The pass runs over the open layers only. At a DFS node every vertex
+        below pos is decided and none at or above it is chosen (the forced
+        base is vertex 0), and each layer is an index range. A layer wholly
+        below pos's layer has hi = lo, so the pass takes x = lo there, and
+        together these layers add count - lo_cur, lo_cur the chosen vertices
+        of pos's layer. A layer above pos's layer has lo = 0, so the
+        cap - lo_(i+1) term never binds on the layer before it: x_(i-1) >= 0
+        already keeps x_i at most cap, and on the first layer of a chain so
+        does its size (see set_pair_cap). So each chain takes
+        x = min(hi, cap - x_prev) over its open layers, from x_prev = lo of
+        its last decided layer (0 if none). Feasibility is checked on the
+        last decided layer of pos's chain with pos's layer, the pair the DFS
+        is filling; a pair wholly below was that pair while it was filled,
+        and a pair that meets a layer above has lo = 0 there.
         """
         cap = self.pair_cap
-        total = 0
-        for chain in self.chains:
-            # the head, then the rest of the chain from the same iterator,
-            # so no call copies a chain
-            layers = iter(chain)
-            bits = next(layers)
-            lo = (chosen & bits).bit_count()
-            # room: the largest x_i that the layer and x_(i-1) allow
-            room = lo + (avail & bits).bit_count()
+        current, runs = self.plan[pos]
+        lo = (chosen & current).bit_count()
+        if lo + (chosen & runs[0][0]).bit_count() > cap:
+            raise SearchInvariantError("pair bound infeasible on a reachable state")
+        total = count - lo
+        held = chosen | avail
+        for decided, layers in runs:
+            x = (chosen & decided).bit_count()
             for bits in layers:
-                next_lo = (chosen & bits).bit_count()
-                x = min(room, cap - next_lo)
-                if x < lo:
-                    raise SearchInvariantError("pair bound infeasible on a reachable state")
+                hi = (held & bits).bit_count()
+                x = cap - x
+                if hi < x:
+                    x = hi
                 total += x
-                lo = next_lo
-                room = min(lo + (avail & bits).bit_count(), cap - x)
-            total += room
         return total
 
     # -- root state and greedy seeding ---------------------------------------
@@ -421,7 +461,7 @@ class _Solver:
         """Put v into the root state."""
         if self.blocked >> v & 1:
             raise SearchInvariantError(f"forced vertex {v} closes a cycle")
-        self.blocked |= self._blocks(v, self.chosen)
+        self.blocked |= _blocks(self.in_mask, self.out_mask, v, self.chosen)
         self.chosen |= 1 << v
         self.undecided &= ~(1 << v)
 
@@ -443,11 +483,12 @@ class _Solver:
     def greedy(self, order: list[int]) -> tuple[int, int]:
         """From the root state, add vertices in the given order whenever
         legal; returns (size, mask)."""
+        ins, outs = self.in_mask, self.out_mask
         chosen, blocked = self.chosen, self.blocked
         for v in order:
             if (chosen | blocked) >> v & 1:
                 continue
-            blocked |= self._blocks(v, chosen)
+            blocked |= _blocks(ins, outs, v, chosen)
             chosen |= 1 << v
         return chosen.bit_count(), chosen
 
@@ -464,7 +505,7 @@ class _Solver:
         three."""
         n = self.n
         deadline = self.deadline
-        blocks = self._blocks
+        ins, outs = self.in_mask, self.out_mask
         pair_bound = self._pair_bound if self.pair_cap is not None else None
         improvements = []
         nodes = prunes = rejects = symmetry = 0
@@ -492,7 +533,7 @@ class _Solver:
                 # cheapest bound first; the pair bound is never larger
                 bound = count + avail.bit_count()
                 if bound > best and pair_bound is not None:
-                    bound = pair_bound(chosen, avail)
+                    bound = pair_bound(pos, chosen, count, avail)
                 if bound <= best:
                     prunes += 1
                     return
@@ -502,7 +543,7 @@ class _Solver:
                     rejects += 1
                 else:
                     down(pos + 1, chosen | bit, count + 1, undecided,
-                         blocked | blocks(pos, chosen))
+                         blocked | _blocks(ins, outs, pos, chosen))
                 down(pos + 1, chosen, count, undecided, blocked)
 
             down = descend or dfs
@@ -718,7 +759,7 @@ def max_exceptional(
                 {**proof_log, "pair_cap": {"timed_out": True, "nodes": up.args[2]["nodes"]}},
             ) from None
     if cap is not None:
-        solver.pair_cap = cap["cap"]
+        solver.set_pair_cap(cap["cap"])
         cap = dict(cap)
     proof_log["pair_cap"] = cap
 

@@ -228,6 +228,20 @@ class TestSearch:
         assert results["timed_out"] is True
         assert results["best_size"] >= 1
 
+    @pytest.mark.parametrize(
+        "budget", [[], ["--timeout-secs", "1e-9"]], ids=["certified", "timed-out"]
+    )
+    def test_stage_timings(self, capsys, budget):
+        # a search report times Chen-Ruan and the search beside the total,
+        # each rounded to 0.1 ms; other subcommands report the total only
+        _, out, _ = run(capsys, "search", PENTAGON, *budget, "--format", "json")
+        timings = json.loads(out)["timings"]
+        assert list(timings) == ["total_s", "chen_ruan_s", "search_s"]
+        assert min(timings.values()) >= 0
+        assert timings["chen_ruan_s"] + timings["search_s"] <= timings["total_s"] + 1e-4
+        _, out, _ = run(capsys, "analyze", PENTAGON, "--format", "json")
+        assert list(json.loads(out)["timings"]) == ["total_s"]
+
     def test_deterministic_reports_identical(self, capsys):
         _, a, _ = run(capsys, "search", PENTAGON, "--format", "json")
         _, b, _ = run(capsys, "search", PENTAGON, "--format", "json")

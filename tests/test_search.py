@@ -37,6 +37,8 @@ from invquot import search as search_module
 from invquot.cli import main
 from invquot.homs import ext_table
 from invquot.search import (
+    _blocks,
+    _cap_can_bind,
     _Solver,
     _sorted_distinct,
     _TimeUp,
@@ -455,7 +457,7 @@ class TestClosesCycle:
             if closes:
                 rejects += 1
                 continue
-            new = solver._blocks(v, chosen)
+            new = _blocks(solver.in_mask, solver.out_mask, v, chosen)
             sub = graph.subgraph(members + [v]).copy()
             for w in range(n):
                 if w == v or (chosen >> w) & 1:
@@ -609,22 +611,38 @@ class TestPairCap:
 
 
 class TestPairBound:
-    """The one-pass pair bound against the dynamic program it replaced."""
+    """The pair bound over the open layers against the dynamic program over
+    whole chains that it replaced."""
 
     @staticmethod
     def recorded_states(monkeypatch, run):
-        """Every (solver, chosen, avail) at which run() asks for the bound."""
+        """Every (solver, pos, chosen, count, avail) at which run() asks for
+        the bound."""
         states = []
         real = _Solver._pair_bound
 
-        def spy(solver, chosen, avail):
-            states.append((solver, chosen, avail))
-            return real(solver, chosen, avail)
+        def spy(solver, *state):
+            states.append((solver, *state))
+            return real(solver, *state)
 
         monkeypatch.setattr(_Solver, "_pair_bound", spy)
         run()
         monkeypatch.undo()
         return states
+
+    @staticmethod
+    def binding_states(states):
+        """Check every recorded state, DFS-shaped (chosen only below pos,
+        available only at or above it), against the dynamic program; returns
+        how many the bound cuts below count + avail."""
+        binding = 0
+        for solver, pos, chosen, count, avail in states:
+            assert chosen >> pos == 0 and avail & ((1 << pos) - 1) == 0
+            assert count == chosen.bit_count()
+            bound = solver._pair_bound(pos, chosen, count, avail)
+            assert bound == _pair_bound_dp(solver.chains, solver.pair_cap, chosen, avail)
+            binding += bound < count + avail.bit_count()
+        return binding
 
     @pytest.mark.parametrize("path", ["cli", "forced-base"])
     def test_pentagon_search_states(self, sq, monkeypatch, capsys, path):
@@ -636,59 +654,113 @@ class TestPairBound:
         else:
             states = self.recorded_states(monkeypatch, lambda: max_exceptional(sq))
         assert len(states) > 200
-        binding = 0
-        for solver, chosen, avail in states:
-            bound = solver._pair_bound(chosen, avail)
-            assert bound == _pair_bound_dp(solver.chains, solver.pair_cap, chosen, avail)
-            binding += bound < (chosen | avail).bit_count()
-        assert binding > 100
+        assert self.binding_states(states) > 100
+
+    @pytest.mark.parametrize("path", ["z9-cli", "fermat-loop2-loop2"])
+    def test_search_states(self, monkeypatch, capsys, path):
+        if path == "z9-cli":
+            states = self.recorded_states(
+                monkeypatch, lambda: main(["search", Z9, "--format", "json"])
+            )
+            capsys.readouterr()
+            assert len(states) == 4_101
+        else:
+            sq = symmetry_quotient(parse(FERMAT_LOOPS))
+            states = self.recorded_states(monkeypatch, lambda: max_exceptional(sq))
+            assert len(states) > 80_000
+        assert self.binding_states(states) > len(states) // 3
+
+    @pytest.mark.parametrize("name", [
+        "loop5", "loop2+loop3", "fermat+loop2+loop2", "chain3+loop2", "fermat+loop4",
+        "chain5",
+    ])
+    def test_ladder_sub_window_states(self, monkeypatch, name):
+        # seeded sub-windows of layers 0 to 2 whose layers 0 and 2 hold two
+        # vertices more than the cap, searched as explicit lists
+        sq = symmetry_quotient(parse(LADDER[name]))
+        window, _ = candidate_window(sq)
+        cap = search_module._pair_cap(sq, None)["cap"]
+        pair = [v for v in window if v.a in (0, 2)]
+        middle = [v for v in window if v.a == 1]
+        states = []
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            sub = sorted(rng.sample(pair, cap + 2) + rng.sample(middle, 2))
+            assert _cap_can_bind(sub, sq.quotient_order)
+            states += self.recorded_states(
+                monkeypatch, lambda: max_exceptional(sq, vertices=sub)
+            )
+        assert len(states) > 250
+        assert self.binding_states(states) > 100
 
     def test_synthetic_chains(self):
+        # DFS-shaped states (chosen only below pos, available only at or
+        # above it) on random chains whose layers interleave by index; a
+        # state where two decided layers break the cap is no collection, so
+        # the DFS never reaches it
         rng = random.Random(7)
-        feasible = binding = 0
+        feasible = binding = infeasible = 0
         for _ in range(3000):
-            chains = []
-            chosen = avail = 0
-            bit = 0
-            for _ in range(rng.randint(1, 3)):
-                chain = []
-                for _ in range(rng.randint(1, 5)):
-                    size = rng.randint(0, 8)
-                    chain.append(((1 << size) - 1) << bit)
-                    for i in range(bit, bit + size):
-                        kind = rng.random()
-                        if kind < 0.3:
-                            chosen |= 1 << i
-                        elif kind < 0.7:
-                            avail |= 1 << i
-                    bit += size
-                chains.append(chain)
-            cap = rng.randint(0, 12)
-            solver = SimpleNamespace(chains=chains, pair_cap=cap)
-            try:
-                expected = _pair_bound_dp(chains, cap, chosen, avail)
-            except SearchInvariantError:
-                with pytest.raises(SearchInvariantError):
-                    _Solver._pair_bound(solver, chosen, avail)
+            # m vertices per layer at most, as on a quotient of order m
+            m = rng.randint(1, 8)
+            sizes = [[max(0, m - rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+                     for _ in range(rng.randint(1, 3))]
+            order = [c for c, chain in enumerate(sizes) for _ in chain]
+            rng.shuffle(order)
+            chains = [[] for _ in sizes]
+            n = 0
+            for c in order:
+                size = sizes[c][len(chains[c])]
+                chains[c].append(((1 << size) - 1) << n)
+                n += size
+            if n == 0:
                 continue
-            bound = _Solver._pair_bound(solver, chosen, avail)
-            assert bound == expected, (chains, cap, chosen, avail)
+            pos = rng.randrange(n)
+            chosen = sum(1 << i for i in range(pos) if rng.random() < 0.7)
+            avail = sum(1 << i for i in range(pos, n) if rng.random() < 0.7)
+            cap = m + rng.randint(0, 2)
+            solver = _Solver([0] * n, None, chains)
+            solver.set_pair_cap(cap)
+            count = chosen.bit_count()
+            # the upper layers of the pairs over the cap; only the pair ending
+            # at pos's layer may be one on a state the DFS reaches
+            broken = {
+                bits for chain in chains for low, bits in zip(chain, chain[1:])
+                if ((low | bits) & chosen).bit_count() > cap
+            }
+            current = next(bits for chain in chains for bits in chain if bits >> pos & 1)
+            if broken - {current}:
+                continue
+            if broken:
+                with pytest.raises(SearchInvariantError):
+                    _pair_bound_dp(chains, cap, chosen, avail)
+                with pytest.raises(SearchInvariantError, match="pair bound infeasible"):
+                    solver._pair_bound(pos, chosen, count, avail)
+                infeasible += 1
+                continue
+            bound = solver._pair_bound(pos, chosen, count, avail)
+            assert bound == _pair_bound_dp(chains, cap, chosen, avail), (
+                chains, cap, pos, chosen, avail,
+            )
             feasible += 1
-            binding += bound < (chosen | avail).bit_count()
-        assert feasible > 1000 and binding > 500
+            binding += bound < count + avail.bit_count()
+        assert feasible > 1000 and binding > 500 and infeasible > 10
 
     def test_infeasible_state_raises(self):
-        # layers of 4 and 3 chosen vertices under a cap of 6
-        chains = [[0b1111, 0b111 << 4]]
-        solver = SimpleNamespace(chains=chains, pair_cap=6)
-        chosen = (1 << 7) - 1
+        # layers of 4 and 3 chosen vertices under a cap of 6, with the last
+        # vertex of the upper layer still open
+        chains = [[0b1111, 0b1111 << 4]]
+        solver = _Solver([0] * 8, None, chains)
+        solver.set_pair_cap(6)
+        chosen, avail = (1 << 7) - 1, 1 << 7
         with pytest.raises(SearchInvariantError, match="pair bound infeasible"):
-            _Solver._pair_bound(solver, chosen, 0)
+            solver._pair_bound(7, chosen, 7, avail)
         with pytest.raises(SearchInvariantError):
-            _pair_bound_dp(chains, 6, chosen, 0)
-        assert _Solver._pair_bound(
-            SimpleNamespace(chains=chains, pair_cap=7), chosen, 0
-        ) == 7
+            _pair_bound_dp(chains, 6, chosen, avail)
+        solver.set_pair_cap(7)
+        assert solver._pair_bound(7, chosen, 7, avail) == 7
+        with pytest.raises(SearchInvariantError, match="more vertices than the pair cap"):
+            solver.set_pair_cap(3)
 
 
 class TestBruteForce:
