@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FixedLocusNotImplementedError, UnsupportedGeometryError
 from .homs import BiDegree, _require_threefold, monomial_dim
@@ -53,15 +54,50 @@ def _axis_inside_hypersurface(sq: SymmetryQuotient, coord: int) -> bool:
     return True
 
 
-def _piece_contribution(sq: SymmetryQuotient, fixed: tuple[int, ...]) -> int:
+def _piece_contribution(inside: frozenset[int], fixed: tuple[int, ...]) -> int:
+    """A piece's count: 1 for a single fixed axis in inside (the axes lying in
+    the hypersurface), 0 for an empty fixed set or an axis not in inside."""
     if not fixed:
         return 0
     if len(fixed) == 1:
-        return 1 if _axis_inside_hypersurface(sq, fixed[0]) else 0
+        return 1 if fixed[0] in inside else 0
     raise FixedLocusNotImplementedError(
         f"fixed coordinate set {fixed} spans more than an axis; counting its "
         "classes would need the geometry of a positive-dimensional fixed locus"
     )
+
+
+def _pieces(sq: SymmetryQuotient):
+    """Yield every twisted sector piece as plain integers, in enumeration
+    order: (class powers, lift phases, level, j, fixed coordinates,
+    contribution). The lift is the product of the quotient generators to the
+    class powers, its phases are numerators over level, and the piece is its
+    eigenvalue exp(2 pi i j / level), fixed on the coordinates whose phase is
+    j. The untwisted main piece (identity class, j = 0) is left out. Raises
+    FixedLocusNotImplementedError at the first piece whose fixed locus is
+    larger than a point."""
+    _require_cubic_threefold(sq)
+    n = sq.n
+    inside = frozenset(
+        c for c in range(1, n + 1) if _axis_inside_hypersurface(sq, c)
+    )
+    exponent = lcm(*sq.quotient_orders)
+    den = lcm(*(g.den for g in sq.quotient_generators))
+    gens = [g.residues(den) for g in sq.quotient_generators]
+    for powers in product(*(range(m) for m in sq.quotient_orders)):
+        # the lift's phases over den, reduced to its order as DiagonalElement
+        # would, then rescaled to the level
+        raw = [
+            sum(k * g[i] for k, g in zip(powers, gens)) % den for i in range(n)
+        ]
+        level = lcm(den // reduce(gcd, raw, den), exponent)
+        phases = tuple(x * level // den for x in raw)
+        by_phase: dict[int, tuple[int, ...]] = {}
+        for i, p in enumerate(phases, start=1):
+            by_phase[p] = by_phase.get(p, ()) + (i,)
+        for j in range(0 if any(powers) else 1, level):
+            fixed = by_phase.get(j, ())
+            yield powers, phases, level, j, fixed, _piece_contribution(inside, fixed)
 
 
 def enumerate_sectors(sq: SymmetryQuotient) -> list[Sector]:
@@ -69,33 +105,16 @@ def enumerate_sectors(sq: SymmetryQuotient) -> list[Sector]:
     eigenvalue, plus the empty eigenvalue pieces of the identity class for
     completeness. Raises FixedLocusNotImplementedError on any piece whose
     fixed locus is larger than a point."""
-    _require_cubic_threefold(sq)
-    n = sq.n
-    exponent = 1
-    for m in sq.quotient_orders:
-        exponent = lcm(exponent, m)
-    sectors = []
-    for powers in product(*(range(m) for m in sq.quotient_orders)):
-        lift = DiagonalElement.identity(n)
-        for k, g in zip(powers, sq.quotient_generators):
-            lift = lift.mul(g**k)
-        level = lcm(lift.order, exponent)
-        phases = lift.residues(level)
-        for j in range(level):
-            if not any(powers) and j == 0:
-                continue  # the untwisted main piece is counted separately
-            fixed = tuple(i + 1 for i, p in enumerate(phases) if p == j)
-            rep = DiagonalElement.of([p - j for p in phases], level)
-            sectors.append(
-                Sector(
-                    element=rep,
-                    class_powers=tuple(powers),
-                    eigenphase=Fraction(j, level),
-                    fixed_coords=fixed,
-                    contribution=_piece_contribution(sq, fixed),
-                )
-            )
-    return sectors
+    return [
+        Sector(
+            element=DiagonalElement.of([p - j for p in phases], level),
+            class_powers=powers,
+            eigenphase=Fraction(j, level),
+            fixed_coords=fixed,
+            contribution=contribution,
+        )
+        for powers, phases, level, j, fixed, contribution in _pieces(sq)
+    ]
 
 
 @dataclass(frozen=True)
@@ -139,4 +158,4 @@ def untwisted_invariants(sq: SymmetryQuotient) -> UntwistedData:
 def chen_ruan_dim(sq: SymmetryQuotient) -> int:
     """Total dimension of the Chen-Ruan cohomology of the quotient."""
     untwisted = untwisted_invariants(sq)
-    return untwisted.total + sum(s.contribution for s in enumerate_sectors(sq))
+    return untwisted.total + sum(piece[-1] for piece in _pieces(sq))

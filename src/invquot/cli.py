@@ -86,35 +86,68 @@ def _nonnegative(convert, most=math.inf):
 # argument names that are not a subcommand's own options, so not parameters
 _SHARED = ("subcommand", "polynomial", "json_matrix", "preset", "format", "out")
 
+# subcommand -> its line in the top-level help
+_SUMMARIES = {
+    "analyze": "symmetry groups, quotient, characters",
+    "table": "bigraded section dimensions and representatives",
+    "chen-ruan": "orbifold cohomology dimension and sectors",
+    "search": "maximum exceptional collection of line bundles",
+    "verify": "check a collection supplied as JSON [a, b] pairs",
+}
+
+
+def _add_options(p: _Parser, name: str) -> _Parser:
+    """Declare subcommand name's options on p: the input and output options
+    every subcommand shares, then its own."""
+    p.add_argument("polynomial", nargs="?", help="polynomial string, e.g. 'x1^2*x2 + x2^2*x1'")
+    p.add_argument("--json-matrix", metavar="FILE", help='file with {"matrix": [[...], ...]}')
+    p.add_argument("--preset", metavar="NAME", help="named input polynomial")
+    p.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
+    if name == "table":
+        p.add_argument("--max-a", type=_nonnegative(int, MAX_TOTAL_DEGREE), default=3,
+                       help=f"highest total degree, at most {MAX_TOTAL_DEGREE}")
+    elif name == "search":
+        p.add_argument("--window-max-a", type=_nonnegative(int), default=None,
+                       help="cap the candidate window at this total degree")
+        p.add_argument("--timeout-secs", type=_nonnegative(float), default=None)
+    elif name == "verify":
+        p.add_argument("--collection", metavar="FILE", required=True,
+                       help=f"total degrees at most {MAX_TOTAL_DEGREE} in absolute value")
+    return p
+
 
 def build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("polynomial", nargs="?", help="polynomial string, e.g. 'x1^2*x2 + x2^2*x1'")
-    shared.add_argument("--json-matrix", metavar="FILE", help='file with {"matrix": [[...], ...]}')
-    shared.add_argument("--preset", metavar="NAME", help="named input polynomial")
-    shared.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
-    shared.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
-
+    """The whole tree: the top-level parser and one subparser per subcommand."""
     parser = _Parser(prog="invquot", description=__doc__)
     parser.add_argument("--version", action="version", version=f"invquot {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, summary):
-        return subs.add_parser(name, help=summary, parents=[shared])
-
-    add("analyze", "symmetry groups, quotient, characters")
-    p = add("table", "bigraded section dimensions and representatives")
-    p.add_argument("--max-a", type=_nonnegative(int, MAX_TOTAL_DEGREE), default=3,
-                   help=f"highest total degree, at most {MAX_TOTAL_DEGREE}")
-    add("chen-ruan", "orbifold cohomology dimension and sectors")
-    p = add("search", "maximum exceptional collection of line bundles")
-    p.add_argument("--window-max-a", type=_nonnegative(int), default=None,
-                   help="cap the candidate window at this total degree")
-    p.add_argument("--timeout-secs", type=_nonnegative(float), default=None)
-    p = add("verify", "check a collection supplied as JSON [a, b] pairs")
-    p.add_argument("--collection", metavar="FILE", required=True,
-                   help=f"total degrees at most {MAX_TOTAL_DEGREE} in absolute value")
+    for name, summary in _SUMMARIES.items():
+        _add_options(subs.add_parser(name, help=summary), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, building one parser where
+    that is enough.
+
+    When argv starts with a subcommand, the top-level parser only hands the
+    rest to that subcommand's parser, so that parser alone is built, and an
+    argument it leaves over is reported in the top-level parser's words. The
+    one argument the top-level parser refuses itself there is "--=...", an
+    ambiguous abbreviation of its --help and --version; such an argv, like
+    every argv that does not start with a subcommand (-h, --version, none,
+    an unknown name), goes through the whole tree.
+    """
+    if argv and argv[0] in _SUMMARIES and not any(a.startswith("--=") for a in argv):
+        name = argv[0]
+        args, extra = _add_options(_Parser(prog=f"invquot {name}"), name).parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=name)
+        )
+        if extra:
+            raise _UsageError(f"invquot: unrecognized arguments: {' '.join(extra)}")
+        return args
+    return build_parser().parse_args(argv)
 
 
 def _resolve_input(args) -> tuple[InvertiblePolynomial, dict]:
@@ -590,7 +623,7 @@ _SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         t0 = time.monotonic()
         poly, input_info = _resolve_input(args)
         run, text, csv = _SUBCOMMANDS[args.subcommand]
@@ -609,8 +642,11 @@ def main(argv=None) -> int:
         else:
             payload = (csv if args.format == "csv" else text)(report)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as exc:
+                raise InvquotError(f"cannot write {args.out}: {exc}") from exc
         else:
             print(payload)
         return 2 if results.get("timed_out") else 0

@@ -5,8 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import product
+from math import lcm
+
+from test_search import LADDER
+
 from invquot import (
     FixedLocusNotImplementedError,
+    InvquotError,
     UnsupportedGeometryError,
     chen_ruan_dim,
     enumerate_sectors,
@@ -14,6 +20,12 @@ from invquot import (
     symmetry_quotient,
     untwisted_invariants,
 )
+from invquot.chen_ruan import _pieces
+from invquot.presets import PRESETS
+from invquot.symmetry import DiagonalElement
+
+# both presets and the 16 cubic atomic sums
+INPUTS = {**PRESETS, **LADDER}
 
 
 class TestUntwisted:
@@ -34,8 +46,8 @@ class TestUntwisted:
 class TestSectors:
     def test_piece_count(self, sq):
         sectors = enumerate_sectors(sq)
-        # ten nonzero classes at level 33 plus 32 extra identity pieces,
-        # minus nothing else: 10 * 11 + 10? enumerate by actual grouping below
+        # the level is 11: each of the 10 nonzero classes has 11 eigenphases,
+        # and the identity class adds its 10 nonzero ones, 10 * 11 + 10 = 120
         assert len(sectors) == 120
 
     def test_fifty_contributing_pieces(self, sq):
@@ -105,3 +117,89 @@ class TestGuards:
         # the total also refuses, whichever guard fires first
         with pytest.raises(UnsupportedGeometryError):
             chen_ruan_dim(sq)
+
+
+def _outcome(compute):
+    """compute()'s value, or the type and message of the error it raises."""
+    try:
+        return compute()
+    except InvquotError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_pieces(sq):
+    """(element, class powers, eigenphase, fixed coordinates, contribution)
+    of every twisted piece, by products of DiagonalElement and Fraction
+    phases, up to the first piece fixing more than an axis, which ends the
+    list with contribution None."""
+    exponent = lcm(*sq.quotient_orders)
+    out = []
+    for powers in product(*(range(m) for m in sq.quotient_orders)):
+        lift = DiagonalElement.identity(sq.n)
+        for k, g in zip(powers, sq.quotient_generators):
+            lift = lift.mul(g**k)
+        level = lcm(lift.order, exponent)
+        for j in range(level):
+            if any(powers) or j:
+                phase = Fraction(j, level)
+                fixed = tuple(i for i, p in enumerate(lift.phases, start=1) if p == phase)
+                element = DiagonalElement.from_fractions([p - phase for p in lift.phases])
+                if len(fixed) > 1:
+                    return out + [(element, powers, phase, fixed, None)]
+                point = len(fixed) == 1 and not _axis_outside(sq, fixed[0])
+                out.append((element, powers, phase, fixed, int(point)))
+    return out
+
+
+def _axis_outside(sq, coord):
+    """A monomial x_coord^d keeps the coordinate axis off the hypersurface."""
+    return any(
+        row[coord - 1] and not any(e for j, e in enumerate(row, start=1) if j != coord)
+        for row in sq.poly.matrix.entries
+    )
+
+
+class TestAgreement:
+    """chen_ruan_dim counts the pieces on integer phases, while
+    enumerate_sectors builds each as a Sector for the report."""
+
+    @pytest.mark.parametrize("text", list(INPUTS.values()), ids=list(INPUTS))
+    def test_total_is_untwisted_plus_sectors(self, text):
+        sq = symmetry_quotient(parse(text))
+        assert _outcome(lambda: chen_ruan_dim(sq)) == _outcome(
+            lambda: untwisted_invariants(sq).total
+            + sum(s.contribution for s in enumerate_sectors(sq))
+        )
+
+    @pytest.mark.parametrize("text", list(INPUTS.values()), ids=list(INPUTS))
+    def test_sectors_match_reference(self, text):
+        # the same pieces in the same order, or a failure at the first piece
+        # fixing more than an axis
+        sq = symmetry_quotient(parse(text))
+        pieces = _reference_pieces(sq)
+        if pieces and pieces[-1][-1] is None:
+            with pytest.raises(FixedLocusNotImplementedError) as info:
+                enumerate_sectors(sq)
+            assert str(info.value).startswith(f"fixed coordinate set {pieces[-1][3]} ")
+            return
+        assert [
+            (s.element, s.class_powers, s.eigenphase, s.fixed_coords, s.contribution)
+            for s in enumerate_sectors(sq)
+        ] == pieces
+
+    @pytest.mark.parametrize("text", list(INPUTS.values()), ids=list(INPUTS))
+    def test_contributions_up_to_first_failure(self, text):
+        # every piece the count reaches before it fails, whose contributions
+        # a failing enumerate_sectors never shows
+        sq = symmetry_quotient(parse(text))
+        counted = []
+        try:
+            for powers, _, level, j, fixed, contribution in _pieces(sq):
+                counted.append((powers, Fraction(j, level), fixed, contribution))
+        except FixedLocusNotImplementedError:
+            counted.append(None)
+        reference = _reference_pieces(sq)
+        assert counted == [
+            None if c is None else (powers, phase, fixed, c)
+            for _, powers, phase, fixed, c in reference
+        ]

@@ -1,17 +1,30 @@
 """End-to-end command line behavior: subcommands, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
+import random
 
 import pytest
 
-from invquot.cli import MAX_TOTAL_DEGREE, main
+from invquot import InvquotError
+from invquot.cli import MAX_TOTAL_DEGREE, build_parser, main, parse_args
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 VERDICT = (
     "maximum line-bundle exceptional collection = 24 < 54 "
     "= required full-collection length"
 )
+
+# option values outside the accepted range, each a usage error
+OUT_OF_RANGE = [
+    ["search", "--window-max-a", "-3"],
+    ["table", "--max-a", "-1"],
+    ["search", "--timeout-secs", "nan"],
+    ["search", "--timeout-secs", "-1"],
+    ["search", "--timeout-secs", "inf"],
+    ["table", "--max-a", "1001"],
+]
 
 
 def run(capsys, *argv):
@@ -121,14 +134,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["search", "--window-max-a", "-3"],
-            ["table", "--max-a", "-1"],
-            ["search", "--timeout-secs", "nan"],
-            ["search", "--timeout-secs", "-1"],
-            ["search", "--timeout-secs", "inf"],
-            ["table", "--max-a", "1001"],
-        ],
+        OUT_OF_RANGE,
         ids=[
             "negative-window-cap", "negative-table-cap", "nan-budget",
             "negative-budget", "infinite-budget", "table-cap-above-limit",
@@ -374,6 +380,117 @@ class TestOutput:
             assert code == 1
             assert out == ""
             assert "unrecognized arguments" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "analyze", "--preset", "lu-counterexample", "--out", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+
+# each subcommand's own options, with a value in range
+OWN_OPTIONS = {
+    "analyze": [],
+    "table": [["--max-a", "5"]],
+    "chen-ruan": [],
+    "search": [["--window-max-a", "2"], ["--timeout-secs", "1.5"]],
+    "verify": [["--collection", "collection.json"]],
+}
+SHARED_OPTIONS = [
+    [PENTAGON], ["--preset", "lu-counterexample"], ["--json-matrix", "matrix.json"],
+    ["--format", "json"], ["-f", "csv"], ["--out", "report.txt"],
+]
+
+
+def _route_table() -> list[list[str]]:
+    table = [["-h"], ["--version"], []]
+    for sub, own in OWN_OPTIONS.items():
+        for option in SHARED_OPTIONS + own:
+            table.append([sub, *option])
+        table.append([sub, *(x for option in SHARED_OPTIONS[1:] + own for x in option)])
+        table.append([sub, "-h"])
+        table.append([sub, PENTAGON, "--bogus"])
+        # an ambiguous abbreviation of the top-level --help and --version
+        table.append([sub, "--preset", "lu-counterexample", "--=x"])
+    table += [
+        ["bogus", PENTAGON],
+        ["search", "--preset", "lu-counterexample", "--format", "xml"],
+        ["verify", PENTAGON, "--format", "json"],  # no --collection
+    ]
+    table += [[*argv, "--preset", "lu-counterexample"] for argv in OUT_OF_RANGE]
+    return table
+
+
+def _random_table(count: int) -> list[list[str]]:
+    tokens = [
+        *OWN_OPTIONS, "bogus", "-h", "--help", "--version", "--bogus", "-x",
+        "--", "-", "--=", "--=x", "--h", "--ver", "--form", "--pre=p", "-fjson",
+        "--max-a=2", "-1.5", "nan", "3", "xml", *(x for o in SHARED_OPTIONS for x in o),
+        *(x for own in OWN_OPTIONS.values() for o in own for x in o),
+    ]
+    rng = random.Random(15)
+    return [
+        [rng.choice(list(OWN_OPTIONS))] + rng.choices(tokens, k=rng.randint(0, 6))
+        for _ in range(count)
+    ]
+
+
+def _whole_tree(argv):
+    return build_parser().parse_args(argv)
+
+
+def _parsed(capsys, parse, argv):
+    """Exit code, stdout, stderr and the parsed items of one parse: a usage
+    error, which main prints as one error line, gives code 1 and its message,
+    -h and --version the code of their SystemExit."""
+    try:
+        code, result = 0, list(vars(parse(list(argv))).items())
+    except SystemExit as exc:
+        code, result = exc.code, None
+    except InvquotError as exc:
+        code, result = 1, str(exc)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, result
+
+
+class TestParseRoutes:
+    """parse_args builds only the named subcommand's parser; every argv must
+    parse exactly as through the whole tree."""
+
+    @pytest.mark.parametrize(
+        "argv", _route_table(), ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_same_as_whole_tree(self, capsys, argv):
+        assert _parsed(capsys, parse_args, argv) == _parsed(capsys, _whole_tree, argv)
+
+    def test_same_on_random_argv(self, capsys):
+        for argv in _random_table(300):
+            assert _parsed(capsys, parse_args, argv) == _parsed(
+                capsys, _whole_tree, argv
+            ), argv
+
+    def test_unrecognized_in_top_level_words(self, capsys):
+        code, _, _, message = _parsed(capsys, parse_args, ["analyze", PENTAGON, "--bogus"])
+        assert (code, message) == (1, "invquot: unrecognized arguments: --bogus")
+
+    def test_one_parser_for_a_subcommand(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        parse_args(["search", "--preset", "lu-counterexample"])
+        assert built == ["invquot search"]
+        with pytest.raises(SystemExit):
+            parse_args(["--version"])
+        assert built[1:] == ["invquot", *(f"invquot {sub}" for sub in OWN_OPTIONS)]
 
 
 GOLDEN_INPUTS = {
