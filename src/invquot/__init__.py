@@ -68,9 +68,7 @@ from .search import (
     CollectionReport,
     SearchResult,
     candidate_window,
-    export_digraph_dot,
     export_digraph_json,
-    find_cycles,
     max_exceptional,
     verify_collection,
 )
@@ -111,11 +109,9 @@ __all__ = [
     "chen_ruan_dim",
     "diagonal_symmetry_group",
     "enumerate_sectors",
-    "export_digraph_dot",
     "export_digraph_json",
     "ext_dims",
     "ext_dims_via_les",
-    "find_cycles",
     "get_preset",
     "hom_dim",
     "hom_table",

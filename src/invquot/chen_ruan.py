@@ -10,7 +10,6 @@ than being silently miscounted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -18,11 +17,11 @@ from math import gcd, lcm
 
 from .errors import FixedLocusNotImplementedError, UnsupportedGeometryError
 from .homs import BiDegree, _require_threefold, monomial_dim
+from .record import FrozenRecord
 from .symmetry import DiagonalElement, SymmetryQuotient
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(FrozenRecord):
     """One (class, eigenvalue) piece of the inertia decomposition.
 
     element is the torus representative whose phase-zero coordinates are the
@@ -30,11 +29,21 @@ class Sector:
     quotient factor; eigenphase is the eigenvalue as a fraction of a full turn.
     """
 
-    element: DiagonalElement
-    class_powers: tuple[int, ...]
-    eigenphase: Fraction
-    fixed_coords: tuple[int, ...]
-    contribution: int
+    _fields = ("element", "class_powers", "eigenphase", "fixed_coords", "contribution")
+
+    def __init__(
+        self,
+        element: DiagonalElement,
+        class_powers: tuple[int, ...],
+        eigenphase: Fraction,
+        fixed_coords: tuple[int, ...],
+        contribution: int,
+    ):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "class_powers", class_powers)
+        object.__setattr__(self, "eigenphase", eigenphase)
+        object.__setattr__(self, "fixed_coords", fixed_coords)
+        object.__setattr__(self, "contribution", contribution)
 
 
 def _require_cubic_threefold(sq: SymmetryQuotient):
@@ -117,11 +126,18 @@ def enumerate_sectors(sq: SymmetryQuotient) -> list[Sector]:
     ]
 
 
-@dataclass(frozen=True)
-class UntwistedData:
-    hyperplane_classes: int   # h^{0,0} + h^{1,1} + h^{2,2} + h^{3,3}
-    middle_full: int          # h^{2,1} of the hypersurface itself
-    middle_invariant: int     # its invariant part under the quotient
+class UntwistedData(FrozenRecord):
+    _fields = ("hyperplane_classes", "middle_full", "middle_invariant")
+
+    def __init__(
+        self,
+        hyperplane_classes: int,  # h^{0,0} + h^{1,1} + h^{2,2} + h^{3,3}
+        middle_full: int,         # h^{2,1} of the hypersurface itself
+        middle_invariant: int,    # its invariant part under the quotient
+    ):
+        object.__setattr__(self, "hyperplane_classes", hyperplane_classes)
+        object.__setattr__(self, "middle_full", middle_full)
+        object.__setattr__(self, "middle_invariant", middle_invariant)
 
     @property
     def total(self) -> int:

@@ -28,20 +28,53 @@ dimension down to the 5-variable case.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from operator import add, sub
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
 from .polynomials import monomial_text
+from .record import FrozenRecord
 from .symmetry import SymmetryQuotient
 
-@dataclass(frozen=True, order=True)
-class BiDegree:
+
+class BiDegree(FrozenRecord):
     """Total degree plus one residue per quotient factor, ordered by (a, b)."""
 
-    a: int
-    b: tuple[int, ...]
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    # built and compared in the window and table loops, so each comparison
+    # is one tuple comparison
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) < (other.a, other.b)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) <= (other.a, other.b)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) > (other.a, other.b)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) >= (other.a, other.b)
+        return NotImplemented
 
     def __str__(self):
         if len(self.b) == 1:

@@ -8,7 +8,6 @@ _best_shift and in the text of the NoPositiveWeightsError message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -18,13 +17,16 @@ from .errors import (
     NoPositiveWeightsError,
     SingularMatrixError,
 )
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(FrozenRecord):
     """Immutable integer matrix, row major."""
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -93,13 +95,15 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(FrozenRecord):
     """U @ M @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    _fields = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .errors import (
     NotAtomicSumError,
@@ -21,6 +20,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .lattice import IntMatrix, solve_positive_weights
+from .record import FrozenRecord
 
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|(\+)|(\*)|(\^)|(.))")
 
@@ -95,14 +95,22 @@ def _parse_monomials(text: str) -> list[dict[int, int]]:
     return monomials
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(FrozenRecord):
     """Validated polynomial with its exponent matrix, weights and degree."""
 
-    matrix: IntMatrix          # row i = exponent vector of monomial i
-    weights: tuple[int, ...]   # primitive positive integer weights
-    degree: int                # common weighted degree of every monomial
-    quasi_smooth_certified: bool
+    _fields = ("matrix", "weights", "degree", "quasi_smooth_certified")
+
+    def __init__(
+        self,
+        matrix: IntMatrix,         # row i = exponent vector of monomial i
+        weights: tuple[int, ...],  # primitive positive integer weights
+        degree: int,               # common weighted degree of every monomial
+        quasi_smooth_certified: bool,
+    ):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "quasi_smooth_certified", quasi_smooth_certified)
 
     @property
     def n(self) -> int:
@@ -202,8 +210,7 @@ def parse_json_matrix(text: str) -> InvertiblePolynomial:
     return from_matrix(rows)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(FrozenRecord):
     """One indecomposable summand.
 
     kind 'fermat': x_{v1}^{a1}
@@ -212,14 +219,19 @@ class Block:
     Variable indices are 1-based.
     """
 
-    kind: str
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
+    _fields = ("kind", "variables", "exponents")
+
+    def __init__(self, kind: str, variables: tuple[int, ...], exponents: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "exponents", exponents)
 
 
-@dataclass(frozen=True)
-class AtomicDecomposition:
-    blocks: tuple[Block, ...]
+class AtomicDecomposition(FrozenRecord):
+    _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     def summary(self) -> str:
         return decomposition_text((b.kind, b.exponents) for b in self.blocks)

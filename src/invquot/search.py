@@ -30,7 +30,6 @@ import heapq
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometryError
 from .homs import (
@@ -40,6 +39,7 @@ from .homs import (
     ext_dims,
     ext_table,
 )
+from .record import FrozenRecord, Record
 from .symmetry import SymmetryQuotient
 
 _SCAN_LIMIT = 64    # hard stop when hunting for the first all-positive row
@@ -60,20 +60,6 @@ def _sorted_distinct(vertices) -> list[BiDegree]:
     if isinstance(vertices, list) and all(map(operator.lt, vertices, vertices[1:])):
         return vertices
     return sorted(set(vertices))
-
-
-def hom_digraph(sq: SymmetryQuotient, vertices) -> dict[BiDegree, list[BiDegree]]:
-    verts = _sorted_distinct(vertices)
-    out = ext_table(sq).rows(verts)
-    adj = {}
-    for u, m in zip(verts, out):
-        targets = []
-        while m:
-            low = m & -m
-            targets.append(verts[low.bit_length() - 1])
-            m ^= low
-        adj[u] = targets
-    return adj
 
 
 def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
@@ -164,11 +150,13 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
     return vertices, audit
 
 
-@dataclass(frozen=True)
-class CollectionReport:
-    valid: bool
-    size: int
-    violations: tuple[dict, ...]
+class CollectionReport(FrozenRecord):
+    _fields = ("valid", "size", "violations")
+
+    def __init__(self, valid: bool, size: int, violations: tuple[dict, ...]):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "violations", violations)
 
 
 def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
@@ -210,31 +198,28 @@ def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     )
 
 
-def find_cycles(sq: SymmetryQuotient, vertices, max_len: int):
-    """All simple cycles of bounded length in the induced Ext digraph,
-    each rotated to start at its smallest vertex, sorted."""
-    import networkx as nx
+class SearchResult(Record):
+    _fields = ("size", "witness", "witness_set", "optimal", "vertices")
 
-    adj = hom_digraph(sq, vertices)
-    g = nx.DiGraph()
-    g.add_nodes_from(adj)
-    g.add_edges_from((u, v) for u, vs in adj.items() for v in vs)
-    out = []
-    for cyc in nx.simple_cycles(g, length_bound=max_len):
-        k = cyc.index(min(cyc))
-        out.append(tuple(cyc[k:] + cyc[:k]))
-    out.sort(key=lambda c: (len(c), c))
-    return out
+    def __init__(
+        self,
+        size: int,
+        witness: tuple[BiDegree, ...],      # in a valid exceptional order
+        witness_set: tuple[BiDegree, ...],  # the same objects sorted by bidegree
+        optimal: bool,
+        vertices: tuple[BiDegree, ...],     # the vertex list searched, sorted
+        proof_log: dict | None = None,
+    ):
+        self.size = size
+        self.witness = witness
+        self.witness_set = witness_set
+        self.optimal = optimal
+        self.vertices = vertices
+        self.proof_log = {} if proof_log is None else proof_log
 
-
-@dataclass
-class SearchResult:
-    size: int
-    witness: tuple[BiDegree, ...]       # in a valid exceptional order
-    witness_set: tuple[BiDegree, ...]   # the same objects sorted by bidegree
-    optimal: bool
-    vertices: tuple[BiDegree, ...]      # the vertex list searched, sorted
-    proof_log: dict = field(repr=False, default_factory=dict)
+    def _values(self) -> tuple:
+        # the proof log is compared but left out of the repr
+        return (*super()._values(), self.proof_log)
 
 
 class _TimeUp(Exception):
@@ -251,20 +236,27 @@ def _blocks(in_rows: list[int], out_rows: list[int], v: int, chosen: int) -> int
     in-neighbours of v and its chosen ancestors, met with the out-neighbours
     of v and its chosen descendants (see _Solver). Each side is the union of
     its rows over v and every vertex of chosen that v reaches along them
-    inside chosen, expanded one frontier at a time."""
-    met = -1
-    for rows in (in_rows, out_rows):
-        union = rows[v]
-        frontier = done = union & chosen
+    inside chosen, expanded one frontier at a time. The two expansions are
+    written out, not looped over, since this runs at every include."""
+    ins = in_rows[v]
+    frontier = done = ins & chosen
+    while frontier:
         while frontier:
-            while frontier:
-                low = frontier & -frontier
-                union |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = union & chosen & ~done
-            done |= frontier
-        met &= union
-    return met
+            low = frontier & -frontier
+            ins |= in_rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = ins & chosen & ~done
+        done |= frontier
+    outs = out_rows[v]
+    frontier = done = outs & chosen
+    while frontier:
+        while frontier:
+            low = frontier & -frontier
+            outs |= out_rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = outs & chosen & ~done
+        done |= frontier
+    return ins & outs
 
 
 class _Solver:
@@ -801,18 +793,6 @@ def max_exceptional(
         vertices=tuple(verts),
         proof_log=proof_log,
     )
-
-
-def export_digraph_dot(sq: SymmetryQuotient, vertices) -> str:
-    adj = hom_digraph(sq, vertices)
-    lines = ["digraph ext {"]
-    for u in adj:
-        lines.append(f'  "{u}";')
-    for u, vs in adj.items():
-        for v in vs:
-            lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def export_digraph_json(sq: SymmetryQuotient, vertices) -> dict:

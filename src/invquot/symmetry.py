@@ -10,7 +10,6 @@ rest of the toolkit grades by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -24,28 +23,27 @@ from .errors import (
 )
 from .lattice import IntMatrix, smith_normal_form, splitting_coefficients
 from .polynomials import InvertiblePolynomial
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True, order=False)
-class DiagonalElement:
+class DiagonalElement(FrozenRecord):
     """Finite-order diagonal torus element, stored as phases num_i / den.
 
     Canonical form: den >= 1, 0 <= num_i < den, and gcd(den, num_1, ..., num_n)
     equal to 1, so den is exactly the order of the element.
     """
 
-    num: tuple[int, ...]
-    den: int
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den < 1:
-            raise SymmetryInvariantError(f"denominator {self.den} is not positive")
-        if not all(0 <= x < self.den or (self.den == 1 and x == 0) for x in self.num):
-            raise SymmetryInvariantError(f"phases {self.num} are not reduced mod {self.den}")
-        if reduce(gcd, self.num, self.den) != 1:
-            raise SymmetryInvariantError(
-                f"phases {self.num} over {self.den} share a common factor"
-            )
+    def __init__(self, num: tuple[int, ...], den: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        if den < 1:
+            raise SymmetryInvariantError(f"denominator {den} is not positive")
+        if not all(0 <= x < den or (den == 1 and x == 0) for x in num):
+            raise SymmetryInvariantError(f"phases {num} are not reduced mod {den}")
+        if reduce(gcd, num, den) != 1:
+            raise SymmetryInvariantError(f"phases {num} over {den} share a common factor")
 
     @classmethod
     def of(cls, nums, den: int) -> "DiagonalElement":
@@ -112,8 +110,7 @@ class DiagonalElement:
         return tuple(i + 1 for i, x in enumerate(self.num) if x == 0)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(FrozenRecord):
     """Subgroup of the diagonal torus presented by invariant factors.
 
     invariant_factors is ascending with each dividing the next, all > 1;
@@ -121,22 +118,28 @@ class FiniteAbelianGroup:
     together span the group as a direct sum.
     """
 
-    nvars: int
-    invariant_factors: tuple[int, ...]
-    generators: tuple[DiagonalElement, ...]
+    _fields = ("nvars", "invariant_factors", "generators")
 
-    def __post_init__(self):
-        if len(self.invariant_factors) != len(self.generators):
+    def __init__(
+        self,
+        nvars: int,
+        invariant_factors: tuple[int, ...],
+        generators: tuple[DiagonalElement, ...],
+    ):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "generators", generators)
+        if len(invariant_factors) != len(generators):
             raise SymmetryInvariantError("one generator per invariant factor expected")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a:
                 raise SymmetryInvariantError(
                     f"invariant factor {a} does not divide the next, {b}"
                 )
-        for f, g in zip(self.invariant_factors, self.generators):
-            if not (f > 1 and g.order == f and g.n == self.nvars):
+        for f, g in zip(invariant_factors, generators):
+            if not (f > 1 and g.order == f and g.n == nvars):
                 raise SymmetryInvariantError(
-                    f"generator {g} does not have order {f} on {self.nvars} variables"
+                    f"generator {g} does not have order {f} on {nvars} variables"
                 )
 
     @property
@@ -261,8 +264,7 @@ def loop_generator(exponents) -> DiagonalElement:
     return DiagonalElement.of(nums, abs(delta))
 
 
-@dataclass(frozen=True)
-class SymmetryQuotient:
+class SymmetryQuotient(FrozenRecord):
     """Symmetry data of an invertible polynomial and its quotient by scalars.
 
     characters[i][j] is the grading character of x_j under the i-th quotient
@@ -270,19 +272,32 @@ class SymmetryQuotient:
     None and graded computations downstream refuse the input.
     """
 
-    poly: InvertiblePolynomial
-    group: FiniteAbelianGroup
-    scalar_generator: DiagonalElement
-    splitting: tuple[int, ...]
-    quotient_orders: tuple[int, ...]
-    quotient_generators: tuple[DiagonalElement, ...]
-    characters: tuple[tuple[int, ...], ...] | None
-    # tables derived from this quotient (homs.ext_table and the Laurent
-    # monomial counts of the long-exact-sequence route), kept as long as it
-    # lives; not part of its value, so equality and hashing ignore it
-    derived: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    _fields = (
+        "poly", "group", "scalar_generator", "splitting", "quotient_orders",
+        "quotient_generators", "characters",
     )
+
+    def __init__(
+        self,
+        poly: InvertiblePolynomial,
+        group: FiniteAbelianGroup,
+        scalar_generator: DiagonalElement,
+        splitting: tuple[int, ...],
+        quotient_orders: tuple[int, ...],
+        quotient_generators: tuple[DiagonalElement, ...],
+        characters: tuple[tuple[int, ...], ...] | None,
+    ):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "scalar_generator", scalar_generator)
+        object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "quotient_orders", quotient_orders)
+        object.__setattr__(self, "quotient_generators", quotient_generators)
+        object.__setattr__(self, "characters", characters)
+        # tables derived from this quotient (homs.ext_table and the Laurent
+        # monomial counts of the long-exact-sequence route), kept as long as
+        # it lives; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "derived", {})
 
     @property
     def n(self) -> int:

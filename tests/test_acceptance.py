@@ -14,7 +14,6 @@ from invquot import (
     candidate_window,
     chen_ruan_dim,
     enumerate_sectors,
-    find_cycles,
     hom_dim,
     loop_generator,
     max_exceptional,
@@ -25,6 +24,8 @@ from invquot import (
 )
 from invquot.cli import main
 from invquot.homs import all_residues, ext_dims_via_les, hom_dim_delta
+
+from digraphs import find_cycles
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 
