@@ -10,7 +10,6 @@ accepted but carry quasi_smooth_certified=False.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .errors import (
@@ -194,6 +193,9 @@ def parse(text: str) -> InvertiblePolynomial:
 
 def parse_json_matrix(text: str) -> InvertiblePolynomial:
     """Accept the JSON alternative form {"matrix": [[...], ...]}."""
+    # imported here, so that a library import of invquot loads no json
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

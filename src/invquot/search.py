@@ -45,6 +45,23 @@ from .symmetry import SymmetryQuotient
 _SCAN_LIMIT = 64    # hard stop when hunting for the first all-positive row
 
 
+def _byte_bits() -> tuple[bytes, ...]:
+    """The offsets of the set bits of every byte value, ascending, each as a
+    bytes object: the entry of b + 2**k, for b < 2**k, is that of b with k
+    appended. Bytes, not tuples, so that the table leaves no objects for the
+    cyclic garbage collector to track."""
+    table = [b""]
+    for k in range(8):
+        table += [bits + bytes((k,)) for bits in table]
+    return tuple(table)
+
+
+# a row of n vertices is read a byte at a time, as m.to_bytes((n + 7) // 8,
+# "little"): the set bits of the byte at offset at are at + k, k in
+# _BYTE_BITS[byte], so zero bytes are skipped and no big int is made per bit
+_BYTE_BITS = _byte_bits()
+
+
 def base_vertex(sq: SymmetryQuotient) -> BiDegree:
     return bidegree(sq, 0, [0] * len(sq.quotient_orders))
 
@@ -348,13 +365,16 @@ class _Solver:
         self.out_mask = out_mask
         self.n = n = len(out_mask)
         self.deadline = deadline
-        self.in_mask = [0] * n
+        # the in rows are the transpose of the out rows, each read a byte at
+        # a time
+        self.in_mask = in_mask = [0] * n
+        width, offsets = (n + 7) // 8, range(0, n, 8)
         for i, m in enumerate(out_mask):
             bit = 1 << i
-            while m:
-                low = m & -m
-                self.in_mask[low.bit_length() - 1] |= bit
-                m ^= low
+            for at, byte in zip(offsets, m.to_bytes(width, "little")):
+                if byte:
+                    for k in _BYTE_BITS[byte]:
+                        in_mask[at + k] |= bit
         # the pair bound runs along chains of layers with total degrees two
         # apart, each a list of layer bitmasks, lowest layer first; the cap
         # and the per-position plan are set once the cap is known
@@ -802,13 +822,23 @@ def export_digraph_json(sq: SymmetryQuotient, vertices) -> dict:
     vertex is one [a, b] list, with b a list, and the same list object is
     shared by "vertices" and every edge at that vertex: copy an entry before
     mutating it.
+
+    Each out row is read a byte at a time (see _BYTE_BITS): its bytes are
+    walked low to high with the zero ones skipped, and the set bits of a byte
+    name vertices of that byte's span of eight, in ascending order, so the
+    edges come out in the same order as bit by bit. _blocks keeps peeling
+    bits off, since its frontiers hold only a few.
     """
     verts = _sorted_distinct(vertices)
     node = [[v.a, list(v.b)] for v in verts]
-    edges = []
-    for u, m in zip(node, ext_table(sq).rows(verts)):
-        while m:
-            low = m & -m
-            edges.append([u, node[low.bit_length() - 1]])
-            m ^= low
+    # the vertices of each byte of a row, eight to a byte
+    spans = [node[at:at + 8] for at in range(0, len(node), 8)]
+    width = len(spans)
+    edges = [
+        [u, span[k]]
+        for u, m in zip(node, ext_table(sq).rows(verts))
+        for span, byte in zip(spans, m.to_bytes(width, "little"))
+        if byte
+        for k in _BYTE_BITS[byte]
+    ]
     return {"vertices": node, "edges": edges}

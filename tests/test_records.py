@@ -239,7 +239,8 @@ class TestSymmetryQuotientDerived:
 class TestImportCost:
     """The records are plain classes, so importing the package compiles no
     generated code and loads neither dataclasses nor inspect (with ast, dis
-    and tokenize behind it)."""
+    and tokenize behind it). A library import loads no json either: only
+    parse_json_matrix and the CLI's reports use it."""
 
     @staticmethod
     def loaded(statement):
@@ -258,3 +259,9 @@ class TestImportCost:
             added = self.loaded(f"import {module}") - bare
             assert module in added
             assert not added & {"dataclasses", "inspect"}, module
+
+    def test_library_import_loads_no_json(self):
+        bare = self.loaded("pass")
+        added = self.loaded("import invquot") - bare
+        assert "invquot" in added
+        assert "json" not in added

@@ -1029,3 +1029,63 @@ class TestExports:
         assert len(data["vertices"]) == 518 and len(data["edges"]) == 53_449
         ids = {id(x) for x in data["vertices"]}
         assert all(id(u) in ids and id(v) in ids for u, v in data["edges"])
+
+
+def _peel(m):
+    """The set bits of m, lowest first, peeled off one at a time."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _peel_in_rows(rows):
+    """The transpose of the out rows, read bit by bit."""
+    in_rows = [0] * len(rows)
+    for i, m in enumerate(rows):
+        for j in _peel(m):
+            in_rows[j] |= 1 << i
+    return in_rows
+
+
+class TestByteWalk:
+    """export_digraph_json and the solver's in rows read each out row a byte
+    at a time; here both are compared with a bit-peeling reference on seeded
+    sub-windows of the 518-vertex Fermat window. The sizes put the highest
+    vertex in a full last byte (8, 64, 512) and in a partial one (7, 9, 65,
+    513), and every sub-window of two or more vertices has an arrow into its
+    highest vertex, so the top bit of some row is set."""
+
+    @pytest.fixture(scope="class")
+    def fermat(self):
+        sq = symmetry_quotient(parse(FERMAT))
+        window, _ = candidate_window(sq)
+        return sq, window
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 512, 513])
+    def test_sub_windows_match_bit_peeling(self, fermat, n):
+        sq, window = fermat
+        table = ext_table(sq)
+        rng = random.Random(1_700 + n)
+        while True:
+            sub = sorted(rng.sample(window, n))
+            rows = table.rows(sub)
+            if n < 2 or any(row >> n - 1 for row in rows):
+                break
+        data = export_digraph_json(sq, sub)
+        node = data["vertices"]
+        assert node == [[v.a, list(v.b)] for v in sub]
+        reference = [(i, j) for i, m in enumerate(rows) for j in _peel(m)]
+        assert data["edges"] == [[node[i], node[j]] for i, j in reference]
+        # each edge holds the very vertex lists of its two ends
+        assert [(id(u), id(v)) for u, v in data["edges"]] == [
+            (id(node[i]), id(node[j])) for i, j in reference
+        ]
+        assert _Solver(rows, None).in_mask == _peel_in_rows(rows)
+
+    def test_full_window_transpose(self, fermat):
+        sq, window = fermat
+        rows = ext_table(sq).rows(window)
+        in_rows = _peel_in_rows(rows)
+        assert len(in_rows) == 518 and sum(map(int.bit_count, in_rows)) == 53_449
+        assert _Solver(rows, None).in_mask == in_rows
