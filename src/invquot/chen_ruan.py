@@ -11,11 +11,10 @@ than being silently miscounted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
-from .errors import FixedLocusNotImplementedError, UnsupportedGeometryError
+from .errors import FixedLocusNotImplementedError, SymmetryInvariantError, UnsupportedGeometryError
 from .homs import BiDegree, _require_threefold, monomial_dim
 from .record import FrozenRecord
 from .symmetry import DiagonalElement, SymmetryQuotient
@@ -84,23 +83,29 @@ def _pieces(sq: SymmetryQuotient):
     eigenvalue exp(2 pi i j / level), fixed on the coordinates whose phase is
     j. The untwisted main piece (identity class, j = 0) is left out. Raises
     FixedLocusNotImplementedError at the first piece whose fixed locus is
-    larger than a point."""
+    larger than a point.
+
+    The level is the quotient exponent: every quotient generator of a graded
+    quotient has exact order, its factor's order, so every lift's order
+    divides the exponent. A generator of another order raises
+    SymmetryInvariantError."""
     _require_cubic_threefold(sq)
     n = sq.n
     inside = frozenset(
         c for c in range(1, n + 1) if _axis_inside_hypersurface(sq, c)
     )
-    exponent = lcm(*sq.quotient_orders)
-    den = lcm(*(g.den for g in sq.quotient_generators))
-    gens = [g.residues(den) for g in sq.quotient_generators]
+    for g, m in zip(sq.quotient_generators, sq.quotient_orders):
+        if g.den != m:
+            raise SymmetryInvariantError(
+                f"quotient generator {g} has order {g.den}, not its factor's {m}"
+            )
+    level = lcm(*sq.quotient_orders)
+    gens = [g.residues(level) for g in sq.quotient_generators]
     for powers in product(*(range(m) for m in sq.quotient_orders)):
-        # the lift's phases over den, reduced to its order as DiagonalElement
-        # would, then rescaled to the level
-        raw = [
-            sum(k * g[i] for k, g in zip(powers, gens)) % den for i in range(n)
-        ]
-        level = lcm(den // reduce(gcd, raw, den), exponent)
-        phases = tuple(x * level // den for x in raw)
+        # the lift's phases over the level
+        phases = tuple(
+            sum(k * g[i] for k, g in zip(powers, gens)) % level for i in range(n)
+        )
         by_phase: dict[int, tuple[int, ...]] = {}
         for i, p in enumerate(phases, start=1):
             by_phase[p] = by_phase.get(p, ()) + (i,)

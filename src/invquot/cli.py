@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .chen_ruan import chen_ruan_dim, enumerate_sectors, untwisted_invariants
@@ -63,9 +62,9 @@ def _nonnegative(convert, most=math.inf):
     """An argparse type for a cap or a time budget: convert(text), finite,
     >= 0 and at most most.
 
-    A negative cap would present an empty window as a verdict, a negative
-    budget has expired before the search starts and a NaN one, failing every
-    comparison, never expires.
+    A negative cap would print an empty table, a negative budget has expired
+    before the search starts and a NaN one, failing every comparison, never
+    expires.
     """
 
     def parse(text: str):
@@ -108,8 +107,6 @@ def _add_options(p: _Parser, name: str) -> _Parser:
         p.add_argument("--max-a", type=_nonnegative(int, MAX_TOTAL_DEGREE), default=3,
                        help=f"highest total degree, at most {MAX_TOTAL_DEGREE}")
     elif name == "search":
-        p.add_argument("--window-max-a", type=_nonnegative(int), default=None,
-                       help="cap the candidate window at this total degree")
         p.add_argument("--timeout-secs", type=_nonnegative(float), default=None)
     elif name == "verify":
         p.add_argument("--collection", metavar="FILE", required=True,
@@ -211,10 +208,10 @@ def _loop_formula_check(poly: InvertiblePolynomial, blocks, group: FiniteAbelian
     except DegenerateLoopError:
         return None
     # scatter the standard-order phases back onto the loop's actual variables
-    phases = [Fraction(0)] * poly.n
+    nums = [0] * poly.n
     for pos, var in enumerate(block.variables):
-        phases[var - 1] = gen.phases[pos]
-    return spans_group(group, [DiagonalElement.from_fractions(phases)])
+        nums[var - 1] = gen.num[pos]
+    return spans_group(group, [DiagonalElement.of(nums, gen.den)])
 
 
 def _run_analyze(
@@ -459,9 +456,7 @@ def _run_search(
     t1 = time.monotonic()
     stages["chen_ruan_s"] = round(t1 - t0, 4)
     try:
-        result = max_exceptional(
-            sq, timeout_secs=args.timeout_secs, max_a=args.window_max_a
-        )
+        result = max_exceptional(sq, timeout_secs=args.timeout_secs)
     except SearchTimeoutError as exc:
         return {
             "timed_out": True,

@@ -205,7 +205,8 @@ def parse_json_matrix(text: str) -> InvertiblePolynomial:
     rows = data["matrix"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise PolynomialSyntaxError("matrix must be a list of rows")
-    if not all(isinstance(x, int) for r in rows for x in r):
+    # type, not isinstance: a JSON true or false is a bool, an int subclass
+    if not all(type(x) is int for r in rows for x in r):
         raise PolynomialSyntaxError("matrix entries must be integers")
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise PolynomialSyntaxError("matrix rows must all have the same length")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from collections import Counter
 
 from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometryError
 from .homs import (
@@ -79,7 +78,7 @@ def _sorted_distinct(vertices) -> list[BiDegree]:
     return sorted(set(vertices))
 
 
-def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
+def candidate_window(sq: SymmetryQuotient):
     """Finite vertex set that provably contains a maximum collection through
     the base, together with an audit trail of every exclusion.
 
@@ -129,9 +128,6 @@ def candidate_window(sq: SymmetryQuotient, max_a: int | None = None):
                     "so every vertex there has arrows to and from the base"
                 ).format(full_row),
             }
-            break
-        if max_a is not None and a > max_a:
-            audit["certificate"] = {"stop_layer": a, "reason": "max_a cap"}
             break
         if a >= _SCAN_LIMIT:
             raise UnsupportedGeometryError(
@@ -339,26 +335,25 @@ class _Solver:
 
     The translation leader, a lex-leader (Crawford-Ginsberg-Luks-Roy) for
     the quotient's own translations (0, r), is used only on the candidate
-    window with the base forced, possibly cut by max_a, and on H. Once every
-    layer-0 vertex is decided, with R the chosen layer-0 residues, the node
-    is kept only if, for every r in R, the sorted list of R is no larger
-    than that of R - r; ties are kept. It is sound: suppose a collection C
-    contains the base and (0, r). Twisting is an automorphism of the Ext
-    digraph, so C - (0, r) is again a collection. It contains the base (the
-    image of (0, r)), keeps the layer of every member, and, since it holds
-    the base, has no member in mutual conflict with the base; so it lies in
-    the same window, even one cut by max_a. Its layer-0 set is R - r. The
-    smallest translate of R is a leader, since the translates of R - r are
-    again translates of R, so some optimum survives. The canonical witness
-    W* survives too: the layer-0 vertices are the window's first indices, in
-    residue order, and for sets of one size comparing sorted index lists is
-    include-first DFS order. If some translate of W*'s layer-0 set came
-    earlier, the same translate of W* would be an optimal subset found
-    before W*, which is the DFS-first one. So the witness pass with the
-    leader on returns W* unchanged. On H, every vertex is in "layer 0" and
-    the same argument holds with the forced residue 0 for the base. An
-    explicit vertex list need not be closed under translation and is
-    searched without the leader.
+    window with the base forced, and on H. Once every layer-0 vertex is
+    decided, with R the chosen layer-0 residues, the node is kept only if,
+    for every r in R, the sorted list of R is no larger than that of R - r;
+    ties are kept. It is sound: suppose a collection C contains the base and
+    (0, r). Twisting is an automorphism of the Ext digraph, so C - (0, r) is
+    again a collection. It contains the base (the image of (0, r)), keeps
+    the layer of every member, and, since it holds the base, has no member
+    in mutual conflict with the base; so it lies in the same window. Its
+    layer-0 set is R - r. The smallest translate of R is a leader, since the
+    translates of R - r are again translates of R, so some optimum survives.
+    The canonical witness W* survives too: the layer-0 vertices are the
+    window's first indices, in residue order, and for sets of one size
+    comparing sorted index lists is include-first DFS order. If some
+    translate of W*'s layer-0 set came earlier, the same translate of W*
+    would be an optimal subset found before W*, which is the DFS-first one.
+    So the witness pass with the leader on returns W* unchanged. On H, every
+    vertex is in "layer 0" and the same argument holds with the forced
+    residue 0 for the base. An explicit vertex list need not be closed under
+    translation and is searched without the leader.
     """
 
     def __init__(self, out_mask: list[int], deadline, chains: list[list[int]] = ()):
@@ -638,13 +633,6 @@ def _chains(verts: list[BiDegree]) -> list[list[int]]:
     return chains
 
 
-def _cap_can_bind(verts: list[BiDegree], m: int) -> bool:
-    """True when two layers of total degrees two apart hold more than m of
-    the vertices together; otherwise cap(2) >= m cannot bind."""
-    sizes = Counter(v.a for v in verts)
-    return any(k + sizes.get(a + 2, 0) > m for a, k in sizes.items())
-
-
 def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     """{"cap": m + alpha, "alpha": alpha, "nodes": nodes of the alpha search},
     or None when the three facts behind the cap fail (see _Solver). Kept with
@@ -692,18 +680,16 @@ def max_exceptional(
     sq: SymmetryQuotient,
     vertices=None,
     timeout_secs: float | None = None,
-    max_a: int | None = None,
 ) -> SearchResult:
     """Size and witness of a maximum exceptional collection inside the window.
 
-    With no explicit vertex list the candidate window is derived, cut at
-    total degree max_a if given, and the base vertex is forced into the
-    collection (any collection in the window can be twisted to contain it,
-    so this loses nothing); the search then keeps one layer-0 set per
-    translation class. An explicit vertex list is searched as given, without
-    forcing or the translation leader, and takes no max_a. Either way the
-    pair cap (see _Solver) is derived, after the greedy seeds, wherever it
-    can bind, and recorded in proof_log["pair_cap"] (None where it cannot
+    With no explicit vertex list the candidate window is derived and the
+    base vertex is forced into the collection (any collection in the window
+    can be twisted to contain it, so this loses nothing); the search then
+    keeps one layer-0 set per translation class. An explicit vertex list is
+    searched as given, without forcing or the translation leader. Either way
+    the pair cap (see _Solver) is derived, after the greedy seeds, wherever
+    it can bind, and recorded in proof_log["pair_cap"] (None where it cannot
     bind or the quotient has none).
 
     The witness is canonical: the lexicographically smallest optimal subset,
@@ -716,10 +702,8 @@ def max_exceptional(
     proof_log: dict = {}
     window = vertices is None
     if window:
-        verts, audit = candidate_window(sq, max_a=max_a)
+        verts, audit = candidate_window(sq)
         proof_log["window"] = audit
-    elif max_a is not None:
-        raise ValueError("max_a cuts the derived window, not an explicit vertex list")
     else:
         verts = _sorted_distinct(vertices)
     base = base_vertex(sq)
@@ -759,8 +743,11 @@ def max_exceptional(
             best_size, best_mask = size, mask
     proof_log["seeds"] = seeds
 
+    # cap(2) >= m can bind only where two layers two apart hold more than m
+    # vertices together; a lone layer never holds more than m
+    m = len(table.residues)
     cap = None
-    if _cap_can_bind(verts, len(table.residues)):
+    if any((x | y).bit_count() > m for c in solver.chains for x, y in zip(c, c[1:])):
         try:
             cap = _pair_cap(sq, deadline)
         except _TimeUp as up:

@@ -13,6 +13,7 @@ from test_search import LADDER
 from invquot import (
     FixedLocusNotImplementedError,
     InvquotError,
+    SymmetryInvariantError,
     UnsupportedGeometryError,
     chen_ruan_dim,
     enumerate_sectors,
@@ -22,7 +23,7 @@ from invquot import (
 )
 from invquot.chen_ruan import _pieces
 from invquot.presets import PRESETS
-from invquot.symmetry import DiagonalElement
+from invquot.symmetry import DiagonalElement, SymmetryQuotient
 
 # both presets and the 16 cubic atomic sums
 INPUTS = {**PRESETS, **LADDER}
@@ -117,6 +118,17 @@ class TestGuards:
         # the total also refuses, whichever guard fires first
         with pytest.raises(UnsupportedGeometryError):
             chen_ruan_dim(sq)
+
+    def test_generator_of_another_order_raises(self, sq):
+        # the pieces are counted over the quotient exponent, which holds the
+        # phases of every lift only when each generator has its factor's order
+        fields = {name: getattr(sq, name) for name in SymmetryQuotient._fields}
+        bad = SymmetryQuotient(
+            **{**fields, "quotient_generators": (DiagonalElement.identity(sq.n),)}
+        )
+        for compute in (chen_ruan_dim, enumerate_sectors):
+            with pytest.raises(SymmetryInvariantError, match="order 1, not its factor's 11"):
+                compute(bad)
 
 
 def _outcome(compute):

@@ -18,7 +18,6 @@ VERDICT = (
 
 # option values outside the accepted range, each a usage error
 OUT_OF_RANGE = [
-    ["search", "--window-max-a", "-3"],
     ["table", "--max-a", "-1"],
     ["search", "--timeout-secs", "nan"],
     ["search", "--timeout-secs", "-1"],
@@ -136,7 +135,7 @@ class TestInputValidation:
         "argv",
         OUT_OF_RANGE,
         ids=[
-            "negative-window-cap", "negative-table-cap", "nan-budget",
+            "negative-table-cap", "nan-budget",
             "negative-budget", "infinite-budget", "table-cap-above-limit",
         ],
     )
@@ -218,12 +217,6 @@ class TestSearch:
         lines = out.splitlines()
         assert lines[0] == "position,a,b"
         assert len([l for l in lines if not l.startswith("#")]) == 25
-
-    def test_window_cap_changes_answer(self, capsys):
-        _, out, _ = run(
-            capsys, "search", PENTAGON, "--window-max-a", "0", "--format", "json"
-        )
-        assert json.loads(out)["results"]["optimum"] == 11
 
     def test_timeout_exit_code(self, capsys):
         code, out, _ = run(
@@ -361,7 +354,7 @@ class TestOutput:
             (["analyze"], []),
             (["table"], ["max_a"]),
             (["chen-ruan"], []),
-            (["search"], ["window_max_a", "timeout_secs"]),
+            (["search"], ["timeout_secs"]),
             (["verify", "--collection", "COLLECTION"], ["collection"]),
         ],
         ids=["analyze", "table", "chen-ruan", "search", "verify"],
@@ -375,7 +368,10 @@ class TestOutput:
         code, out, _ = run(capsys, *argv, PENTAGON, "--format", "json")
         assert code == 0
         assert list(json.loads(out)["parameters"]) == keys
-        for removed in (["--seed", "7"], ["--no-deterministic"], ["--deterministic"]):
+        for removed in (
+            ["--seed", "7"], ["--no-deterministic"], ["--deterministic"],
+            ["--window-max-a", "1"],
+        ):
             code, out, err = run(capsys, *argv, PENTAGON, *removed)
             assert code == 1
             assert out == ""
@@ -397,7 +393,7 @@ OWN_OPTIONS = {
     "analyze": [],
     "table": [["--max-a", "5"]],
     "chen-ruan": [],
-    "search": [["--window-max-a", "2"], ["--timeout-secs", "1.5"]],
+    "search": [["--timeout-secs", "1.5"]],
     "verify": [["--collection", "collection.json"]],
 }
 SHARED_OPTIONS = [
@@ -420,6 +416,9 @@ def _route_table() -> list[list[str]]:
         ["bogus", PENTAGON],
         ["search", "--preset", "lu-counterexample", "--format", "xml"],
         ["verify", PENTAGON, "--format", "json"],  # no --collection
+        # a removed option, with a value that looks like a negative number
+        ["search", "--window-max-a", "2"],
+        ["search", "--window-max-a", "-3", "--preset", "lu-counterexample"],
     ]
     table += [[*argv, "--preset", "lu-counterexample"] for argv in OUT_OF_RANGE]
     return table
@@ -504,7 +503,6 @@ GOLDEN_COMMANDS = {
     "table-max-a-2": ["table", "--max-a", "2"],
     "chen-ruan": ["chen-ruan"],
     "search": ["search"],
-    "search-window-0": ["search", "--window-max-a", "0"],
     "verify": ["verify", "--collection", "collection.json"],
 }
 TOO_SMALL = (
@@ -570,27 +568,15 @@ GOLDEN = {
     "search-pentagon-text":
         "9a0719878cd05baa35a875831728e2e0da37d506db4b3bb6ce7bea7c454c501a",
     "search-pentagon-json":
-        "375ac1257bf02962c087db72102637c2aafe00f0b054e06ca483b3a82813fcf1",
+        "ee484c12d33fea90397ea0451bf60ea59632d491d00420c286751167d99d31ff",
     "search-pentagon-csv":
         "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
     "search-trivial-text":
         "b6fe834603143899e078dd19864344a7c9313207407d088f5e1bc5d653e3c654",
     "search-trivial-json":
-        "40e8190da90ff54ea7036e89200cd21863724af3b9a3394d2ab6066263beb46e",
+        "35a9155097ce3d5b97612dd60f7f8c4c4411d26fb15aa19f0fd5c5b03b94084c",
     "search-trivial-csv":
         "732e1bbe2709eaf5dcb1ae74ea1a33a98444a590a461f8a534b5064f40394446",
-    "search-window-0-pentagon-text":
-        "06ca60b413417475cff695027f3e9d6d7a78fb7e83be5c953eaed94061cefa9b",
-    "search-window-0-pentagon-json":
-        "eb018c1e093312a9b5a5268be02485092ece026df485139889e562a8898728cc",
-    "search-window-0-pentagon-csv":
-        "b1dd66db7279a7c5b9bc70119db8a7a0c34e4695aec223066e874824d1c5034c",
-    "search-window-0-trivial-text":
-        "7bc173d8b4530b99741144ba256bd4b37edc122743c31314ecaa14233b7746a5",
-    "search-window-0-trivial-json":
-        "57fe11f17dbc380a6ae059a7883596dac136923e7b0c6ffad20ee7a066f7d48f",
-    "search-window-0-trivial-csv":
-        "1664d8daec2da01ccfa1d9b98d08b49f90b2a7a817f8b6c86ceffb80c7ed116d",
     "verify-pentagon-text":
         "b28f405c3738f518a464e80b0bd52afe005c8246edde207ec41873eb7a2ce51f",
     "verify-pentagon-json":

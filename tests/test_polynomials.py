@@ -98,7 +98,13 @@ class TestJsonMatrix:
 
     @pytest.mark.parametrize(
         "payload",
-        ["{}", '{"matrix": "no"}', '{"matrix": [[1, 2], [3]]}', "{bad json"],
+        [
+            "{}",
+            '{"matrix": "no"}',
+            '{"matrix": [[1, 2], [3]]}',
+            "{bad json",
+            '{"matrix": [[2, true], [1, 2]]}',
+        ],
     )
     def test_bad_json(self, payload):
         with pytest.raises(PolynomialSyntaxError):

@@ -36,7 +36,7 @@ from invquot.cli import main
 from invquot.homs import ext_table
 from invquot.search import (
     _blocks,
-    _cap_can_bind,
+    _chains,
     _Solver,
     _sorted_distinct,
     _TimeUp,
@@ -134,16 +134,6 @@ class TestWindow:
             fwd, back = record["ext_base_to_v"], record["ext_v_to_base"]
             assert any(fwd) and any(back), "exclusion requires mutual arrows"
 
-    def test_max_a_cap(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
-        assert {(v.a, v.b[0]) for v in verts} == {
-            (a, b) for a in range(2) for b in range(11)
-        }
-
-    def test_cap_zero_keeps_layer_zero(self, sq):
-        verts, _ = candidate_window(sq, max_a=0)
-        assert len(verts) == 11
-
     def test_window_is_sorted_by_bidegree(self):
         # built layer by layer in residue order, so already in the (a, b)
         # order that BiDegree compares by
@@ -218,14 +208,16 @@ class TestVerifyCollection:
 
 class TestDigraph:
     def test_edges_match_ext(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a <= 1]
         graph = hom_digraph(sq, verts)
         for u in verts:
             for v in graph[u]:
                 assert edge(sq, u, v)
 
     def test_vertex_list_is_sorted_and_deduplicated(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a <= 1]
         assert _sorted_distinct(verts) is verts
         data = export_digraph_json(sq, verts)
         assert data["vertices"] == [[v.a, list(v.b)] for v in verts]
@@ -238,7 +230,8 @@ class TestDigraph:
         assert doubled.witness == max_exceptional(sq, verts).witness
 
     def test_acyclic_subsets_are_orderable(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a <= 1]
         graph = nx.DiGraph()
         graph.add_nodes_from(verts)
         for u, targets in hom_digraph(sq, verts).items():
@@ -324,7 +317,8 @@ class TestMaxExceptional:
         assert r1.witness_set == r2.witness_set
 
     def test_sub_window_row_zero(self, sq):
-        verts, _ = candidate_window(sq, max_a=0)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a == 0]
         result = max_exceptional(sq, vertices=verts)
         assert result.size == 11
 
@@ -561,9 +555,10 @@ class TestPairCap:
 
     def test_no_cap_on_the_quadric(self):
         # layer 2 has no arrow down to layer 0 (the Serre term lags by
-        # three), so fact 3 fails; the cut window is then taken whole
+        # three), so fact 3 fails; layers 0 to 2 are then taken whole
         sq = symmetry_quotient(parse(QUADRIC))
-        result = max_exceptional(sq, max_a=2)
+        window, _ = candidate_window(sq)
+        result = max_exceptional(sq, vertices=[v for v in window if v.a <= 2])
         assert result.size == len(result.vertices) == 48
         assert result.proof_log["pair_cap"] is None
         assert sq.derived["pair_cap"] is None
@@ -571,7 +566,8 @@ class TestPairCap:
     def test_not_derived_where_it_cannot_bind(self):
         # layers 0 and 1 only: no two layers two apart
         sq = symmetry_quotient(parse(PENTAGON))
-        result = max_exceptional(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        result = max_exceptional(sq, vertices=[v for v in window if v.a <= 1])
         assert result.proof_log["pair_cap"] is None
         assert "pair_cap" not in sq.derived
         assert max_exceptional(sq).proof_log["pair_cap"] == {
@@ -686,7 +682,10 @@ class TestPairBound:
         for seed in (1, 2):
             rng = random.Random(seed)
             sub = sorted(rng.sample(pair, cap + 2) + rng.sample(middle, 2))
-            assert _cap_can_bind(sub, sq.quotient_order)
+            assert any(
+                (x | y).bit_count() > sq.quotient_order
+                for chain in _chains(sub) for x, y in zip(chain, chain[1:])
+            )
             states += self.recorded_states(
                 monkeypatch, lambda: max_exceptional(sq, vertices=sub)
             )
@@ -878,28 +877,18 @@ class TestTranslationLeader:
         monkeypatch.setattr(_Solver, "_leads", lambda solver, chosen: True)
 
     @pytest.mark.parametrize(
-        "poly, max_a, forced_only_nodes, cuts",
+        "poly, forced_only_nodes, cuts",
         [
-            (PENTAGON, None, 265, False),
-            (Z9, None, 11_635, True),
-            # at max_a = 2 the pair cap settles the window at the root, so
-            # the leader has nothing to cut; it does at max_a = 3
-            (Z9, 2, 1, False),
-            (FERMAT_LOOPS, 2, 1, False),
-            (Z9, 3, None, True),
-            (FERMAT_LOOPS, 3, None, True),
+            (PENTAGON, 265, False),
+            (Z9, 11_635, True),
+            (FERMAT_LOOPS, 337_651, True),
         ],
-        ids=[
-            "pentagon", "z9", "z9-max-a-2", "fermat-loop2-loop2-max-a-2",
-            "z9-max-a-3", "fermat-loop2-loop2-max-a-3",
-        ],
+        ids=["pentagon", "z9", "fermat-loop2-loop2"],
     )
-    def test_same_optimum_and_witness(
-        self, monkeypatch, poly, max_a, forced_only_nodes, cuts
-    ):
-        on = max_exceptional(symmetry_quotient(parse(poly)), max_a=max_a)
+    def test_same_optimum_and_witness(self, monkeypatch, poly, forced_only_nodes, cuts):
+        on = max_exceptional(symmetry_quotient(parse(poly)))
         self.leader_off(monkeypatch)
-        off = max_exceptional(symmetry_quotient(parse(poly)), max_a=max_a)
+        off = max_exceptional(symmetry_quotient(parse(poly)))
         assert on.size == off.size
         assert on.witness == off.witness
         assert on.vertices == off.vertices
@@ -910,8 +899,7 @@ class TestTranslationLeader:
             assert 3 * stats_on["nodes"] < 2 * stats_off["nodes"]
         else:
             assert stats_on["nodes"] == stats_off["nodes"]
-        if forced_only_nodes is not None:
-            assert stats_off["nodes"] == forced_only_nodes
+        assert stats_off["nodes"] == forced_only_nodes
 
     @pytest.mark.parametrize("poly", [Z9, FERMAT_LOOPS], ids=["z9", "fermat-loop2-loop2"])
     def test_brute_force_on_layers_0_and_2(self, poly):
@@ -953,11 +941,6 @@ class TestTranslationLeader:
         assert base_vertex(sq) in best
         assert verify_collection(sq, best).valid
 
-    def test_max_a_with_explicit_list_rejected(self, sq):
-        window, _ = candidate_window(sq, max_a=1)
-        with pytest.raises(ValueError, match="max_a"):
-            max_exceptional(sq, vertices=window, max_a=1)
-
 
 class TestInvariantErrors:
     def test_invalid_witness_raises_under_optimize(self):
@@ -994,14 +977,16 @@ class TestInvariantErrors:
 
 class TestExports:
     def test_dot_contains_all_vertices(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a <= 1]
         dot = export_digraph_dot(sq, verts)
         assert dot.startswith("digraph")
         for v in verts:
             assert f'"{v}"' in dot
 
     def test_json_export(self, sq):
-        verts, _ = candidate_window(sq, max_a=1)
+        window, _ = candidate_window(sq)
+        verts = [v for v in window if v.a <= 1]
         data = export_digraph_json(sq, verts)
         assert len(data["vertices"]) == 22
         declared = {(a, tuple(b)) for a, b in data["vertices"]}
