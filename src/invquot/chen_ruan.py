@@ -10,7 +10,6 @@ than being silently miscounted.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -34,7 +33,7 @@ class Sector(FrozenRecord):
         self,
         element: DiagonalElement,
         class_powers: tuple[int, ...],
-        eigenphase: Fraction,
+        eigenphase,             # a Fraction
         fixed_coords: tuple[int, ...],
         contribution: int,
     ):
@@ -119,6 +118,8 @@ def enumerate_sectors(sq: SymmetryQuotient) -> list[Sector]:
     eigenvalue, plus the empty eigenvalue pieces of the identity class for
     completeness. Raises FixedLocusNotImplementedError on any piece whose
     fixed locus is larger than a point."""
+    from fractions import Fraction
+
     return [
         Sector(
             element=DiagonalElement.of([p - j for p in phases], level),

@@ -2,13 +2,12 @@
 
 Everything here runs on arbitrary-precision Python integers and no step solves
 over the rationals: weights come from Cramer's rule on Bareiss determinants.
-Floating point is never used; fractions.Fraction appears only in the ratios of
-_best_shift and in the text of the NoPositiveWeightsError message.
+Floating point is never used; fractions.Fraction appears only in the text of
+the NoPositiveWeightsError message, and is imported there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -244,6 +243,8 @@ def solve_positive_weights(matrix: IntMatrix) -> tuple[tuple[int, ...], int]:
         for j in range(n)
     ]
     if any(c * det <= 0 for c in cramer):
+        from fractions import Fraction
+
         weights = [Fraction(c, det) for c in cramer]
         raise NoPositiveWeightsError(f"rational weights {weights} are not all positive")
     g = gcd(*cramer)
@@ -260,9 +261,10 @@ def _best_shift(b: list[int], w: tuple[int, ...]) -> tuple[int, int]:
     def norm(t: int) -> int:
         return max(abs(x - t * y) for x, y in zip(b, w))
 
-    ratios = [Fraction(x, y) for x, y in zip(b, w) if y]
-    lo = min(int(r) - 2 for r in ratios)
-    hi = max(int(r) + 2 for r in ratios)
+    # each ratio x / y truncated toward zero, as int(Fraction(x, y)) is
+    ratios = [abs(x) // abs(y) * (-1 if (x < 0) != (y < 0) else 1) for x, y in zip(b, w) if y]
+    lo = min(ratios) - 2
+    hi = max(ratios) + 2
     while hi - lo > 2:
         m1 = lo + (hi - lo) // 3
         m2 = hi - (hi - lo) // 3

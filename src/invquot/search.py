@@ -18,15 +18,16 @@ and the include test is one bit. The same search, stopped at the first
 collection of the proven optimum size, gives the canonical witness: the
 lexicographically smallest optimal subset. Each pass returns its result with
 its own counters, so the witness pass leaves the optimum's report alone. On
-the candidate window, where the base is forced, the search also keeps only
-one layer-0 set per translation class; on a cubic threefold, two layers of
-total degrees two apart hold at most m + alpha vertices, alpha found by the
-same search on an m-vertex digraph (see _Solver).
+the candidate window, where the base is forced, the search also keeps one
+state per symmetry class, a lex-leader over the quotient's translations and
+the residue maps of the variable permutations that fix W, checked at every
+layer boundary; on a cubic threefold, two layers of total degrees two apart
+hold at most m + alpha vertices, alpha found by the same search on an
+m-vertex digraph (see _Solver).
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 import time
 
@@ -280,7 +281,9 @@ class _Solver:
     index to decide, the chosen vertices as a bitmask and their number, the
     vertices not decided yet, and the vertices that would close a cycle with
     the chosen ones. Each branch passes a new state down the recursion and
-    nothing is mutated, so backtracking is returning. The root state (nothing
+    nothing is mutated, so backtracking is returning; the one record kept
+    along the path is the lex-leader's, per layer, overwritten each time
+    the DFS completes that layer (see _leads). The root state (nothing
     chosen, or the forced vertex) is kept in chosen, undecided and blocked.
     The same solver searches a window of bidegrees and the m-vertex digraph
     behind the pair cap (see _pair_cap).
@@ -321,9 +324,10 @@ class _Solver:
     sigma(s) in A, and so the cycle's layer-0 vertices form a cycle of H
     inside A, which has none. H is translation-invariant, so alpha is found
     by this same solver on H's m rows, with residue 0 forced and the
-    translation leader on (every translate of an acyclic set is one); a
-    loop of H at one residue is a loop at all, and then alpha = 0. A
-    quotient where a fact fails, the quadric for one, has no cap.
+    lex-leader on, over translations only (every translate of an acyclic
+    set is one); a loop of H at one residue is a loop at all, and then
+    alpha = 0. A quotient where a fact fails, the quadric for one, has no
+    cap.
 
     One full layer is a collection, so cap(2) >= m: the cap can bind only
     where two layers two apart of the searched list hold more than m
@@ -333,27 +337,54 @@ class _Solver:
     bound, which is never larger (see _pair_bound), so the order changes no
     decision.
 
-    The translation leader, a lex-leader (Crawford-Ginsberg-Luks-Roy) for
-    the quotient's own translations (0, r), is used only on the candidate
-    window with the base forced, and on H. Once every layer-0 vertex is
-    decided, with R the chosen layer-0 residues, the node is kept only if,
-    for every r in R, the sorted list of R is no larger than that of R - r;
-    ties are kept. It is sound: suppose a collection C contains the base and
-    (0, r). Twisting is an automorphism of the Ext digraph, so C - (0, r) is
-    again a collection. It contains the base (the image of (0, r)), keeps
-    the layer of every member, and, since it holds the base, has no member
-    in mutual conflict with the base; so it lies in the same window. Its
-    layer-0 set is R - r. The smallest translate of R is a leader, since the
-    translates of R - r are again translates of R, so some optimum survives.
-    The canonical witness W* survives too: the layer-0 vertices are the
-    window's first indices, in residue order, and for sets of one size
-    comparing sorted index lists is include-first DFS order. If some
-    translate of W*'s layer-0 set came earlier, the same translate of W*
-    would be an optimal subset found before W*, which is the DFS-first one.
-    So the witness pass with the leader on returns W* unchanged. On H, every
-    vertex is in "layer 0" and the same argument holds with the forced
-    residue 0 for the base. An explicit vertex list need not be closed under
-    translation and is searched without the leader.
+    The lex-leader (Crawford-Ginsberg-Luks-Roy) is used only on the
+    candidate window with the base forced, and on H. Its symmetries are the
+    maps g = t_-phi(r) o phi: phi is the identity or a residue map, which
+    sends (a, s) to (a, phi(s)) and comes from a permutation of the
+    variables that fixes W (Kreuzer-Skarke; see _residue_maps), and t_c
+    translates every residue by c. With R_0, ..., R_(k-1) the chosen residues
+    of the layers already passed, r runs over R_0. A child of the DFS that
+    completes a layer (whose index is the first of the next layer, or n)
+    goes through the gate, and the state is cut when some g gives a list
+    (sorted g(R_0), ..., sorted g(R_(k-1))) lexicographically smaller than
+    (sorted R_0, ..., sorted R_(k-1)); ties are kept. A cut state counts as
+    a node and as a symmetry prune.
+
+    It is sound. Arrows depend only on differences, and a residue map keeps
+    which difference rows are nonzero (checked on ExtTable's rows, see
+    _check_residue_maps), so each g is an automorphism of the Ext digraph
+    on layers 0..top. Let C be a collection through the base with layer-0
+    set R_0 and r in R_0. Then g(C) is again a collection; it contains
+    g(0, r) = (0, 0), the base, keeps the layer of every member, and, since
+    it holds the base, has no member in mutual conflict with the base; so it
+    lies in the same window, and g maps the collections through the base
+    into the window. The g are closed under composition: phi' o t_c =
+    t_phi'(c) o phi', so g' o g = t_-phi'phi(r'') o phi'phi for the member
+    (0, r'') of C that g sends to (0, r'), with phi'phi again a residue map
+    or the identity, since the residue maps of the permutations that fix W
+    form a group. So the images of C under the g, C among them, are one
+    set, closed under every g, and the collection of that set with the
+    smallest layer-by-layer list K(C) is cut by no g at any boundary: a g
+    that gave a smaller list on layers 0..k-1 would give a smaller K, since
+    g keeps the size of every layer. Applied to an optimum, some optimum
+    survives.
+
+    The canonical witness W* survives too. The window lists the layers in
+    order and each layer in residue order, so within a layer the g's
+    images are compared the way the DFS orders indices. Every g keeps the
+    size of each layer, so for two collections C and g(C) the comparison
+    of K is the comparison of sorted index lists, which for sets of one
+    size is include-first DFS order. If some g cut W* at a boundary, then
+    K(g(W*)) < K(W*), and g(W*), an optimal subset of the window, would be
+    found before W*, the DFS-first one. So the witness pass with the leader
+    on returns W* unchanged.
+
+    At a boundary only the g tied with the state on the earlier layers can
+    cut (see _leads), and they are kept per layer along the DFS path. On H,
+    every vertex is in one layer, phi is the identity and the same argument
+    holds with the forced residue 0 for the base: its only boundary is its
+    last vertex. An explicit vertex list need not be closed under the g and
+    is searched without the leader.
     """
 
     def __init__(self, out_mask: list[int], deadline, chains: list[list[int]] = ()):
@@ -379,9 +410,8 @@ class _Solver:
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.blocked = 0
-        # with the translation leader on, the residue numbers of layer 0 by
-        # vertex index
-        self.layer0: list[int] | None = None
+        # with the lex-leader on, the layers and the residue maps (see lead)
+        self.layers: list[tuple] | None = None
 
     def set_pair_cap(self, cap: int):
         """Turn the pair bound on with cap, and plan its pass for every
@@ -472,20 +502,106 @@ class _Solver:
         self.chosen |= 1 << v
         self.undecided &= ~(1 << v)
 
-    def lead_translations(self, residues: list[int], diff: list[list[int]]):
-        """Keep one layer-0 set per translation class (see the class
-        docstring). residues holds the residue numbers of the first vertices,
-        layer 0, in residue order, and diff the quotient's difference table.
-        Sound only on a list closed under translation with its base forced."""
-        self.layer0 = residues
+    def lead(self, layers: list[list[int]], maps: list[list[int]], table):
+        """Turn the lex-leader on (see the class docstring). layers holds the
+        residue numbers of the list's vertices, layer by layer in index
+        order, each layer ascending, and layer 0 every residue; maps the
+        residue maps besides the identity, and table the quotient's
+        ExtTable. Sound only where the base, vertex 0, is forced and every g
+        maps each collection through the base into the list (see the class
+        docstring)."""
+        diff = table.diff
+        m = len(diff)
+        if layers[0] != list(range(m)):
+            raise SearchInvariantError("layer 0 does not hold every residue in order")
+        self.phis = [list(range(m)), *maps]
         self.diff = diff
+        self.translations = _translations(table.sq.quotient_orders)
+        # the residue number of every vertex bit; per layer its mask, and the
+        # bit of its vertex at each residue number (0 where it has none)
+        self.residue_of = residue_of = {}
+        self.layers = []
+        self.ends = []
+        start = 0
+        for residues in layers:
+            bit_at = [0] * m
+            for i, r in enumerate(residues, start):
+                bit = bit_at[r] = 1 << i
+                residue_of[bit] = r
+            end = start + len(residues)
+            self.layers.append(((1 << end) - (1 << start), bit_at))
+            self.ends.append(end)
+            start = end
+        if start != self.n:
+            raise SearchInvariantError("the layers do not cover the vertex list")
 
-    def _leads(self, chosen: int) -> bool:
-        """True when the chosen layer-0 residues R, as a sorted list, are no
-        larger than R - r for any r in R."""
-        diff = self.diff
-        rs = [r for i, r in enumerate(self.layer0) if chosen >> i & 1]
-        return all(rs <= sorted(diff[r][s] for s in rs) for r in rs)
+    def _leads(self, k: int, chosen: int, ties: list) -> bool:
+        """True when no g cuts the state whose layers 0..k are decided, that
+        is when the layer-by-layer list of sorted chosen residues is no
+        larger than its image under any g (see the class docstring).
+
+        Two sets of one size compare as sorted lists the way their lowest
+        differing residue does, and residues ascend with a layer's bits, so
+        the sets are compared as masks: the image is smaller when the lowest
+        bit of the difference is its own. A g that was larger on an earlier
+        layer stays larger, and one that was smaller cut the state there, so
+        only the g tied on layers 0..k-1, ties[k], are compared, on layer k;
+        those tied there too go to ties[k + 1], each as its list from residue
+        number to residue number. On layer 0, whose bits are the residue
+        numbers, every g = t_-phi(r) o phi with r chosen but the identity is
+        tried: the image of R under phi, translated by -p for each of its
+        members p, one mask operation per quotient factor."""
+        mask, bit_at = self.layers[k]
+        mine = chosen & mask
+        residue_of = self.residue_of
+        rs = []
+        rest = mine
+        while rest:
+            bit = rest & -rest
+            rs.append(residue_of[bit])
+            rest ^= bit
+        tied = []
+        if not k:
+            if not mine & 1:
+                raise SearchInvariantError("the base is not chosen")
+            translations, diff = self.translations, self.diff
+            for phi in self.phis:
+                image = 0
+                for s in rs:
+                    image |= 1 << phi[s]
+                rest = image
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    p = bit.bit_length() - 1
+                    moved = image
+                    for low, up, down in translations[p]:
+                        moved = (moved & low) << up | (moved & ~low) >> down
+                    if moved == mine:
+                        if p:
+                            tied.append([diff[p][x] for x in phi])
+                        elif phi is not self.phis[0]:
+                            tied.append(phi)
+                        continue
+                    split = moved ^ mine
+                    if moved & split & -split:
+                        return False
+            ties[1] = tied
+            return True
+        for g in ties[k]:
+            image = 0
+            for s in rs:
+                image |= bit_at[g[s]]
+            if image == mine:
+                tied.append(g)
+                continue
+            if image.bit_count() != len(rs):
+                raise SearchInvariantError("a symmetry maps a chosen vertex off the list")
+            split = image ^ mine
+            if image & split & -split:
+                return False
+        ties[k + 1] = tied
+        return True
 
     def greedy(self, order: list[int]) -> tuple[int, int]:
         """From the root state, add vertices in the given order whenever
@@ -506,9 +622,9 @@ class _Solver:
         ascending index order, against the incumbent (best, best_mask). A
         node whose bound is at most best is pruned; a larger collection
         becomes the incumbent, or, with stop, ends the search. With the
-        translation leader on, a state whose layer-0 set is no leader is cut
-        as layer 0 is passed. Returns (size, mask, stats) with this pass's
-        own counters; on the deadline raises _TimeUp carrying the same
+        lex-leader on, a child that completes a layer goes through the gate,
+        which cuts it unless it leads. Returns (size, mask, stats) with this
+        pass's own counters; on the deadline raises _TimeUp carrying the same
         three."""
         n = self.n
         deadline = self.deadline
@@ -518,63 +634,62 @@ class _Solver:
         nodes = prunes = rejects = symmetry = 0
         monotonic = time.monotonic
 
-        def node(descend=None):
-            """The node function; it hands each child state to descend, by
-            default to itself."""
+        def dfs(pos, chosen, count, undecided, blocked):
+            nonlocal best, best_mask, nodes, prunes, rejects
+            if count > best:
+                best, best_mask = count, chosen
+                if stop:
+                    raise _Found
+                improvements.append({"size": count, "nodes": nodes})
+            nodes += 1
+            if deadline is not None and monotonic() > deadline:
+                raise _TimeUp
+            while pos < n and not (undecided >> pos) & 1:
+                pos += 1
+            if pos == n:
+                return
+            avail = undecided & ~blocked
+            # cheapest bound first; the pair bound is never larger
+            bound = count + avail.bit_count()
+            if bound > best and pair_bound is not None:
+                bound = pair_bound(pos, chosen, count, avail)
+            if bound <= best:
+                prunes += 1
+                return
+            # the children of a layer's last vertex go through the gate
+            down = hand[pos]
+            bit = 1 << pos
+            undecided ^= bit
+            if blocked & bit:
+                rejects += 1
+            else:
+                down(pos + 1, chosen | bit, count + 1, undecided,
+                     blocked | _blocks(ins, outs, pos, chosen))
+            down(pos + 1, chosen, count, undecided, blocked)
 
-            def dfs(pos, chosen, count, undecided, blocked):
-                nonlocal best, best_mask, nodes, prunes, rejects
-                if count > best:
-                    best, best_mask = count, chosen
-                    if stop:
-                        raise _Found
-                    improvements.append({"size": count, "nodes": nodes})
-                nodes += 1
-                if deadline is not None and monotonic() > deadline:
-                    raise _TimeUp
-                while pos < n and not (undecided >> pos) & 1:
-                    pos += 1
-                if pos == n:
-                    return
-                avail = undecided & ~blocked
-                # cheapest bound first; the pair bound is never larger
-                bound = count + avail.bit_count()
-                if bound > best and pair_bound is not None:
-                    bound = pair_bound(pos, chosen, count, avail)
-                if bound <= best:
-                    prunes += 1
-                    return
-                bit = 1 << pos
-                undecided ^= bit
-                if blocked & bit:
-                    rejects += 1
-                else:
-                    down(pos + 1, chosen | bit, count + 1, undecided,
-                         blocked | _blocks(ins, outs, pos, chosen))
-                down(pos + 1, chosen, count, undecided, blocked)
-
-            down = descend or dfs
-            return dfs
-
-        root = dfs = node()
-        if self.layer0 is not None:
-            # layer-0 nodes hand their children to the gate; past layer 0 it
-            # admits leaders only, so the nodes beyond never test pos. A cut
-            # state counts as a node, and as a symmetry prune
-            last = len(self.layer0)
+        hand = [dfs] * n
+        if self.layers is not None:
+            # the gate admits leaders only; a cut state counts as a node, and
+            # as a symmetry prune. ties[k] holds the g tied with the current
+            # path on the layers before k (see _leads); once none is, no
+            # later layer can cut
             leads = self._leads
+            ties = [None] * (len(self.layers) + 1)
+            passed = {end: k for k, end in enumerate(self.ends)}
 
             def gate(pos, chosen, count, undecided, blocked):
                 nonlocal nodes, symmetry
-                if pos < last:
-                    head(pos, chosen, count, undecided, blocked)
-                elif leads(chosen):
-                    dfs(pos, chosen, count, undecided, blocked)
-                else:
+                k = passed[pos]
+                if k and not ties[k]:
+                    ties[k + 1] = ()
+                elif not leads(k, chosen, ties):
                     nodes += 1
                     symmetry += 1
+                    return
+                dfs(pos, chosen, count, undecided, blocked)
 
-            root = head = node(gate)
+            for end in self.ends:
+                hand[end - 1] = gate
 
         def stats():
             return {
@@ -586,7 +701,7 @@ class _Solver:
             }
 
         try:
-            root(0, self.chosen, self.chosen.bit_count(), self.undecided, self.blocked)
+            dfs(0, self.chosen, self.chosen.bit_count(), self.undecided, self.blocked)
         except _Found:
             pass
         except _TimeUp:
@@ -594,13 +709,16 @@ class _Solver:
         return best, best_mask, stats()
 
     def order(self, mask: int) -> list[int]:
-        """The masked vertices in topological order, smallest ready index first."""
+        """The masked vertices in topological order, smallest ready index
+        first: the lowest set bit of the ready mask."""
         members = [i for i in range(self.n) if (mask >> i) & 1]
         indeg = {i: (self.in_mask[i] & mask).bit_count() for i in members}
-        ready = [i for i in members if indeg[i] == 0]
+        ready = sum(1 << i for i in members if indeg[i] == 0)
         order = []
         while ready:
-            v = heapq.heappop(ready)
+            low = ready & -ready
+            v = low.bit_length() - 1
+            ready ^= low
             order.append(v)
             m = self.out_mask[v] & mask
             while m:
@@ -609,10 +727,37 @@ class _Solver:
                 m ^= low
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    heapq.heappush(ready, w)
+                    ready |= low
         if len(order) != len(members):
             raise SearchInvariantError("collection mask is not acyclic")
         return order
+
+
+def _translations(orders: tuple[int, ...]) -> list[list[tuple[int, int, int]]]:
+    """For each residue number c, the translation s -> s - c of a mask of
+    residue numbers, as moves (low, up, down), one per quotient factor where
+    c has a nonzero coordinate c_i: the residues whose coordinate is below
+    c_i, the mask low, wrap around and move up by (m_i - c_i) strides, the
+    others move down by c_i strides. Residues are numbered in lexicographic
+    order, so a factor of order m_i and stride t repeats, in every block of
+    m_i t residue numbers, its coordinates 0..m_i - 1 in runs of t, and
+    low is the lowest c_i t bits of every block."""
+    m = 1
+    for order in orders:
+        m *= order
+    moves: list[list[tuple[int, int, int]]] = [[]]
+    stride = m
+    for order in orders:
+        block = stride
+        stride //= order
+        # one bit at the start of every block, times a run, repeats the run
+        starts = sum(1 << b for b in range(0, m, block))
+        moves = [
+            steps + ([(((1 << v * stride) - 1) * starts, (order - v) * stride, v * stride)]
+                     if v else [])
+            for steps in moves for v in range(order)
+        ]
+    return moves
 
 
 def _chains(verts: list[BiDegree]) -> list[list[int]]:
@@ -669,11 +814,170 @@ def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     else:
         solver = _Solver(rows, deadline)
         solver.force(0)
-        solver.lead_translations(list(range(m)), diff)
+        solver.lead([list(range(m))], [], table)
         alpha, _, stats = solver.search(1, solver.chosen)
         nodes = stats["nodes"]
     cap = sq.derived["pair_cap"] = {"cap": m + alpha, "alpha": alpha, "nodes": nodes}
     return cap
+
+
+def _variable_permutations(entries: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Every permutation sigma of the variables, x_j -> x_sigma(j), that maps
+    the rows of the exponent matrix onto themselves, so fixes W (all its
+    coefficients are 1), in lexicographic order, the identity first.
+
+    Found by backtracking over sigma(0), sigma(1), ...: where a row meets
+    x_j with exponent f and an earlier x_i with exponent e, the image of x_j
+    is taken among the variables that meet x_sigma(i) that way in some row,
+    and otherwise among all; either way its column must hold the same
+    exponents as that of x_j. Each row is checked whole once its last
+    variable is placed. So the pentagon's 5 rotations cost a few dozen
+    lookups, not 120 permutations."""
+    n = len(entries)
+    rows = set(entries)
+    columns = [sorted(column) for column in zip(*entries)]
+    # due[j]: the rows whose last variable is x_j, as (variable, exponent)
+    # terms; link[j]: (i, e, f) for the first row that meets x_j and an
+    # earlier x_i; meets[(i, e, f)]: the x_k that meet x_i so in some row
+    due: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
+    link: list[tuple[int, int, int] | None] = [None] * n
+    meets: dict[tuple[int, int, int], set[int]] = {}
+    for row in entries:
+        terms = [(j, e) for j, e in enumerate(row) if e]
+        due[terms[-1][0]].append(terms)
+        for i, e in terms:
+            for j, f in terms:
+                if i != j:
+                    meets.setdefault((i, e, f), set()).add(j)
+                    if i < j and link[j] is None:
+                        link[j] = (i, e, f)
+    everyone = range(n)
+    found = []
+    sigma = [0] * n
+    free = [True] * n
+
+    def extend(j):
+        if link[j] is None:
+            options = everyone
+        else:
+            i, e, f = link[j]
+            options = meets.get((sigma[i], e, f), ())
+        for k in options:
+            if not free[k] or columns[k] != columns[j]:
+                continue
+            sigma[j] = k
+            for terms in due[j]:
+                image = [0] * n
+                for v, e in terms:
+                    image[sigma[v]] = e
+                if tuple(image) not in rows:
+                    break
+            else:
+                if j + 1 == n:
+                    found.append(tuple(sigma))
+                else:
+                    free[k] = False
+                    extend(j + 1)
+                    free[k] = True
+
+    extend(0)
+    found.sort()
+    return found
+
+
+def _check_residue_maps(table, maps: list[list[int]], top: int):
+    """Raise SearchInvariantError unless every map is a bijection of the
+    residue numbers that keeps the nonzero pattern of the Ext rows of total
+    degrees -top..top, the differences of a window with layers 0..top: some
+    Ext is nonzero at (a, s) exactly when one is at (a, phi(s)). A bijection
+    keeps that pattern exactly when it maps each row's support, the smaller
+    of its nonzero and its zero residues, onto itself, so every row is read
+    at once: bit a + top of rows[s] is set when s is in the support of row a,
+    and phi must keep rows."""
+    m = len(table.residues)
+    rows = [0] * m
+    for a in range(-top, top + 1):
+        bit = 1 << a + top
+        for s in table._support(a)[1]:
+            rows[s] |= bit
+    identity = list(range(m))
+    for phi in maps:
+        if sorted(phi) != identity:
+            raise SearchInvariantError(f"residue map {phi} is not a bijection")
+        if list(map(rows.__getitem__, phi)) != rows:
+            raise SearchInvariantError(
+                f"residue map {phi} does not keep the Ext rows of the window"
+            )
+
+
+def _residue_maps(sq: SymmetryQuotient, top: int) -> list[list[int]]:
+    """The residue maps of the variable permutations that fix W, as lists
+    from residue number to residue number: the well-defined ones, distinct
+    and without the identity, checked on the Ext rows of the candidate
+    window, whose layers run 0..top. Kept with the quotient.
+
+    sigma sends the residue of x^e to that of x^(sigma e), so phi is the
+    additive map with phi(char x_j) = char x_sigma(j), when there is one.
+    The characters generate the residues, since the monomials reach every
+    residue; so each unit residue e_i, 1 in factor i, is a sum of
+    characters along a path of moves r -> r + char x_j from 0, and phi, if
+    additive, sends it to the same sum of the char x_sigma(j). The map so
+    defined on the e_i is additive when each image has an order dividing
+    m_i, and it is phi exactly when it sends every char x_j to
+    char x_sigma(j); otherwise no additive phi exists and sigma is dropped.
+    phi is then an automorphism of the residue group that fixes the
+    canonical residue, the character sum negated."""
+    maps = sq.derived.get("residue_maps")
+    if maps is not None:
+        return maps
+    table = ext_table(sq)
+    m = len(table.residues)
+    diff = table.diff
+    orders = sq.quotient_orders
+    # plus[j][r]: the number of r + char x_j, read as r less -char x_j
+    plus = [diff[minus[0]] for minus in table.minus]
+    chars = [step[0] for step in plus]
+    # the unit residues, most significant factor first, and a path of moves
+    # from 0 to each, as the moves' variables, found breadth first
+    units = [table.index[tuple(int(i == f) for i in range(len(orders)))] for f in range(len(orders))]
+    path: list[list[int] | None] = [None] * m
+    path[0] = []
+    frontier = [0]
+    for r in frontier:
+        if all(path[unit] is not None for unit in units):
+            break
+        for j, step in enumerate(plus):
+            t = step[r]
+            if path[t] is None:
+                path[t] = path[r] + [j]
+                frontier.append(t)
+    maps = []
+    sigmas = _variable_permutations(sq.poly.matrix.entries)[1:]
+    if sigmas and all(path[unit] is not None for unit in units):
+        identity = list(range(m))
+        for sigma in sigmas:
+            phi = [0]
+            for unit, order in zip(units, orders):
+                image = 0
+                for j in path[unit]:
+                    image = plus[sigma[j]][image]
+                # the multiples of the image, v * image for v < order
+                step = diff[diff[image][0]]
+                multiples = [0]
+                for _ in range(1, order):
+                    multiples.append(step[multiples[-1]])
+                if step[multiples[-1]]:
+                    break
+                phi = [diff[diff[p][0]][v] for p in phi for v in multiples]
+            else:
+                if (
+                    [phi[c] for c in chars] == [chars[k] for k in sigma]
+                    and phi != identity and phi not in maps
+                ):
+                    maps.append(phi)
+    _check_residue_maps(table, maps, top)
+    sq.derived["residue_maps"] = maps
+    return maps
 
 
 def max_exceptional(
@@ -686,8 +990,9 @@ def max_exceptional(
     With no explicit vertex list the candidate window is derived and the
     base vertex is forced into the collection (any collection in the window
     can be twisted to contain it, so this loses nothing); the search then
-    keeps one layer-0 set per translation class. An explicit vertex list is
-    searched as given, without forcing or the translation leader. Either way
+    keeps one state per symmetry class, by the lex-leader (see _Solver). An
+    explicit vertex list is searched as given, without forcing or the
+    leader. Either way
     the pair cap (see _Solver) is derived, after the greedy seeds, wherever
     it can bind, and recorded in proof_log["pair_cap"] (None where it cannot
     bind or the quotient has none).
@@ -715,9 +1020,10 @@ def max_exceptional(
     if window:
         # the window starts with layer 0 in residue order, the base first
         solver.force(0)
-        solver.lead_translations(
-            [table.residue_index(v.b) for v in verts if v.a == 0], table.diff
-        )
+        layers: dict[int, list[int]] = {}
+        for v in verts:
+            layers.setdefault(v.a, []).append(table.residue_index(v.b))
+        solver.lead(list(layers.values()), _residue_maps(sq, verts[-1].a), table)
 
     def timed_out(message, size, mask, log):
         return SearchTimeoutError(

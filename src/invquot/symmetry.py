@@ -10,7 +10,6 @@ rest of the toolkit grades by.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd, lcm
@@ -56,6 +55,8 @@ class DiagonalElement(FrozenRecord):
 
     @classmethod
     def from_fractions(cls, phases) -> "DiagonalElement":
+        from fractions import Fraction
+
         phases = [Fraction(p) for p in phases]
         den = reduce(lcm, (p.denominator for p in phases), 1)
         return cls.of([p.numerator * (den // p.denominator) for p in phases], den)
@@ -73,7 +74,10 @@ class DiagonalElement(FrozenRecord):
         return self.den
 
     @property
-    def phases(self) -> tuple[Fraction, ...]:
+    def phases(self) -> tuple:
+        """The phases num_i / den as Fractions."""
+        from fractions import Fraction
+
         return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_identity(self) -> bool:

@@ -566,9 +566,9 @@ GOLDEN = {
     "chen-ruan-trivial-csv":
         "540682744d7d38a10ca3735eacbc48fb81267d640a22288e55d50a74588c2125",
     "search-pentagon-text":
-        "9a0719878cd05baa35a875831728e2e0da37d506db4b3bb6ce7bea7c454c501a",
+        "1addaf4c2059931b2a6014d857606a9380276c478f82554a41e260e15e6ced08",
     "search-pentagon-json":
-        "ee484c12d33fea90397ea0451bf60ea59632d491d00420c286751167d99d31ff",
+        "647fe8cdaad268dd0b14dd2d131cd10326c02b96079f52a0c6bdc50869938345",
     "search-pentagon-csv":
         "e5b1047a389bd96dc27279ee28d04de518e48e9bb03ccbd7b7eee5339f8f3ce2",
     "search-trivial-text":

@@ -239,8 +239,9 @@ class TestSymmetryQuotientDerived:
 class TestImportCost:
     """The records are plain classes, so importing the package compiles no
     generated code and loads neither dataclasses nor inspect (with ast, dis
-    and tokenize behind it). A library import loads no json either: only
-    parse_json_matrix and the CLI's reports use it."""
+    and tokenize behind it), nor fractions (with decimal and numbers). A
+    library import loads no json either: only parse_json_matrix and the
+    CLI's reports use it; nor heapq."""
 
     @staticmethod
     def loaded(statement):
@@ -265,3 +266,17 @@ class TestImportCost:
         added = self.loaded("import invquot") - bare
         assert "invquot" in added
         assert "json" not in added
+
+    def test_library_import_loads_no_fractions_or_heapq(self):
+        # Fraction is imported where a report or an error message uses it,
+        # and the topological sort takes its ready vertices from a bitmask
+        bare = self.loaded("pass")
+        added = self.loaded("import invquot") - bare
+        assert "invquot" in added
+        assert not added & {"fractions", "heapq"}
+
+    def test_cli_import_loads_no_fractions(self):
+        bare = self.loaded("pass")
+        added = self.loaded("import invquot.cli") - bare
+        assert "invquot.cli" in added
+        assert "fractions" not in added

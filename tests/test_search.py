@@ -3,6 +3,7 @@ branch-and-bound maximum search."""
 
 import copy
 import hashlib
+import heapq
 import itertools
 import json
 import os
@@ -33,13 +34,17 @@ from invquot import (
 )
 from invquot import search as search_module
 from invquot.cli import main
-from invquot.homs import ext_table
+from invquot.homs import _difference_table, ext_table
 from invquot.search import (
     _blocks,
     _chains,
+    _check_residue_maps,
+    _residue_maps,
     _Solver,
     _sorted_distinct,
     _TimeUp,
+    _translations,
+    _variable_permutations,
     base_vertex,
     edge,
 )
@@ -659,11 +664,11 @@ class TestPairBound:
                 monkeypatch, lambda: main(["search", Z9, "--format", "json"])
             )
             capsys.readouterr()
-            assert len(states) == 4_101
+            assert len(states) == 2_264
         else:
             sq = symmetry_quotient(parse(FERMAT_LOOPS))
             states = self.recorded_states(monkeypatch, lambda: max_exceptional(sq))
-            assert len(states) > 80_000
+            assert len(states) > 50_000
         assert self.binding_states(states) > len(states) // 3
 
     @pytest.mark.parametrize("name", [
@@ -834,14 +839,14 @@ def _counts(stats):
 class TestSearchCounts:
     """The search's node and prune counts are part of its specification: a
     faster core must take exactly the same decisions. The CLI searches the
-    candidate window with the base forced and the translation leader on."""
+    candidate window with the base forced and the lex-leader on."""
 
     @pytest.mark.parametrize(
         "poly, window, optimum, counts",
         [
-            (PENTAGON, 40, 24, (265, 132, 0, 1)),
-            (Z9, 34, 20, (6_943, 3_413, 4, 57)),
-            (FERMAT_LOOPS, 38, 20, (150_945, 74_668, 1_254, 178)),
+            (PENTAGON, 40, 24, (265, 121, 0, 12)),
+            (Z9, 34, 20, (3_824, 1_535, 3, 376)),
+            (FERMAT_LOOPS, 38, 20, (86_954, 40_834, 607, 2_340)),
         ],
         ids=["pentagon", "z9", "fermat-loop2-loop2"],
     )
@@ -856,7 +861,7 @@ class TestSearchCounts:
 
     def test_pentagon_forced_base(self, sq):
         stats = max_exceptional(sq).proof_log["stats"]
-        assert _counts(stats) == (265, 132, 0, 1)
+        assert _counts(stats) == (265, 121, 0, 12)
 
     def test_explicit_list_is_not_forced(self, sq):
         # the same 40 vertices as an explicit list: no forcing, no leader
@@ -868,51 +873,66 @@ class TestSearchCounts:
 
 
 class TestTranslationLeader:
-    """The lex-leader over the quotient's translations (0, r), used on the
-    candidate window with the base forced. Switched off here by making every
-    layer-0 set a leader, which leaves the forced-base search alone."""
+    """The lex-leader over g = t_-phi(r) o phi, the quotient's translations
+    after the identity or a residue map, checked at every layer boundary of
+    the candidate window with the base forced (see _Solver). Cut back here
+    to the layer-0 translations alone (no residue map, no later boundary),
+    the rule the leader grew from, and switched off by making every state a
+    leader; both leave the rest of the forced-base search alone."""
+
+    @staticmethod
+    def layer_zero_translations(monkeypatch):
+        real = _Solver._leads
+        monkeypatch.setattr(search_module, "_residue_maps", lambda sq, top: [])
+        monkeypatch.setattr(
+            _Solver, "_leads",
+            lambda solver, k, chosen, ties: real(solver, k, chosen, ties) if k == 0 else True,
+        )
 
     @staticmethod
     def leader_off(monkeypatch):
-        monkeypatch.setattr(_Solver, "_leads", lambda solver, chosen: True)
+        monkeypatch.setattr(_Solver, "_leads", lambda solver, k, chosen, ties: True)
 
     @pytest.mark.parametrize(
-        "poly, forced_only_nodes, cuts",
+        "poly, full, layer_zero, off",
         [
-            (PENTAGON, 265, False),
-            (Z9, 11_635, True),
-            (FERMAT_LOOPS, 337_651, True),
+            (PENTAGON, (265, 121, 0, 12), (265, 132, 0, 1), (265, 133, 0, 0)),
+            (Z9, (3_824, 1_535, 3, 376), (6_943, 3_413, 4, 57), (11_635, 5_811, 14, 0)),
+            (FERMAT_LOOPS, (86_954, 40_834, 607, 2_340), (150_945, 74_668, 1_254, 178),
+             (337_651, 167_737, 2_178, 0)),
         ],
         ids=["pentagon", "z9", "fermat-loop2-loop2"],
     )
-    def test_same_optimum_and_witness(self, monkeypatch, poly, forced_only_nodes, cuts):
-        on = max_exceptional(symmetry_quotient(parse(poly)))
+    def test_same_optimum_and_witness(self, monkeypatch, poly, full, layer_zero, off):
+        results = [max_exceptional(symmetry_quotient(parse(poly)))]
+        self.layer_zero_translations(monkeypatch)
+        results.append(max_exceptional(symmetry_quotient(parse(poly))))
+        monkeypatch.undo()
         self.leader_off(monkeypatch)
-        off = max_exceptional(symmetry_quotient(parse(poly)))
-        assert on.size == off.size
-        assert on.witness == off.witness
-        assert on.vertices == off.vertices
-        stats_on, stats_off = on.proof_log["stats"], off.proof_log["stats"]
-        assert stats_off["symmetry_prunes"] == 0
-        if cuts:
-            assert stats_on["symmetry_prunes"] > 0
-            assert 3 * stats_on["nodes"] < 2 * stats_off["nodes"]
-        else:
-            assert stats_on["nodes"] == stats_off["nodes"]
-        assert stats_off["nodes"] == forced_only_nodes
+        results.append(max_exceptional(symmetry_quotient(parse(poly))))
+        on = results[0]
+        for other in results[1:]:
+            assert other.size == on.size
+            assert other.witness == on.witness
+            assert other.vertices == on.vertices
+        assert [_counts(r.proof_log["stats"]) for r in results] == [full, layer_zero, off]
 
     @pytest.mark.parametrize("poly", [Z9, FERMAT_LOOPS], ids=["z9", "fermat-loop2-loop2"])
     def test_brute_force_on_layers_0_and_2(self, poly):
         # every residue of layers 0 and 2 is in the window, so the union is
-        # closed under translation and the leader applies with the base forced
+        # closed under every g and the leader applies with the base forced
         sq = symmetry_quotient(parse(poly))
         window, _ = candidate_window(sq)
         verts = [v for v in window if v.a in (0, 2)]
         assert len(verts) == 18 and verts[0] == base_vertex(sq)
         table = ext_table(sq)
+        maps = _residue_maps(sq, 2)
+        assert maps
         solver = _Solver(table.rows(verts), None)
         solver.force(0)
-        solver.lead_translations([table.residue_index(v.b) for v in verts[:9]], table.diff)
+        solver.lead(
+            [[table.residue_index(v.b) for v in verts if v.a == a] for a in (0, 2)], maps, table
+        )
         size, _, stats = solver.search(0, None)
         assert stats["symmetry_prunes"] > 0
         _, mask, _ = solver.search(size - 1, None, stop=True)
@@ -923,7 +943,8 @@ class TestTranslationLeader:
 
     def test_timeout_reports_valid_collection(self, monkeypatch):
         # a clock that advances one microsecond per reading: the budget runs
-        # out after about 3,000 nodes of the 6,943, past the first cuts
+        # out after about 3,000 readings of the 3,824 nodes, past the first
+        # cuts; a cut state counts as a node but reads no clock
         ticks = itertools.count()
         monkeypatch.setattr(
             search_module, "time", SimpleNamespace(monotonic=lambda: next(ticks) * 1e-6)
@@ -934,12 +955,143 @@ class TestTranslationLeader:
         log = err.value.proof_log
         assert log["forced_base"] is True
         assert log["pair_cap"] == {"cap": 11, "alpha": 2, "nodes": 5}
-        assert 2_900 < log["stats"]["nodes"] < 3_100
-        assert log["stats"]["symmetry_prunes"] > 0
+        stats = log["stats"]
+        assert 2_900 < stats["nodes"] - stats["symmetry_prunes"] < 3_100
+        assert 3_200 < stats["nodes"] < 3_400
+        assert stats["symmetry_prunes"] > 0
         best = err.value.best_witness
         assert len(best) == err.value.best_size >= max(s["size"] for s in log["seeds"])
         assert base_vertex(sq) in best
         assert verify_collection(sq, best).valid
+
+
+class TestResidueMaps:
+    """The residue maps of the variable permutations that fix W, on every
+    ladder input: the permutations against all 120, and each map against the
+    Ext digraph of the full layers of the window."""
+
+    # distinct residue maps besides the identity, and permutations fixing W
+    COUNTS = {
+        "chain5": (0, 1), "chain4+fermat": (0, 1), "chain2+chain3": (0, 1),
+        "chain3+fermat+fermat": (1, 2), "chain3+loop2": (0, 2),
+        "chain2+chain2+fermat": (0, 2), "chain2+fermat+fermat+fermat": (5, 6),
+        "chain2+fermat+loop2": (0, 2), "chain2+loop3": (2, 3),
+        "fermat+fermat+fermat+fermat+fermat": (23, 120),
+        "fermat+fermat+fermat+loop2": (1, 12), "fermat+fermat+loop3": (2, 6),
+        "fermat+loop2+loop2": (1, 8), "fermat+loop4": (3, 4),
+        "loop2+loop3": (2, 6), "loop5": (4, 5),
+    }
+
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_permutations_fix_w(self, name):
+        entries = parse(LADDER[name]).matrix.entries
+        rows = set(entries)
+        # x_j -> x_sigma(j) sends exponent e_j to place sigma(j)
+        expected = [
+            sigma for sigma in permutations(range(5))
+            if {tuple(row[sigma.index(k)] for k in range(5)) for row in entries} == rows
+        ]
+        assert _variable_permutations(entries) == expected
+        assert len(expected) == self.COUNTS[name][1]
+
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_maps_keep_the_window_digraph(self, name):
+        sq = symmetry_quotient(parse(LADDER[name]))
+        window, _ = candidate_window(sq)
+        top = window[-1].a
+        table = ext_table(sq)
+        maps = _residue_maps(sq, top)
+        assert sq.derived["residue_maps"] is maps
+        assert len(maps) == self.COUNTS[name][0]
+        m = len(table.residues)
+        canonical = table.canonical[1]
+        for phi in maps:
+            assert sorted(phi) == list(range(m)) and phi != list(range(m))
+            assert phi[0] == 0 and phi[canonical] == canonical
+        # every arrow of the window goes to an arrow between the images,
+        # read off the full layers 0..top
+        grid = [bidegree(sq, a, b) for a in range(top + 1) for b in table.residues]
+        full = table.rows(grid)
+        at = {v: i for i, v in enumerate(grid)}
+        rows = table.rows(window)
+        arrows = [(window[i], window[j]) for i, row in enumerate(rows) for j in _peel(row)]
+        assert arrows
+        for phi in maps:
+            image = {
+                v: at[bidegree(sq, v.a, table.residues[phi[table.residue_index(v.b)]])]
+                for v in window
+            }
+            for u, v in arrows:
+                assert full[image[u]] >> image[v] & 1, (name, phi, u, v)
+
+    def test_z9_maps(self):
+        # the rotation x3 -> x4 -> x5 -> x3 of the loop3 block and its square
+        # act on Z/9 as multiplication by 7 and by 4; the loop2 swap fixes
+        # every residue
+        sq = symmetry_quotient(parse(Z9))
+        window, _ = candidate_window(sq)
+        maps = _residue_maps(sq, window[-1].a)
+        assert sorted(maps) == sorted([[4 * s % 9 for s in range(9)], [7 * s % 9 for s in range(9)]])
+
+    def test_a_map_that_breaks_an_ext_row_raises(self):
+        # s -> 2s is an automorphism of Z/9, but no permutation of the
+        # variables gives it, and it moves the nonzero Ext entries
+        sq = symmetry_quotient(parse(Z9))
+        window, _ = candidate_window(sq)
+        table = ext_table(sq)
+        top = window[-1].a
+        _check_residue_maps(table, _residue_maps(sq, top), top)
+        with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
+            _check_residue_maps(table, [[2 * s % 9 for s in range(9)]], top)
+        with pytest.raises(SearchInvariantError, match="not a bijection"):
+            _check_residue_maps(table, [[3 * s % 9 for s in range(9)]], top)
+
+    @pytest.mark.parametrize("orders", [(11,), (9,), (3, 3), (2, 12), (3, 3, 6), (3, 3, 3, 3)])
+    def test_translations_match_the_difference_table(self, orders):
+        # s -> s - c on a mask of residue numbers, against diff[c][s] = s - c
+        diff = _difference_table(orders)
+        moves = _translations(orders)
+        m = len(diff)
+        rng = random.Random(m)
+        for c in range(m):
+            for _ in range(5):
+                members = [s for s in range(m) if rng.random() < 0.4]
+                moved = sum(1 << s for s in members)
+                for low, up, down in moves[c]:
+                    moved = (moved & low) << up | (moved & ~low) >> down
+                assert moved == sum(1 << diff[c][s] for s in members)
+
+
+class TestOrder:
+    def test_smallest_ready_index_first(self):
+        # the ready bitmask gives the order a heap of ready indices gives, on
+        # seeded random digraphs and acyclic masks
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            # arrows from lower to higher ranks only, so every mask is acyclic
+            rank = list(range(n))
+            rng.shuffle(rank)
+            out = [
+                sum(1 << w for w in range(n) if rank[v] < rank[w] and rng.random() < 0.3)
+                for v in range(n)
+            ]
+            solver = _Solver(out, None)
+            mask = sum(1 << v for v in range(n) if rng.random() < 0.7)
+            members = [v for v in range(n) if mask >> v & 1]
+            indeg = {v: (solver.in_mask[v] & mask).bit_count() for v in members}
+            ready = [v for v in members if indeg[v] == 0]
+            heapq.heapify(ready)
+            expected = []
+            while ready:
+                v = heapq.heappop(ready)
+                expected.append(v)
+                for w in members:
+                    if out[v] >> w & 1:
+                        indeg[w] -= 1
+                        if indeg[w] == 0:
+                            heapq.heappush(ready, w)
+            assert solver.order(mask) == expected
 
 
 class TestInvariantErrors:
