@@ -282,9 +282,10 @@ class _Solver:
     vertices not decided yet, and the vertices that would close a cycle with
     the chosen ones. Each branch passes a new state down the recursion and
     nothing is mutated, so backtracking is returning; the one record kept
-    along the path is the lex-leader's, per layer, overwritten each time
-    the DFS completes that layer (see _leads). The root state (nothing
-    chosen, or the forced vertex) is kept in chosen, undecided and blocked.
+    along the path is the lex-leader's, the symmetries still tied per layer,
+    overwritten each time the DFS completes that layer (see _leads). The
+    root state (nothing chosen, or the forced vertex) is kept in chosen,
+    undecided and blocked.
     The same solver searches a window of bidegrees and the m-vertex digraph
     behind the pair cap (see _pair_cap).
 
@@ -348,7 +349,12 @@ class _Solver:
     goes through the gate, and the state is cut when some g gives a list
     (sorted g(R_0), ..., sorted g(R_(k-1))) lexicographically smaller than
     (sorted R_0, ..., sorted R_(k-1)); ties are kept. A cut state counts as
-    a node and as a symmetry prune.
+    a node and as a symmetry prune. Each g is one list from residue number
+    to residue number, and the gate tries every t_-c o phi but the identity,
+    c any residue: R_0 holds the base's residue 0, and one with c outside
+    phi(R_0) sends no member of R_0 to 0, so its image of R_0 is the larger
+    and it neither cuts nor ties. So the gate cuts exactly where some
+    g = t_-phi(r) o phi does.
 
     It is sound. Arrows depend only on differences, and a residue map keeps
     which difference rows are nonzero (checked on ExtTable's rows, see
@@ -410,7 +416,7 @@ class _Solver:
         self.chosen = 0
         self.undecided = (1 << n) - 1
         self.blocked = 0
-        # with the lex-leader on, the layers and the residue maps (see lead)
+        # with the lex-leader on, the layers and the symmetries (see lead)
         self.layers: list[tuple] | None = None
 
     def set_pair_cap(self, cap: int):
@@ -507,16 +513,21 @@ class _Solver:
         residue numbers of the list's vertices, layer by layer in index
         order, each layer ascending, and layer 0 every residue; maps the
         residue maps besides the identity, and table the quotient's
-        ExtTable. Sound only where the base, vertex 0, is forced and every g
+        ExtTable. Every symmetry g = t_-c o phi but the identity is listed
+        here once, as [diff[c][x] for x in phi], and is ties[0] of every
+        search. Sound only where the base, vertex 0, is forced and every g
         maps each collection through the base into the list (see the class
         docstring)."""
         diff = table.diff
         m = len(diff)
         if layers[0] != list(range(m)):
             raise SearchInvariantError("layer 0 does not hold every residue in order")
-        self.phis = [list(range(m)), *maps]
-        self.diff = diff
-        self.translations = _translations(table.sq.quotient_orders)
+        if not self.chosen & 1:
+            raise SearchInvariantError("the base is not forced")
+        # diff[c] is s -> s - c, so the first, t_0 o identity, is the identity
+        self.symmetries = [
+            [row[x] for x in phi] for phi in [list(range(m)), *maps] for row in diff
+        ][1:]
         # the residue number of every vertex bit; per layer its mask, and the
         # bit of its vertex at each residue number (0 where it has none)
         self.residue_of = residue_of = {}
@@ -546,11 +557,9 @@ class _Solver:
         bit of the difference is its own. A g that was larger on an earlier
         layer stays larger, and one that was smaller cut the state there, so
         only the g tied on layers 0..k-1, ties[k], are compared, on layer k;
-        those tied there too go to ties[k + 1], each as its list from residue
-        number to residue number. On layer 0, whose bits are the residue
-        numbers, every g = t_-phi(r) o phi with r chosen but the identity is
-        tried: the image of R under phi, translated by -p for each of its
-        members p, one mask operation per quotient factor."""
+        those tied there too go to ties[k + 1]. ties[0] is every g but the
+        identity (see lead), and layer 0 takes no other path: a g that moves
+        the base off residue 0 drops out there as larger."""
         mask, bit_at = self.layers[k]
         mine = chosen & mask
         residue_of = self.residue_of
@@ -561,33 +570,6 @@ class _Solver:
             rs.append(residue_of[bit])
             rest ^= bit
         tied = []
-        if not k:
-            if not mine & 1:
-                raise SearchInvariantError("the base is not chosen")
-            translations, diff = self.translations, self.diff
-            for phi in self.phis:
-                image = 0
-                for s in rs:
-                    image |= 1 << phi[s]
-                rest = image
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    p = bit.bit_length() - 1
-                    moved = image
-                    for low, up, down in translations[p]:
-                        moved = (moved & low) << up | (moved & ~low) >> down
-                    if moved == mine:
-                        if p:
-                            tied.append([diff[p][x] for x in phi])
-                        elif phi is not self.phis[0]:
-                            tied.append(phi)
-                        continue
-                    split = moved ^ mine
-                    if moved & split & -split:
-                        return False
-            ties[1] = tied
-            return True
         for g in ties[k]:
             image = 0
             for s in rs:
@@ -671,16 +653,16 @@ class _Solver:
         if self.layers is not None:
             # the gate admits leaders only; a cut state counts as a node, and
             # as a symmetry prune. ties[k] holds the g tied with the current
-            # path on the layers before k (see _leads); once none is, no
-            # later layer can cut
+            # path on the layers before k, ties[0] every g (see _leads); once
+            # none is, no later layer can cut
             leads = self._leads
-            ties = [None] * (len(self.layers) + 1)
+            ties = [self.symmetries] + [None] * len(self.layers)
             passed = {end: k for k, end in enumerate(self.ends)}
 
             def gate(pos, chosen, count, undecided, blocked):
                 nonlocal nodes, symmetry
                 k = passed[pos]
-                if k and not ties[k]:
+                if not ties[k]:
                     ties[k + 1] = ()
                 elif not leads(k, chosen, ties):
                     nodes += 1
@@ -731,33 +713,6 @@ class _Solver:
         if len(order) != len(members):
             raise SearchInvariantError("collection mask is not acyclic")
         return order
-
-
-def _translations(orders: tuple[int, ...]) -> list[list[tuple[int, int, int]]]:
-    """For each residue number c, the translation s -> s - c of a mask of
-    residue numbers, as moves (low, up, down), one per quotient factor where
-    c has a nonzero coordinate c_i: the residues whose coordinate is below
-    c_i, the mask low, wrap around and move up by (m_i - c_i) strides, the
-    others move down by c_i strides. Residues are numbered in lexicographic
-    order, so a factor of order m_i and stride t repeats, in every block of
-    m_i t residue numbers, its coordinates 0..m_i - 1 in runs of t, and
-    low is the lowest c_i t bits of every block."""
-    m = 1
-    for order in orders:
-        m *= order
-    moves: list[list[tuple[int, int, int]]] = [[]]
-    stride = m
-    for order in orders:
-        block = stride
-        stride //= order
-        # one bit at the start of every block, times a run, repeats the run
-        starts = sum(1 << b for b in range(0, m, block))
-        moves = [
-            steps + ([(((1 << v * stride) - 1) * starts, (order - v) * stride, v * stride)]
-                     if v else [])
-            for steps in moves for v in range(order)
-        ]
-    return moves
 
 
 def _chains(verts: list[BiDegree]) -> list[list[int]]:
@@ -826,43 +781,25 @@ def _variable_permutations(entries: tuple[tuple[int, ...], ...]) -> list[tuple[i
     the rows of the exponent matrix onto themselves, so fixes W (all its
     coefficients are 1), in lexicographic order, the identity first.
 
-    Found by backtracking over sigma(0), sigma(1), ...: where a row meets
-    x_j with exponent f and an earlier x_i with exponent e, the image of x_j
-    is taken among the variables that meet x_sigma(i) that way in some row,
-    and otherwise among all; either way its column must hold the same
-    exponents as that of x_j. Each row is checked whole once its last
-    variable is placed. So the pentagon's 5 rotations cost a few dozen
-    lookups, not 120 permutations."""
+    Found by backtracking over sigma(0), sigma(1), ..., each image tried in
+    ascending order among the free variables whose column holds the same
+    exponents as that of x_j, and each row checked whole once its last
+    variable is placed; a branch ends at the first row it breaks."""
     n = len(entries)
     rows = set(entries)
     columns = [sorted(column) for column in zip(*entries)]
     # due[j]: the rows whose last variable is x_j, as (variable, exponent)
-    # terms; link[j]: (i, e, f) for the first row that meets x_j and an
-    # earlier x_i; meets[(i, e, f)]: the x_k that meet x_i so in some row
+    # terms
     due: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
-    link: list[tuple[int, int, int] | None] = [None] * n
-    meets: dict[tuple[int, int, int], set[int]] = {}
     for row in entries:
         terms = [(j, e) for j, e in enumerate(row) if e]
         due[terms[-1][0]].append(terms)
-        for i, e in terms:
-            for j, f in terms:
-                if i != j:
-                    meets.setdefault((i, e, f), set()).add(j)
-                    if i < j and link[j] is None:
-                        link[j] = (i, e, f)
-    everyone = range(n)
     found = []
     sigma = [0] * n
     free = [True] * n
 
     def extend(j):
-        if link[j] is None:
-            options = everyone
-        else:
-            i, e, f = link[j]
-            options = meets.get((sigma[i], e, f), ())
-        for k in options:
+        for k in range(n):
             if not free[k] or columns[k] != columns[j]:
                 continue
             sigma[j] = k
@@ -881,7 +818,6 @@ def _variable_permutations(entries: tuple[tuple[int, ...], ...]) -> list[tuple[i
                     free[k] = True
 
     extend(0)
-    found.sort()
     return found
 
 
@@ -910,72 +846,52 @@ def _check_residue_maps(table, maps: list[list[int]], top: int):
             )
 
 
-def _residue_maps(sq: SymmetryQuotient, top: int) -> list[list[int]]:
+def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
     """The residue maps of the variable permutations that fix W, as lists
     from residue number to residue number: the well-defined ones, distinct
-    and without the identity, checked on the Ext rows of the candidate
-    window, whose layers run 0..top. Kept with the quotient.
+    and without the identity. Kept with the quotient; each search checks
+    them on the Ext rows of its own window (see _check_residue_maps).
 
     sigma sends the residue of x^e to that of x^(sigma e), so phi is the
     additive map with phi(char x_j) = char x_sigma(j), when there is one.
-    The characters generate the residues, since the monomials reach every
-    residue; so each unit residue e_i, 1 in factor i, is a sum of
-    characters along a path of moves r -> r + char x_j from 0, and phi, if
-    additive, sends it to the same sum of the char x_sigma(j). The map so
-    defined on the e_i is additive when each image has an order dividing
-    m_i, and it is phi exactly when it sends every char x_j to
-    char x_sigma(j); otherwise no additive phi exists and sigma is dropped.
-    phi is then an automorphism of the residue group that fixes the
-    canonical residue, the character sum negated."""
+    It is built by one breadth-first walk from phi(0) = 0 along the moves
+    r -> r + char x_j, which sets phi(r + char x_j) = phi(r) + char x_sigma(j)
+    and drops sigma at the first move that contradicts an image already
+    set. The characters generate the residues, since the monomials reach
+    every residue, so the walk sets every phi(r) (where it does not, sigma
+    is dropped too), and a walk that ends keeps
+    phi(r + char x_j) = phi(r) + char x_sigma(j) for every r and j.
+    Then phi(r + s) = phi(r) + phi(s), by s's moves taken from r and from
+    0, so phi is additive; an additive phi with those images passes every
+    move, so sigma is dropped only where none exists. The image of phi
+    holds every character, so phi is onto: an automorphism of the residue
+    group, which fixes the canonical residue, the character sum negated."""
     maps = sq.derived.get("residue_maps")
     if maps is not None:
         return maps
     table = ext_table(sq)
     m = len(table.residues)
-    diff = table.diff
-    orders = sq.quotient_orders
     # plus[j][r]: the number of r + char x_j, read as r less -char x_j
-    plus = [diff[minus[0]] for minus in table.minus]
-    chars = [step[0] for step in plus]
-    # the unit residues, most significant factor first, and a path of moves
-    # from 0 to each, as the moves' variables, found breadth first
-    units = [table.index[tuple(int(i == f) for i in range(len(orders)))] for f in range(len(orders))]
-    path: list[list[int] | None] = [None] * m
-    path[0] = []
-    frontier = [0]
-    for r in frontier:
-        if all(path[unit] is not None for unit in units):
-            break
-        for j, step in enumerate(plus):
-            t = step[r]
-            if path[t] is None:
-                path[t] = path[r] + [j]
-                frontier.append(t)
+    plus = [table.diff[minus[0]] for minus in table.minus]
+    identity = list(range(m))
     maps = []
-    sigmas = _variable_permutations(sq.poly.matrix.entries)[1:]
-    if sigmas and all(path[unit] is not None for unit in units):
-        identity = list(range(m))
-        for sigma in sigmas:
-            phi = [0]
-            for unit, order in zip(units, orders):
-                image = 0
-                for j in path[unit]:
-                    image = plus[sigma[j]][image]
-                # the multiples of the image, v * image for v < order
-                step = diff[diff[image][0]]
-                multiples = [0]
-                for _ in range(1, order):
-                    multiples.append(step[multiples[-1]])
-                if step[multiples[-1]]:
+    for sigma in _variable_permutations(sq.poly.matrix.entries)[1:]:
+        phi = [0] + [None] * (m - 1)
+        frontier = [0]
+        for r in frontier:
+            for j, step in enumerate(plus):
+                t, image = step[r], plus[sigma[j]][phi[r]]
+                if phi[t] is None:
+                    phi[t] = image
+                    frontier.append(t)
+                elif phi[t] != image:
                     break
-                phi = [diff[diff[p][0]][v] for p in phi for v in multiples]
             else:
-                if (
-                    [phi[c] for c in chars] == [chars[k] for k in sigma]
-                    and phi != identity and phi not in maps
-                ):
-                    maps.append(phi)
-    _check_residue_maps(table, maps, top)
+                continue
+            break
+        else:
+            if len(frontier) == m and phi != identity and phi not in maps:
+                maps.append(phi)
     sq.derived["residue_maps"] = maps
     return maps
 
@@ -1023,7 +939,10 @@ def max_exceptional(
         layers: dict[int, list[int]] = {}
         for v in verts:
             layers.setdefault(v.a, []).append(table.residue_index(v.b))
-        solver.lead(list(layers.values()), _residue_maps(sq, verts[-1].a), table)
+        # the maps are kept with the quotient, and checked on every window
+        maps = _residue_maps(sq)
+        _check_residue_maps(table, maps, verts[-1].a)
+        solver.lead(list(layers.values()), maps, table)
 
     def timed_out(message, size, mask, log):
         return SearchTimeoutError(

@@ -43,7 +43,6 @@ from invquot.search import (
     _Solver,
     _sorted_distinct,
     _TimeUp,
-    _translations,
     _variable_permutations,
     base_vertex,
     edge,
@@ -883,7 +882,7 @@ class TestTranslationLeader:
     @staticmethod
     def layer_zero_translations(monkeypatch):
         real = _Solver._leads
-        monkeypatch.setattr(search_module, "_residue_maps", lambda sq, top: [])
+        monkeypatch.setattr(search_module, "_residue_maps", lambda sq: [])
         monkeypatch.setattr(
             _Solver, "_leads",
             lambda solver, k, chosen, ties: real(solver, k, chosen, ties) if k == 0 else True,
@@ -926,7 +925,7 @@ class TestTranslationLeader:
         verts = [v for v in window if v.a in (0, 2)]
         assert len(verts) == 18 and verts[0] == base_vertex(sq)
         table = ext_table(sq)
-        maps = _residue_maps(sq, 2)
+        maps = _residue_maps(sq)
         assert maps
         solver = _Solver(table.rows(verts), None)
         solver.force(0)
@@ -940,6 +939,59 @@ class TestTranslationLeader:
         expected = TestBruteForce.lex_min_optimum(sq, verts, through=0)
         assert found == expected
         assert verify_collection(sq, [verts[i] for i in solver.order(mask)]).valid
+
+    @pytest.mark.parametrize(
+        "shape", [(11,), (9,), (3, 3), (2, 12), (3, 3, 6), (3, 3, 3, 3), PENTAGON, Z9],
+        ids=["11", "9", "3x3", "2x12", "3x3x6", "3x3x3x3", "pentagon", "z9"],
+    )
+    def test_layer_zero_gate_against_sorted_lists(self, shape):
+        # _leads(0, ...) against the definition: the state is cut exactly
+        # when some g = t_-phi(r) o phi, r in R_0, gives a smaller sorted
+        # list, and ties[1] is the set of the g other than the identity
+        # that give the same list. A group shape is a lone full layer with
+        # negation as its map; a window brings its own layers and maps
+        if isinstance(shape, tuple):
+            table = SimpleNamespace(diff=_difference_table(shape))
+            m = len(table.diff)
+            layers, maps = [list(range(m))], [[table.diff[s][0] for s in range(m)]]
+            solver = _Solver([0] * m, None)
+        else:
+            sq = symmetry_quotient(parse(shape))
+            window, _ = candidate_window(sq)
+            table = ext_table(sq)
+            m = len(table.residues)
+            layers = {}
+            for v in window:
+                layers.setdefault(v.a, []).append(table.residue_index(v.b))
+            layers, maps = list(layers.values()), _residue_maps(sq)
+            assert maps
+            solver = _Solver(table.rows(window), None)
+        solver.force(0)
+        solver.lead(layers, maps, table)
+        diff, identity = table.diff, list(range(m))
+        rng = random.Random(m)
+        samples = [[0], identity] + [
+            [0] + [s for s in range(1, m) if rng.random() < density]
+            for density in (0.2, 0.5, 0.8) for _ in range(40)
+        ]
+        outcomes = set()
+        for members in samples:
+            own = sorted(members)
+            smaller, tied = False, set()
+            for phi in [identity, *maps]:
+                for r in members:
+                    g = [diff[phi[r]][x] for x in phi]
+                    image = sorted(g[s] for s in members)
+                    smaller |= image < own
+                    if image == own and g != identity:
+                        tied.add(tuple(g))
+            ties = [solver.symmetries, None]
+            leads = solver._leads(0, sum(1 << s for s in members), ties)
+            assert leads is not smaller, members
+            if leads:
+                assert sorted(map(tuple, ties[1])) == sorted(tied), members
+            outcomes.add((leads, bool(tied)))
+        assert {(False, False), (True, True)} <= outcomes
 
     def test_timeout_reports_valid_collection(self, monkeypatch):
         # a clock that advances one microsecond per reading: the budget runs
@@ -968,7 +1020,8 @@ class TestTranslationLeader:
 class TestResidueMaps:
     """The residue maps of the variable permutations that fix W, on every
     ladder input: the permutations against all 120, and each map against the
-    Ext digraph of the full layers of the window."""
+    Ext digraph of the full layers of the window and against the character
+    steps it must keep."""
 
     # distinct residue maps besides the identity, and permutations fixing W
     COUNTS = {
@@ -1000,7 +1053,7 @@ class TestResidueMaps:
         window, _ = candidate_window(sq)
         top = window[-1].a
         table = ext_table(sq)
-        maps = _residue_maps(sq, top)
+        maps = _residue_maps(sq)
         assert sq.derived["residue_maps"] is maps
         assert len(maps) == self.COUNTS[name][0]
         m = len(table.residues)
@@ -1008,6 +1061,23 @@ class TestResidueMaps:
         for phi in maps:
             assert sorted(phi) == list(range(m)) and phi != list(range(m))
             assert phi[0] == 0 and phi[canonical] == canonical
+        # each map is additive: phi(r + char x_j) = phi(r) + char x_sigma(j)
+        # for every r and j, for some sigma that fixes W, with the sums
+        # taken on the residue tuples
+        chars = [sq.char_of_exponents([int(i == j) for i in range(sq.n)]) for j in range(sq.n)]
+
+        def plus(r, j):
+            return table.index[tuple(
+                (x + y) % order
+                for x, y, order in zip(table.residues[r], chars[j], sq.quotient_orders)
+            )]
+
+        sigmas = _variable_permutations(sq.poly.matrix.entries)
+        for phi in maps:
+            assert any(
+                all(phi[plus(r, j)] == plus(phi[r], sigma[j]) for r in range(m) for j in range(sq.n))
+                for sigma in sigmas
+            ), (name, phi)
         # every arrow of the window goes to an arrow between the images,
         # read off the full layers 0..top
         grid = [bidegree(sq, a, b) for a in range(top + 1) for b in table.residues]
@@ -1029,8 +1099,7 @@ class TestResidueMaps:
         # act on Z/9 as multiplication by 7 and by 4; the loop2 swap fixes
         # every residue
         sq = symmetry_quotient(parse(Z9))
-        window, _ = candidate_window(sq)
-        maps = _residue_maps(sq, window[-1].a)
+        maps = _residue_maps(sq)
         assert sorted(maps) == sorted([[4 * s % 9 for s in range(9)], [7 * s % 9 for s in range(9)]])
 
     def test_a_map_that_breaks_an_ext_row_raises(self):
@@ -1040,26 +1109,19 @@ class TestResidueMaps:
         window, _ = candidate_window(sq)
         table = ext_table(sq)
         top = window[-1].a
-        _check_residue_maps(table, _residue_maps(sq, top), top)
+        _check_residue_maps(table, _residue_maps(sq), top)
         with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
             _check_residue_maps(table, [[2 * s % 9 for s in range(9)]], top)
         with pytest.raises(SearchInvariantError, match="not a bijection"):
             _check_residue_maps(table, [[3 * s % 9 for s in range(9)]], top)
 
-    @pytest.mark.parametrize("orders", [(11,), (9,), (3, 3), (2, 12), (3, 3, 6), (3, 3, 3, 3)])
-    def test_translations_match_the_difference_table(self, orders):
-        # s -> s - c on a mask of residue numbers, against diff[c][s] = s - c
-        diff = _difference_table(orders)
-        moves = _translations(orders)
-        m = len(diff)
-        rng = random.Random(m)
-        for c in range(m):
-            for _ in range(5):
-                members = [s for s in range(m) if rng.random() < 0.4]
-                moved = sum(1 << s for s in members)
-                for low, up, down in moves[c]:
-                    moved = (moved & low) << up | (moved & ~low) >> down
-                assert moved == sum(1 << diff[c][s] for s in members)
+    def test_every_search_checks_the_maps_it_uses(self):
+        # the maps are kept with the quotient, so a wrong one kept there must
+        # still be caught by the next search, on its own window
+        sq = symmetry_quotient(parse(Z9))
+        sq.derived["residue_maps"] = [[2 * s % 9 for s in range(9)]]
+        with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
+            max_exceptional(sq)
 
 
 class TestOrder:
