@@ -36,7 +36,6 @@ from .homs import (
     BiDegree,
     _require_threefold,
     bidegree,
-    ext_dims,
     ext_table,
 )
 from .record import FrozenRecord, Record
@@ -64,11 +63,6 @@ _BYTE_BITS = _byte_bits()
 
 def base_vertex(sq: SymmetryQuotient) -> BiDegree:
     return bidegree(sq, 0, [0] * len(sq.quotient_orders))
-
-
-def edge(sq: SymmetryQuotient, u: BiDegree, v: BiDegree) -> bool:
-    """True when some Ext group from O(u) to O(v) is nonzero (u != v)."""
-    return u != v and any(ext_dims(sq, u, v))
 
 
 def _sorted_distinct(vertices) -> list[BiDegree]:
@@ -323,12 +317,22 @@ class _Solver:
     and S = sigma^-1(A), A an optimal acyclic set of H. By (1) and (3) a
     cycle of R + S alternates up and down, each down arrow lands on some
     sigma(s) in A, and so the cycle's layer-0 vertices form a cycle of H
-    inside A, which has none. H is translation-invariant, so alpha is found
-    by this same solver on H's m rows, with residue 0 forced and the
-    lex-leader on, over translations only (every translate of an acyclic
-    set is one); a loop of H at one residue is a loop at all, and then
-    alpha = 0. A quotient where a fact fails, the quadric for one, has no
-    cap.
+    inside A, which has none. H is translation-invariant and every
+    translate of an acyclic set of H is acyclic, so alpha is found by this
+    same solver on H's m rows with residue 0 forced; a loop of H at one
+    residue is a loop at all, and then alpha = 0. A quotient where a fact
+    fails, the quadric for one, has no cap.
+
+    H is searched without the lex-leader below, which would change nothing
+    there: H is one layer, so the gate could cut only a leaf C, at its last
+    vertex. Let L be the smallest translate of C that holds 0. No
+    translation cuts L, whose images through 0 are translates of C too, and
+    L comes before C in include-first DFS order, since C was cut. So before
+    C the search either reached L, and best >= |L| = |C|, or pruned an
+    ancestor of L at a bound <= best, which is at least |L|, as L is acyclic
+    and each of its vertices was chosen or available there. Either way C
+    cannot raise the incumbent, and a cut leaf counts one node as a reached
+    one does, so alpha, the node count and every decision are unchanged.
 
     One full layer is a collection, so cap(2) >= m: the cap can bind only
     where two layers two apart of the searched list hold more than m
@@ -339,7 +343,7 @@ class _Solver:
     decision.
 
     The lex-leader (Crawford-Ginsberg-Luks-Roy) is used only on the
-    candidate window with the base forced, and on H. Its symmetries are the
+    candidate window with the base forced. Its symmetries are the
     maps g = t_-phi(r) o phi: phi is the identity or a residue map, which
     sends (a, s) to (a, phi(s)) and comes from a permutation of the
     variables that fixes W (Kreuzer-Skarke; see _residue_maps), and t_c
@@ -386,11 +390,9 @@ class _Solver:
     on returns W* unchanged.
 
     At a boundary only the g tied with the state on the earlier layers can
-    cut (see _leads), and they are kept per layer along the DFS path. On H,
-    every vertex is in one layer, phi is the identity and the same argument
-    holds with the forced residue 0 for the base: its only boundary is its
-    last vertex. An explicit vertex list need not be closed under the g and
-    is searched without the leader.
+    cut (see _leads), and they are kept per layer along the DFS path. An
+    explicit vertex list need not be closed under the g and is searched
+    without the leader.
     """
 
     def __init__(self, out_mask: list[int], deadline, chains: list[list[int]] = ()):
@@ -516,8 +518,8 @@ class _Solver:
         ExtTable. Every symmetry g = t_-c o phi but the identity is listed
         here once, as [diff[c][x] for x in phi], and is ties[0] of every
         search. Sound only where the base, vertex 0, is forced and every g
-        maps each collection through the base into the list (see the class
-        docstring)."""
+        maps each collection through the base into the list: the candidate
+        window (see the class docstring)."""
         diff = table.diff
         m = len(diff)
         if layers[0] != list(range(m)):
@@ -769,7 +771,6 @@ def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     else:
         solver = _Solver(rows, deadline)
         solver.force(0)
-        solver.lead([list(range(m))], [], table)
         alpha, _, stats = solver.search(1, solver.chosen)
         nodes = stats["nodes"]
     cap = sq.derived["pair_cap"] = {"cap": m + alpha, "alpha": alpha, "nodes": nodes}

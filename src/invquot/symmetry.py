@@ -11,8 +11,7 @@ rest of the toolkit grades by.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     DegenerateLoopError,
@@ -54,14 +53,6 @@ class DiagonalElement(FrozenRecord):
         return cls(num=tuple(x // g for x in nums), den=den // g)
 
     @classmethod
-    def from_fractions(cls, phases) -> "DiagonalElement":
-        from fractions import Fraction
-
-        phases = [Fraction(p) for p in phases]
-        den = reduce(lcm, (p.denominator for p in phases), 1)
-        return cls.of([p.numerator * (den // p.denominator) for p in phases], den)
-
-    @classmethod
     def identity(cls, n: int) -> "DiagonalElement":
         return cls(num=(0,) * n, den=1)
 
@@ -72,13 +63,6 @@ class DiagonalElement(FrozenRecord):
     @property
     def order(self) -> int:
         return self.den
-
-    @property
-    def phases(self) -> tuple:
-        """The phases num_i / den as Fractions."""
-        from fractions import Fraction
-
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_identity(self) -> bool:
         return self.den == 1
@@ -161,50 +145,31 @@ class FiniteAbelianGroup(FrozenRecord):
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def element_residues(self, modulus: int | None = None) -> frozenset[tuple[int, ...]]:
-        """All elements as residue vectors mod a common modulus (default: exponent)."""
-        m = modulus if modulus is not None else self.exponent
-        gens = [g.residues(m) for g in self.generators]
-        out = set()
-        for powers in product(*(range(f) for f in self.invariant_factors)):
-            vec = [0] * self.nvars
-            for k, g in zip(powers, gens):
-                for i in range(self.nvars):
-                    vec[i] = (vec[i] + k * g[i]) % m
-            out.add(tuple(vec))
-        return frozenset(out)
 
-
-def generated_residues(
-    nvars: int, generators, modulus: int
-) -> frozenset[tuple[int, ...]]:
-    """Element set of the subgroup generated by the given torus elements,
-    as residue vectors mod the given modulus (every order must divide it).
-
-    Breadth-first closure, capped at 10^6 elements.
-    """
-    vecs = [g.residues(modulus) for g in generators if not g.is_identity()]
-    zero = tuple([0] * nvars)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for v in vecs:
-            nxt = tuple((a + b) % modulus for a, b in zip(cur, v))
-            if nxt not in seen:
-                if len(seen) >= 10**6:
-                    raise ValueError("generated subgroup too large to enumerate")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+def _subgroup_order(nvars: int, elements, modulus: int) -> int:
+    """Order of the subgroup of (Z/modulus)^nvars that the elements' residue
+    vectors generate (every order must divide modulus): the lattice L they
+    span with modulus * Z^nvars, taken mod modulus * Z^nvars. L has index D
+    in Z^nvars, the product of the Smith diagonal of the vectors stacked on
+    modulus * I, so the order is modulus^nvars / D."""
+    rows = [list(g.residues(modulus)) for g in elements]
+    rows += [[modulus if i == j else 0 for j in range(nvars)] for i in range(nvars)]
+    return modulus**nvars // prod(smith_normal_form(IntMatrix.from_rows(rows)).diagonal)
 
 
 def spans_group(group: FiniteAbelianGroup, generators) -> bool:
-    """True when the given elements generate exactly the given group."""
-    m = group.exponent
-    for g in generators:
-        m = lcm(m, g.order)
-    return generated_residues(group.nvars, generators, m) == group.element_residues(m)
+    """True when the given elements generate exactly the given group: when
+    the subgroup they generate, the group, which its generators generate,
+    and the subgroup both sets generate together all have one order, since
+    the last holds both others. Decided by orders, so no element is
+    listed."""
+    m = lcm(group.exponent, *(g.order for g in generators))
+    n = group.nvars
+    return (
+        _subgroup_order(n, generators, m)
+        == _subgroup_order(n, group.generators, m)
+        == _subgroup_order(n, [*generators, *group.generators], m)
+    )
 
 
 def symmetry_group_of_matrix(a: IntMatrix) -> FiniteAbelianGroup:

@@ -1,11 +1,16 @@
-"""The Ext digraph as an adjacency dict, its short cycles (by networkx) and
-its DOT text, for the tests; the library exports the digraph only as JSON
-(`invquot.export_digraph_json`)."""
+"""The Ext digraph's arrows one pair at a time, as an adjacency dict, its
+short cycles (by networkx) and its DOT text, for the tests; the library
+exports the digraph only as JSON (`invquot.export_digraph_json`)."""
 
 import networkx as nx
 
-from invquot.homs import ext_table
+from invquot.homs import ext_dims, ext_table
 from invquot.search import _sorted_distinct
+
+
+def edge(sq, u, v) -> bool:
+    """True when some Ext group from O(u) to O(v) is nonzero (u != v)."""
+    return u != v and any(ext_dims(sq, u, v))
 
 
 def hom_digraph(sq, vertices):

@@ -9,6 +9,7 @@ from itertools import product
 from math import lcm
 
 from test_search import LADDER
+from test_symmetry import from_fractions, phases
 
 from invquot import (
     FixedLocusNotImplementedError,
@@ -154,8 +155,8 @@ def _reference_pieces(sq):
         for j in range(level):
             if any(powers) or j:
                 phase = Fraction(j, level)
-                fixed = tuple(i for i, p in enumerate(lift.phases, start=1) if p == phase)
-                element = DiagonalElement.from_fractions([p - phase for p in lift.phases])
+                fixed = tuple(i for i, p in enumerate(phases(lift), start=1) if p == phase)
+                element = from_fractions([p - phase for p in phases(lift)])
                 if len(fixed) > 1:
                     return out + [(element, powers, phase, fixed, None)]
                 point = len(fixed) == 1 and not _axis_outside(sq, fixed[0])

@@ -45,10 +45,9 @@ from invquot.search import (
     _TimeUp,
     _variable_permutations,
     base_vertex,
-    edge,
 )
 
-from digraphs import export_digraph_dot, find_cycles, hom_digraph
+from digraphs import edge, export_digraph_dot, find_cycles, hom_digraph
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
@@ -543,19 +542,41 @@ class TestPairCap:
         cap = search_module._pair_cap(sq, None)
         assert cap["cap"] == sq.quotient_order + cap["alpha"] == optimum
 
-    @pytest.mark.parametrize("name, cap", [
-        ("loop5", 12), ("loop2+loop3", 11), ("fermat+loop2+loop2", 11),
-        ("chain3+loop2", 15), ("chain5", 19), ("fermat+loop4", 17),
-        ("chain2+loop3", 22), ("chain2+fermat+loop2", 23),
-        ("chain4+fermat", 30), ("chain2+chain3", 30),
-        ("chain3+fermat+fermat", 48), ("chain2+chain2+fermat", 46),
-        ("fermat+fermat+fermat+loop2", 35), ("fermat+fermat+loop3", 35),
-    ])
-    def test_ladder_caps(self, name, cap):
+    # the node count of the alpha search is part of its specification, as
+    # the main search's counts are (see TestSearchCounts)
+    LADDER_CAPS = [
+        ("loop5", 12, 1), ("loop2+loop3", 11, 5), ("fermat+loop2+loop2", 11, 7),
+        ("chain3+loop2", 15, 14), ("chain5", 19, 21), ("fermat+loop4", 17, 21),
+        ("chain2+loop3", 22, 57), ("chain2+fermat+loop2", 23, 85),
+        ("chain4+fermat", 30, 375), ("chain2+chain3", 30, 300),
+        ("chain3+fermat+fermat", 48, 25_661), ("chain2+chain2+fermat", 46, 10_653),
+        ("fermat+fermat+fermat+loop2", 35, 7_174), ("fermat+fermat+loop3", 35, 2_187),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, cap, nodes", LADDER_CAPS, ids=[f"{name}-{cap}" for name, cap, _ in LADDER_CAPS]
+    )
+    def test_ladder_caps(self, name, cap, nodes):
         sq = symmetry_quotient(parse(LADDER[name]))
         got = search_module._pair_cap(sq, None)
         assert got["cap"] == cap == sq.quotient_order + got["alpha"]
+        assert got["nodes"] == nodes
         assert sq.derived["pair_cap"] is got
+
+    def test_alpha_is_searched_without_the_leader(self, monkeypatch):
+        # H is one layer, where the lex-leader could cut only leaves that
+        # cannot raise the incumbent (see _Solver), so it is left off
+        calls = []
+        real = _Solver.lead
+        monkeypatch.setattr(
+            _Solver, "lead", lambda solver, *args: calls.append(args) or real(solver, *args)
+        )
+        sq = symmetry_quotient(parse(Z9))
+        assert "pair_cap" not in sq.derived
+        assert search_module._pair_cap(sq, None) == {"cap": 11, "alpha": 2, "nodes": 5}
+        assert calls == []
+        max_exceptional(sq)
+        assert len(calls) == 1
 
     def test_no_cap_on_the_quadric(self):
         # layer 2 has no arrow down to layer 0 (the Serre term lags by

@@ -7,7 +7,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -30,9 +30,39 @@ from invquot import (
     symmetry_quotient,
 )
 from invquot.polynomials import from_matrix
-from invquot.symmetry import _quotient_class_reps, generated_residues
+from invquot.symmetry import _quotient_class_reps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def phases(element: DiagonalElement) -> tuple:
+    """The phases num_i / den of an element as Fractions."""
+    return tuple(Fraction(x, element.den) for x in element.num)
+
+
+def from_fractions(fractions) -> DiagonalElement:
+    """The element with the given phases, rationals reduced mod 1."""
+    fractions = [Fraction(p) for p in fractions]
+    den = lcm(*(p.denominator for p in fractions))
+    return DiagonalElement.of([p.numerator * (den // p.denominator) for p in fractions], den)
+
+
+def generated_residues(nvars: int, generators, modulus: int) -> frozenset:
+    """Reference for spans_group: every element of the subgroup the given
+    elements generate, as residue vectors mod modulus (every order must
+    divide it), by breadth-first closure."""
+    vecs = [g.residues(modulus) for g in generators if not g.is_identity()]
+    zero = (0,) * nvars
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for v in vecs:
+            nxt = tuple((a + b) % modulus for a, b in zip(cur, v))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def brute_force_group_residues(m: IntMatrix, modulus: int) -> frozenset:
@@ -76,7 +106,7 @@ class TestDiagonalElement:
         h = DiagonalElement.of((1, 1), 6)
         gh = g.mul(h)
         # phases live in [0, 1): 3/4 + 1/6 stays 11/12
-        assert gh.phases == (Fraction(5, 12), Fraction(11, 12))
+        assert phases(gh) == (Fraction(5, 12), Fraction(11, 12))
         assert g.mul(g.inverse()).is_identity()
 
     def test_pow_matches_repeated_mul(self):
@@ -130,7 +160,7 @@ class TestSymmetryGroup:
         assert g.is_cyclic
         expected = DiagonalElement.of((1, 31, 4, 25, 16), 33)
         assert spans_group(g, [expected])
-        assert len(g.element_residues()) == g.order
+        assert len(generated_residues(g.nvars, g.generators, g.exponent)) == g.order
 
     def test_brute_force_small_matrices(self):
         rng = random.Random(40)
@@ -146,7 +176,7 @@ class TestSymmetryGroup:
             group = symmetry_group_of_matrix(m)
             modulus = abs(m.det())
             assert group.order == modulus
-            assert group.element_residues(modulus) == brute_force_group_residues(
+            assert generated_residues(n, group.generators, modulus) == brute_force_group_residues(
                 m, modulus
             )
 
@@ -154,7 +184,7 @@ class TestSymmetryGroup:
         m = IntMatrix.from_rows([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
         group = symmetry_group_of_matrix(m)
         assert group.order == 8
-        assert group.element_residues(8) == brute_force_group_residues(m, 8)
+        assert generated_residues(3, group.generators, 8) == brute_force_group_residues(m, 8)
 
     def test_order_equals_abs_det(self):
         rng = random.Random(41)
@@ -184,10 +214,53 @@ class TestSymmetryGroup:
         )
 
     def test_generated_residues_closure(self):
+        # the test-side reference that spans_group is checked against
         gens = [DiagonalElement.of((1, 0), 4), DiagonalElement.of((0, 1), 2)]
         res = generated_residues(2, gens, 4)
         assert len(res) == 8
         assert (3, 2) in res
+
+    def test_spans_group_against_the_closure(self):
+        # seeded groups of up to three variables, each with a list of
+        # elements from inside the group or from a torus of the group's
+        # exponent: spans_group, by orders, agrees with listing both sets
+        rng = random.Random(2026_10)
+        outcomes = Counter()
+        while sum(outcomes.values()) < 1_500:
+            n = rng.randint(1, 3)
+            m = IntMatrix.from_rows([[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
+            if m.det() == 0:
+                continue
+            group = symmetry_group_of_matrix(m)
+            e = group.exponent
+            elements = []
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.8:
+                    element = DiagonalElement.identity(n)
+                    for f, g in zip(group.invariant_factors, group.generators):
+                        element = element.mul(g ** rng.randrange(f))
+                else:
+                    element = DiagonalElement.of([rng.randrange(e) for _ in range(n)], e)
+                elements.append(element)
+            modulus = lcm(e, *(g.order for g in elements))
+            expected = generated_residues(n, elements, modulus) == generated_residues(
+                n, group.generators, modulus
+            )
+            assert spans_group(group, elements) is expected, (m, elements)
+            outcomes[expected] += 1
+        assert outcomes[True] > 300 and outcomes[False] > 300
+
+    def test_spans_a_group_too_large_to_list(self):
+        # the five-variable loop with exponents 20 has 3,200,001 symmetries;
+        # spans_group decides it by orders, without listing any of them
+        group = diagonal_symmetry_group(
+            parse("x1^20*x2 + x2^20*x3 + x3^20*x4 + x4^20*x5 + x5^20*x1")
+        )
+        assert group.order == 3_200_001
+        gen = loop_generator((20,) * 5)
+        assert spans_group(group, [gen])
+        assert spans_group(group, [gen ** 2, gen ** 3])
+        assert not spans_group(group, [gen ** 3_200_001])
 
 
 class TestLoopFormula:
@@ -318,7 +391,7 @@ def rational_route_reps(a: IntMatrix):
             col = a_sym.LUsolve(uinv[:, i])
             factors.append(snf.D[i, i])
             reps.append(
-                DiagonalElement.from_fractions(Fraction(int(v.p), int(v.q)) for v in col)
+                from_fractions(Fraction(int(v.p), int(v.q)) for v in col)
             )
     return tuple(factors), tuple(reps)
 
