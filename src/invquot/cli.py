@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -82,9 +83,6 @@ def _nonnegative(convert, most=math.inf):
     return parse
 
 
-# argument names that are not a subcommand's own options, so not parameters
-_SHARED = ("subcommand", "polynomial", "json_matrix", "preset", "format", "out")
-
 # subcommand -> its line in the top-level help
 _SUMMARIES = {
     "analyze": "symmetry groups, quotient, characters",
@@ -94,23 +92,41 @@ _SUMMARIES = {
     "verify": "check a collection supplied as JSON [a, b] pairs",
 }
 
+# Every option, declared once as (flags, add_argument keywords): those every
+# subcommand shares, after the one positional, then each subcommand's own.
+# Both parse routes read them: _add_options hands them to argparse, and
+# _parse_spelled reads dest, type, choices, default and required itself.
+_SHARED_OPTIONS = (
+    (("--json-matrix",), {"dest": "json_matrix", "metavar": "FILE",
+                          "help": 'file with {"matrix": [[...], ...]}'}),
+    (("--preset",), {"dest": "preset", "metavar": "NAME", "help": "named input polynomial"}),
+    (("--format", "-f"), {"dest": "format", "choices": ("text", "json", "csv"),
+                          "default": "text"}),
+    (("--out",), {"dest": "out", "metavar": "FILE",
+                  "help": "write output to a file instead of stdout"}),
+)
+# argument names that are not a subcommand's own options, so not parameters
+_SHARED = ("subcommand", "polynomial", *(spec["dest"] for _, spec in _SHARED_OPTIONS))
+_OWN_OPTIONS = {
+    "analyze": (),
+    "table": ((("--max-a",), {"dest": "max_a", "type": _nonnegative(int, MAX_TOTAL_DEGREE),
+                              "default": 3,
+                              "help": f"highest total degree, at most {MAX_TOTAL_DEGREE}"}),),
+    "chen-ruan": (),
+    "search": ((("--timeout-secs",), {"dest": "timeout_secs", "type": _nonnegative(float),
+                                      "default": None}),),
+    "verify": ((("--collection",), {"dest": "collection", "metavar": "FILE", "required": True,
+                                    "help": f"total degrees at most {MAX_TOTAL_DEGREE} "
+                                            "in absolute value"}),),
+}
+
 
 def _add_options(p: _Parser, name: str) -> _Parser:
     """Declare subcommand name's options on p: the input and output options
     every subcommand shares, then its own."""
     p.add_argument("polynomial", nargs="?", help="polynomial string, e.g. 'x1^2*x2 + x2^2*x1'")
-    p.add_argument("--json-matrix", metavar="FILE", help='file with {"matrix": [[...], ...]}')
-    p.add_argument("--preset", metavar="NAME", help="named input polynomial")
-    p.add_argument("--format", "-f", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
-    if name == "table":
-        p.add_argument("--max-a", type=_nonnegative(int, MAX_TOTAL_DEGREE), default=3,
-                       help=f"highest total degree, at most {MAX_TOTAL_DEGREE}")
-    elif name == "search":
-        p.add_argument("--timeout-secs", type=_nonnegative(float), default=None)
-    elif name == "verify":
-        p.add_argument("--collection", metavar="FILE", required=True,
-                       help=f"total degrees at most {MAX_TOTAL_DEGREE} in absolute value")
+    for flags, spec in _SHARED_OPTIONS + _OWN_OPTIONS[name]:
+        p.add_argument(*flags, **spec)
     return p
 
 
@@ -124,27 +140,63 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) gives, building one parser where
-    that is enough.
+def _parse_spelled(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of an argv in canonical form, read from the option
+    table without building a parser; None for any other argv.
 
-    When argv starts with a subcommand, the top-level parser only hands the
-    rest to that subcommand's parser, so that parser alone is built, and an
-    argument it leaves over is reported in the top-level parser's words. The
-    one argument the top-level parser refuses itself there is "--=...", an
-    ambiguous abbreviation of its --help and --version; such an argv, like
-    every argv that does not start with a subcommand (-h, --version, none,
-    an unknown name), goes through the whole tree.
+    Canonical: argv[0] is a subcommand, and every later token is either the
+    exact flag of one of its options (-f included) followed by a value that
+    does not start with "-" and passes the option's type and choices, or
+    the one positional, which does not start with "-"; verify's --collection
+    is present. argparse reads such tokens the same way whatever precedes
+    them, so the result is what it gives, a repeated option keeping its last
+    value, with the attributes in its order: subcommand, polynomial, then
+    the options as declared.
     """
-    if argv and argv[0] in _SUMMARIES and not any(a.startswith("--=") for a in argv):
-        name = argv[0]
-        args, extra = _add_options(_Parser(prog=f"invquot {name}"), name).parse_known_args(
-            argv[1:], argparse.Namespace(subcommand=name)
-        )
-        if extra:
-            raise _UsageError(f"invquot: unrecognized arguments: {' '.join(extra)}")
-        return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in _SUMMARIES:
+        return None
+    declared = _SHARED_OPTIONS + _OWN_OPTIONS[argv[0]]
+    by_flag = {flag: spec for flags, spec in declared for flag in flags}
+    values = {"subcommand": argv[0], "polynomial": None}
+    values.update((spec["dest"], spec.get("default")) for _, spec in declared)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if "polynomial" in seen:
+                return None
+            seen.add("polynomial")
+            values["polynomial"] = token
+            continue
+        spec = by_flag.get(token)
+        value = next(tokens, "-")
+        if spec is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        seen.add(spec["dest"])
+        values[spec["dest"]] = value
+    if any(spec.get("required") and spec["dest"] not in seen for _, spec in declared):
+        return None
+    return argparse.Namespace(**values)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, by one of two routes.
+
+    The direct route, _parse_spelled, reads an argv in canonical form (a
+    subcommand, then only full option spellings with their values and the
+    positional) from the option table and builds no parser, so argparse's
+    first gettext call, which imports locale, never runs. Every other argv
+    goes through the whole tree, so argparse writes every help text, version
+    line and error message. Both routes read the same option table.
+    """
+    return _parse_spelled(argv) or build_parser().parse_args(argv)
 
 
 def _resolve_input(args) -> tuple[InvertiblePolynomial, dict]:
@@ -643,12 +695,36 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise InvquotError(f"cannot write {args.out}: {exc}") from exc
         else:
-            print(payload)
+            try:
+                print(payload)
+                sys.stdout.flush()  # a buffered payload fails here, not at exit
+            except BrokenPipeError as exc:
+                raise InvquotError(f"cannot write to stdout: {exc.strerror}") from exc
         return 2 if results.get("timed_out") else 0
     except InvquotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def script() -> int:
+    """The installed invquot command and python -m invquot.cli: main() on
+    sys.argv, then stdout flushed.
+
+    Where the reader of stdout has gone (main has said so on stderr), the
+    unwritten bytes stay buffered, so stdout's descriptor is pointed at
+    os.devnull and the interpreter's flush at exit cannot raise again. This
+    is done here, not in main, which callers also run in-process.
+    """
+    try:
+        return main()
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

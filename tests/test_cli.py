@@ -3,12 +3,18 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from invquot import InvquotError
+from invquot import InvquotError, cli
 from invquot.cli import MAX_TOTAL_DEGREE, build_parser, main, parse_args
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 VERDICT = (
@@ -387,6 +393,27 @@ class TestOutput:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    def test_closed_stdout_pipe(self):
+        # the reader of stdout has gone, as in `invquot table ... | head -1`:
+        # one error line and exit code 1, no traceback, and nothing raised
+        # again by the interpreter's flush at exit, whether stdout is
+        # buffered (PYTHONUNBUFFERED empty) or not
+        for unbuffered in ("", "1"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "invquot.cli", "analyze", "--preset",
+                     "lu-counterexample"],
+                    stdout=write, stderr=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered},
+                )
+            finally:
+                os.close(write)
+            assert proc.returncode == 1, unbuffered
+            assert proc.stderr.startswith("error: cannot write to stdout: "), unbuffered
+            assert proc.stderr.count("\n") == 1, unbuffered
+
 
 # each subcommand's own options, with a value in range
 OWN_OPTIONS = {
@@ -438,6 +465,47 @@ def _random_table(count: int) -> list[list[str]]:
     ]
 
 
+# values for every option's flag: in range, out of range, malformed, and
+# ones that start with "-"
+SPELLED_VALUES = {
+    "--json-matrix": ["matrix.json", "", "-m"],
+    "--preset": ["lu-counterexample", "cubic-trivial-quotient", "missing", ""],
+    "--format": ["text", "json", "csv", "xml", "-json"],
+    "-f": ["json", "csv", "text", "xml"],
+    "--out": ["report.txt", "", "-"],
+    "--max-a": ["0", "3", "1000", "1001", "-1", "1.5", "x"],
+    "--timeout-secs": ["1.5", "0", "1e-9", "nan", "inf", "-1"],
+    "--collection": ["collection.json", "", "-c"],
+}
+SPELLED_POSITIONALS = [PENTAGON, "x1^3+x2^3", "", "search", "-x"]
+SHARED_FLAGS = ["--json-matrix", "--preset", "--format", "-f", "--out"]
+
+
+def _spelled_table(count: int) -> list[list[str]]:
+    """Seeded argv of a subcommand and full option spellings: mostly its own
+    options with a value from SPELLED_VALUES, sometimes another subcommand's,
+    a positional, or a flag without a value."""
+    rng = random.Random(22)
+    table = []
+    for _ in range(count):
+        sub = rng.choice(list(OWN_OPTIONS))
+        flags = [*SHARED_FLAGS, *(option[0] for option in OWN_OPTIONS[sub])]
+        argv = [sub]
+        if sub == "verify" and rng.random() < 0.8:
+            argv += ["--collection", "collection.json"]
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.25:
+                argv.append(rng.choice(SPELLED_POSITIONALS))
+            elif roll < 0.3:
+                argv.append(rng.choice(list(SPELLED_VALUES)))
+            else:
+                flag = rng.choice(flags if roll < 0.9 else list(SPELLED_VALUES))
+                argv += [flag, rng.choice(SPELLED_VALUES[flag])]
+        table.append(argv)
+    return table
+
+
 def _whole_tree(argv):
     return build_parser().parse_args(argv)
 
@@ -457,8 +525,10 @@ def _parsed(capsys, parse, argv):
 
 
 class TestParseRoutes:
-    """parse_args builds only the named subcommand's parser; every argv must
-    parse exactly as through the whole tree."""
+    """parse_args reads an argv of full option spellings from the option
+    table and builds no parser, and for any other argv that starts with a
+    subcommand builds only that subcommand's parser; every argv must parse
+    exactly as through the whole tree."""
 
     @pytest.mark.parametrize(
         "argv", _route_table(), ids=lambda argv: " ".join(argv) or "no-arguments"
@@ -471,6 +541,23 @@ class TestParseRoutes:
             assert _parsed(capsys, parse_args, argv) == _parsed(
                 capsys, _whole_tree, argv
             ), argv
+
+    def test_same_on_spelled_argv(self, capsys, monkeypatch):
+        spelled, direct = cli._parse_spelled, []
+
+        def spy(argv):
+            args = spelled(argv)
+            direct.append(args is not None)
+            return args
+
+        monkeypatch.setattr(cli, "_parse_spelled", spy)
+        table, tree = _spelled_table(2000), build_parser()
+        for argv in table:
+            assert _parsed(capsys, parse_args, argv) == _parsed(
+                capsys, tree.parse_args, argv
+            ), argv
+        assert len(direct) == len(table)
+        assert 3 * sum(direct) >= len(table)
 
     def test_unrecognized_in_top_level_words(self, capsys):
         code, _, _, message = _parsed(capsys, parse_args, ["analyze", PENTAGON, "--bogus"])
@@ -486,10 +573,13 @@ class TestParseRoutes:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         parse_args(["search", "--preset", "lu-counterexample"])
-        assert built == ["invquot search"]
+        assert built == []
+        tree = ["invquot", *(f"invquot {sub}" for sub in OWN_OPTIONS)]
+        parse_args(["search", "--pre", "lu-counterexample"])
+        assert built == tree
         with pytest.raises(SystemExit):
             parse_args(["--version"])
-        assert built[1:] == ["invquot", *(f"invquot {sub}" for sub in OWN_OPTIONS)]
+        assert built == tree + tree
 
 
 GOLDEN_INPUTS = {
@@ -598,7 +688,7 @@ def _golden_run(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "collection.json").write_text(json.dumps([[0, 0], [2, 0], [1, 0]]))
     code, out, err = run(capsys, *argv)
     report = None
-    if "json" in argv and out:
+    if ("json" in argv or "--format=json" in argv) and out:
         report = json.loads(out)
         del report["timings"]
         out = json.dumps(report, indent=2)
@@ -617,6 +707,18 @@ class TestGoldenOutput:
             return
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest, err) == (0, GOLDEN[f"{command}-{source}-{fmt}"], "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+    def test_argparse_route_pinned(self, capsys, monkeypatch, tmp_path, command, fmt):
+        # the goldens above are spelled in full and take the direct route;
+        # --format=FMT takes the argparse route and must print the same bytes
+        argv = [*GOLDEN_COMMANDS[command], *GOLDEN_INPUTS["pentagon"], f"--format={fmt}"]
+        assert cli._parse_spelled([*argv[:-1], "--format", fmt]) is not None
+        assert cli._parse_spelled(argv) is None
+        code, out, err, _ = _golden_run(capsys, monkeypatch, tmp_path, argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, GOLDEN[f"{command}-pentagon-{fmt}"], "")
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("source", list(GOLDEN_INPUTS))

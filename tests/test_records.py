@@ -280,3 +280,15 @@ class TestImportCost:
         added = self.loaded("import invquot.cli") - bare
         assert "invquot.cli" in added
         assert "fractions" not in added
+
+    def test_spelled_cli_run_loads_no_locale(self):
+        # the headline argv, spelled in full, builds no argparse parser, so
+        # argparse's first gettext call, which imports locale, never runs
+        bare = self.loaded("pass")
+        added = self.loaded(
+            "import io, sys, invquot.cli; sys.stdout = io.StringIO(); "
+            "code = invquot.cli.main(['search', '--preset', 'lu-counterexample', '-f', 'json']); "
+            "sys.stdout = sys.__stdout__; assert code == 0"
+        ) - bare
+        assert "invquot.cli" in added
+        assert "locale" not in added
