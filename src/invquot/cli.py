@@ -273,6 +273,7 @@ def _run_analyze(
         blocks = atomic_decomposition(poly).blocks
     except InvquotError:
         blocks = ()  # no atomic decomposition: reported as None
+    group = sq.group  # computed on each read, so read once
     return {
         "n": poly.n,
         "determinant": poly.determinant(),
@@ -284,9 +285,9 @@ def _run_analyze(
             for b in blocks
         ] or None,
         "symmetry_group": {
-            "order": sq.group.order,
-            "invariant_factors": list(sq.group.invariant_factors),
-            "generators": [_element_json(g) for g in sq.group.generators],
+            "order": group.order,
+            "invariant_factors": list(group.invariant_factors),
+            "generators": [_element_json(g) for g in group.generators],
         },
         "scalar_subgroup": {
             "order": sq.scalar_order,
@@ -303,7 +304,7 @@ def _run_analyze(
             ),
         },
         "splitting_coefficients": list(sq.splitting),
-        "loop_formula_agrees": _loop_formula_check(poly, blocks, sq.group),
+        "loop_formula_agrees": _loop_formula_check(poly, blocks, group),
     }
 
 
@@ -658,7 +659,8 @@ def _csv_verify(report: dict) -> str:
 
 # subcommand -> (run, text renderer, CSV renderer); run takes the polynomial,
 # its symmetry quotient, the parsed arguments and a dict to which it may add
-# the seconds of its stages, a renderer the whole report
+# the seconds of its stages (main puts the quotient's, quotient_s, there
+# first), a renderer the whole report
 _SUBCOMMANDS = {
     "analyze": (_run_analyze, _text_analyze, _csv_analyze),
     "table": (_run_table, _text_table, _csv_table),
@@ -674,8 +676,10 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         poly, input_info = _resolve_input(args)
         run, text, csv = _SUBCOMMANDS[args.subcommand]
-        stages: dict = {}
-        results = run(poly, symmetry_quotient(poly), args, stages)
+        t1 = time.monotonic()
+        sq = symmetry_quotient(poly)
+        stages = {"quotient_s": round(time.monotonic() - t1, 4)}
+        results = run(poly, sq, args, stages)
         report = {
             "tool": {"name": "invquot", "version": __version__},
             "subcommand": args.subcommand,

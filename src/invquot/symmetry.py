@@ -74,16 +74,6 @@ class DiagonalElement(FrozenRecord):
         s = modulus // self.den
         return tuple(x * s for x in self.num)
 
-    def mul(self, other: "DiagonalElement") -> "DiagonalElement":
-        d = lcm(self.den, other.den)
-        sa, sb = d // self.den, d // other.den
-        return DiagonalElement.of(
-            [x * sa + y * sb for x, y in zip(self.num, other.num)], d
-        )
-
-    def __pow__(self, k: int) -> "DiagonalElement":
-        return DiagonalElement.of([x * k for x in self.num], self.den)
-
     def inverse(self) -> "DiagonalElement":
         return DiagonalElement(
             num=tuple((self.den - x) % self.den for x in self.num), den=self.den
@@ -173,10 +163,11 @@ def spans_group(group: FiniteAbelianGroup, generators) -> bool:
 
 
 def symmetry_group_of_matrix(a: IntMatrix) -> FiniteAbelianGroup:
-    """Diagonal symmetries of any nondegenerate exponent matrix, via its Smith
-    form: with U A V = D, the group is generated by the columns of V divided
-    by the matching diagonal entries, and the invariant factors are the
-    diagonal entries larger than 1."""
+    """Diagonal symmetries of any nondegenerate square exponent matrix, via
+    its Smith form: with U A V = D, the group is generated by the columns of
+    V divided by the matching diagonal entries, and the invariant factors are
+    the diagonal entries larger than 1. Their product, the group order, is
+    checked against |det A| by Bareiss elimination, a second route."""
     snf = smith_normal_form(a)
     n = a.rows
     if any(snf.D[i, i] == 0 for i in range(min(n, a.cols))):
@@ -194,6 +185,11 @@ def symmetry_group_of_matrix(a: IntMatrix) -> FiniteAbelianGroup:
                 raise SymmetryInvariantError(f"generator {g} does not preserve the polynomial")
             factors.append(d)
             gens.append(g)
+    det = abs(a.det())
+    if prod(factors) != det:
+        raise SymmetryInvariantError(
+            f"invariant factors {tuple(factors)} multiply to {prod(factors)}, not |det A| = {det}"
+        )
     return FiniteAbelianGroup(
         nvars=n, invariant_factors=tuple(factors), generators=tuple(gens)
     )
@@ -236,30 +232,30 @@ def loop_generator(exponents) -> DiagonalElement:
 class SymmetryQuotient(FrozenRecord):
     """Symmetry data of an invertible polynomial and its quotient by scalars.
 
-    characters[i][j] is the grading character of x_j under the i-th quotient
-    factor, valid when the scalar subgroup splits off; otherwise characters is
-    None and graded computations downstream refuse the input.
+    Built by symmetry_quotient from one Smith form, that of [A | 1]: the
+    scalar generator, the quotient's invariant factors and a canonical
+    generator per factor. characters[i][j] is the grading character of x_j
+    under the i-th quotient factor, valid when the scalar subgroup splits
+    off; otherwise characters is None and graded computations downstream
+    refuse the input. The full group and the splitting coefficients, which
+    no graded computation reads, are not fields: they are computed from poly
+    on each read.
     """
 
     _fields = (
-        "poly", "group", "scalar_generator", "splitting", "quotient_orders",
-        "quotient_generators", "characters",
+        "poly", "scalar_generator", "quotient_orders", "quotient_generators", "characters",
     )
 
     def __init__(
         self,
         poly: InvertiblePolynomial,
-        group: FiniteAbelianGroup,
         scalar_generator: DiagonalElement,
-        splitting: tuple[int, ...],
         quotient_orders: tuple[int, ...],
         quotient_generators: tuple[DiagonalElement, ...],
         characters: tuple[tuple[int, ...], ...] | None,
     ):
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "group", group)
         object.__setattr__(self, "scalar_generator", scalar_generator)
-        object.__setattr__(self, "splitting", splitting)
         object.__setattr__(self, "quotient_orders", quotient_orders)
         object.__setattr__(self, "quotient_generators", quotient_generators)
         object.__setattr__(self, "characters", characters)
@@ -267,6 +263,18 @@ class SymmetryQuotient(FrozenRecord):
         # monomial counts of the long-exact-sequence route), kept as long as
         # it lives; not a field, so equality, hashing and repr ignore it
         object.__setattr__(self, "derived", {})
+
+    @property
+    def group(self) -> FiniteAbelianGroup:
+        """The full diagonal symmetry group, from the Smith form of A;
+        computed on each read."""
+        return diagonal_symmetry_group(self.poly)
+
+    @property
+    def splitting(self) -> tuple[int, ...]:
+        """Small integers b with sum(b_i q_i) = 1 over the weights q;
+        computed on each read."""
+        return splitting_coefficients(self.weights)
 
     @property
     def n(self) -> int:
@@ -361,64 +369,87 @@ def _quotient_class_reps(poly: InvertiblePolynomial):
     return tuple(factors), tuple(reps)
 
 
-def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
-    """Assemble the full symmetry picture for one polynomial.
+def _canonical_generator(m: int, rep: DiagonalElement, sigma: DiagonalElement):
+    """The canonical generator of a quotient factor of order m whose class
+    holds rep: among the scalar translates rep + t sigma, t < ord sigma, and
+    their powers k < m coprime to m, the element of exact order m with the
+    lexicographically smallest phase vector; None when no candidate has
+    order m, so the scalar subgroup does not split off.
 
-    Computes the diagonal symmetry group, the scalar generator and splitting
-    coefficients, the quotient's invariant factors, and canonical quotient
-    generators realized inside the torus. A canonical generator is chosen per
-    factor as the lexicographically smallest representative of exact order
-    among all scalar translates and coprime powers; when no exact-order
-    representative exists the quotient does not split and characters is None.
+    Every candidate is an integer phase vector over the one denominator
+    L = lcm(rep.den, sigma.den). A translate of order o has k-th power of
+    order o / gcd(k, o), and a vector of order m over L is L / m times its
+    reduced phases, so candidates of order m compare over L as their reduced
+    phase vectors do.
     """
-    group = diagonal_symmetry_group(poly)
+    big = lcm(rep.den, sigma.den)
+    r = [x * (big // rep.den) for x in rep.num]
+    s = [x * (big // sigma.den) for x in sigma.num]
+    powers = [k for k in range(1, m) if gcd(k, m) == 1]
+    best = None
+    for t in range(sigma.order):
+        base = [(x + t * y) % big for x, y in zip(r, s)]
+        order = big // gcd(big, *base)
+        for k in powers:
+            if order // gcd(k, order) != m:
+                continue
+            cand = [x * k % big for x in base]
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    scale = big // m
+    return DiagonalElement(tuple(x // scale for x in best), m)
+
+
+def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
+    """The scalar quotient of one polynomial's diagonal symmetry group.
+
+    Builds the scalar generator, the weight phases q / d, and, from the one
+    Smith form of [A | 1], the quotient's invariant factors and a
+    representative per factor (_quotient_class_reps). The canonical
+    generator of a factor is the lexicographically smallest representative
+    of exact order among all scalar translates and coprime powers
+    (_canonical_generator); when no exact-order representative exists the
+    quotient does not split and characters is None. The group order is
+    checked by two routes: |det A| by Bareiss elimination equals ord sigma
+    times the product of the invariant factors. The full group and the
+    splitting coefficients are not built here; SymmetryQuotient computes
+    them on read.
+    """
     q, d = poly.weights, poly.degree
-    b = splitting_coefficients(q)
+    rows = poly.matrix.entries
     sigma = DiagonalElement.of(q, d)
-    if any(sigma.character(row) for row in poly.matrix.entries):
+    if any(sigma.character(row) for row in rows):
         raise SymmetryInvariantError("scalar generator does not preserve the polynomial")
     factors, raw_reps = _quotient_class_reps(poly)
 
     canonical = []
     characters: list[tuple[int, ...]] | None = []
     for m, rep in zip(factors, raw_reps):
-        best = None
-        for t in range(sigma.order):
-            base = rep.mul(sigma**t)
-            for k in range(1, m + 1):
-                if gcd(k, m) != 1:
-                    continue
-                cand = base**k
-                if cand.order != m:
-                    continue
-                if best is None or cand.num < best.num:
-                    best = cand
+        best = _canonical_generator(m, rep, sigma)
         if best is None:
             characters = None
             canonical.append(rep)
         else:
             canonical.append(best)
             if characters is not None:
-                if any(best.character(row) for row in poly.matrix.entries):
+                if any(best.character(row) for row in rows):
                     raise SymmetryInvariantError(
                         f"quotient generator {best} does not preserve the polynomial"
                     )
                 characters.append(best.num)
 
-    quotient_order = 1
-    for m in factors:
-        quotient_order *= m
-    if group.order != sigma.order * quotient_order:
+    group_order = abs(poly.determinant())
+    if group_order != sigma.order * prod(factors):
         raise SymmetryInvariantError(
-            f"group order {group.order} is not {sigma.order} scalars "
-            f"times quotient order {quotient_order}"
+            f"group order |det A| = {group_order} is not {sigma.order} scalars "
+            f"times quotient order {prod(factors)}"
         )
 
     return SymmetryQuotient(
         poly=poly,
-        group=group,
         scalar_generator=sigma,
-        splitting=b,
         quotient_orders=factors,
         quotient_generators=tuple(canonical),
         characters=tuple(characters) if characters is not None else None,

@@ -9,7 +9,7 @@ from itertools import product
 from math import lcm
 
 from test_search import LADDER
-from test_symmetry import from_fractions, phases
+from test_symmetry import from_fractions, mul, phases, power
 
 from invquot import (
     FixedLocusNotImplementedError,
@@ -150,7 +150,7 @@ def _reference_pieces(sq):
     for powers in product(*(range(m) for m in sq.quotient_orders)):
         lift = DiagonalElement.identity(sq.n)
         for k, g in zip(powers, sq.quotient_generators):
-            lift = lift.mul(g**k)
+            lift = mul(lift, power(g, k))
         level = lcm(lift.order, exponent)
         for j in range(level):
             if any(powers) or j:

@@ -47,8 +47,7 @@ FIELDS = {
     DiagonalElement: ("num", "den"),
     FiniteAbelianGroup: ("nvars", "invariant_factors", "generators"),
     SymmetryQuotient: (
-        "poly", "group", "scalar_generator", "splitting", "quotient_orders",
-        "quotient_generators", "characters",
+        "poly", "scalar_generator", "quotient_orders", "quotient_generators", "characters",
     ),
 }
 FROZEN = [cls for cls in FIELDS if cls is not SearchResult]

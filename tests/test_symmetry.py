@@ -7,7 +7,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -18,19 +18,29 @@ from invquot import (
     DegenerateLoopError,
     DiagonalElement,
     IntMatrix,
+    InvertiblePolynomial,
     InvquotError,
     SingularMatrixError,
+    SnfDecomposition,
+    SymmetryInvariantError,
     UnsupportedGeometryError,
+    candidate_window,
     diagonal_symmetry_group,
     loop_generator,
+    max_exceptional,
     parse,
     smith_normal_form,
     spans_group,
     symmetry_group_of_matrix,
     symmetry_quotient,
 )
+from invquot import lattice, symmetry
+from invquot.cli import main
 from invquot.polynomials import from_matrix
+from invquot.presets import PRESETS
 from invquot.symmetry import _quotient_class_reps
+
+from test_search import LADDER
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,6 +55,19 @@ def from_fractions(fractions) -> DiagonalElement:
     fractions = [Fraction(p) for p in fractions]
     den = lcm(*(p.denominator for p in fractions))
     return DiagonalElement.of([p.numerator * (den // p.denominator) for p in fractions], den)
+
+
+def mul(g: DiagonalElement, h: DiagonalElement) -> DiagonalElement:
+    """The product of two elements: phases added over a common denominator."""
+    d = lcm(g.den, h.den)
+    return DiagonalElement.of(
+        [x * (d // g.den) + y * (d // h.den) for x, y in zip(g.num, h.num)], d
+    )
+
+
+def power(g: DiagonalElement, k: int) -> DiagonalElement:
+    """The k-th power of an element: its phases times k."""
+    return DiagonalElement.of([x * k for x in g.num], g.den)
 
 
 def generated_residues(nvars: int, generators, modulus: int) -> frozenset:
@@ -104,24 +127,24 @@ class TestDiagonalElement:
     def test_mul_and_inverse(self):
         g = DiagonalElement.of((1, 3), 4)
         h = DiagonalElement.of((1, 1), 6)
-        gh = g.mul(h)
+        gh = mul(g, h)
         # phases live in [0, 1): 3/4 + 1/6 stays 11/12
         assert phases(gh) == (Fraction(5, 12), Fraction(11, 12))
-        assert g.mul(g.inverse()).is_identity()
+        assert mul(g, g.inverse()).is_identity()
 
     def test_pow_matches_repeated_mul(self):
         g = DiagonalElement.of((1, 4, 2), 9)
         acc = DiagonalElement.identity(3)
         for k in range(1, 12):
-            acc = acc.mul(g)
-            assert g ** k == acc
+            acc = mul(acc, g)
+            assert power(g, k) == acc
 
     def test_order_is_exact(self):
         g = DiagonalElement.of((2, 3), 12)
         assert g.den == 12 and g.order == 12
         for k in range(1, 12):
-            assert not (g ** k).is_identity()
-        assert (g ** 12).is_identity()
+            assert not power(g, k).is_identity()
+        assert power(g, 12).is_identity()
 
     def test_character_and_residues(self):
         g = DiagonalElement.of((1, 9, 4, 3, 5), 11)
@@ -144,11 +167,11 @@ class TestDiagonalElement:
         n = min(len(a), len(b))
         g = DiagonalElement.of(tuple(a[:n]), den)
         h = DiagonalElement.of(tuple(b[:n]), den)
-        assert g.mul(h) == h.mul(g)
-        assert g.mul(h).mul(g.inverse()) == h
-        assert (g.mul(h)) ** 3 == (g ** 3).mul(h ** 3)
+        assert mul(g, h) == mul(h, g)
+        assert mul(mul(g, h), g.inverse()) == h
+        assert power(mul(g, h), 3) == mul(power(g, 3), power(h, 3))
         assert g.order == min(
-            k for k in range(1, den + 1) if (g ** k).is_identity()
+            k for k in range(1, den + 1) if power(g, k).is_identity()
         )
 
 
@@ -238,7 +261,7 @@ class TestSymmetryGroup:
                 if rng.random() < 0.8:
                     element = DiagonalElement.identity(n)
                     for f, g in zip(group.invariant_factors, group.generators):
-                        element = element.mul(g ** rng.randrange(f))
+                        element = mul(element, power(g, rng.randrange(f)))
                 else:
                     element = DiagonalElement.of([rng.randrange(e) for _ in range(n)], e)
                 elements.append(element)
@@ -259,8 +282,8 @@ class TestSymmetryGroup:
         assert group.order == 3_200_001
         gen = loop_generator((20,) * 5)
         assert spans_group(group, [gen])
-        assert spans_group(group, [gen ** 2, gen ** 3])
-        assert not spans_group(group, [gen ** 3_200_001])
+        assert spans_group(group, [power(gen, 2), power(gen, 3)])
+        assert not spans_group(group, [power(gen, 3_200_001)])
 
 
 class TestLoopFormula:
@@ -367,11 +390,11 @@ class TestSymmetryQuotient:
         # the scalar subgroup
         (rho,) = sq.quotient_generators
         scalar_res = {
-            (sq.scalar_generator ** k).residues(33) for k in range(3)
+            power(sq.scalar_generator, k).residues(33) for k in range(3)
         }
         seen = set()
         for k in range(11):
-            rep = (rho ** k).residues(33)
+            rep = power(rho, k).residues(33)
             coset = frozenset(
                 tuple((r + s) % 33 for r, s in zip(rep, srs)) for srs in scalar_res
             )
@@ -423,6 +446,149 @@ class TestQuotientClassReps:
             kinds["non-split"] += sq.characters is None
             kinds["multi-factor"] += len(sq.quotient_orders) > 1
         assert min(kinds.values()) > 0 and len(kinds) == 3, kinds
+
+
+def reference_generators(poly):
+    """The canonical quotient generators and characters, every candidate
+    built as a DiagonalElement: for each factor m, every product of its
+    representative with a power sigma^t of the scalar generator, and every
+    power k <= m coprime to m of that product; the candidate of exact order
+    m with the smallest phase vector wins, and a factor without one leaves
+    its representative and no characters."""
+    sigma = DiagonalElement.of(poly.weights, poly.degree)
+    canonical, characters = [], []
+    for m, rep in zip(*_quotient_class_reps(poly)):
+        best = None
+        for t in range(sigma.order):
+            base = mul(rep, power(sigma, t))
+            for k in range(1, m + 1):
+                if gcd(k, m) != 1:
+                    continue
+                cand = power(base, k)
+                if cand.order == m and (best is None or cand.num < best.num):
+                    best = cand
+        if best is None:
+            characters = None
+            canonical.append(rep)
+        else:
+            canonical.append(best)
+            if characters is not None:
+                characters.append(best.num)
+    return tuple(canonical), None if characters is None else tuple(characters)
+
+
+def random_polynomials(seed: int, count: int):
+    """count seeded random invertible polynomials in 2 to 5 variables, from
+    exponent matrices with entries 0 to 3 that pass from_matrix."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 5)
+        try:
+            out.append(
+                from_matrix([[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)])
+            )
+        except InvquotError:
+            pass
+    return out
+
+
+class TestCanonicalGenerators:
+    @pytest.mark.parametrize("name", [*PRESETS, *LADDER])
+    def test_named_inputs_match_the_reference(self, name):
+        # both presets and the 16 ladder inputs, Z/9 (loop2+loop3) among them
+        poly = parse({**PRESETS, **LADDER}[name])
+        sq = symmetry_quotient(poly)
+        assert (sq.quotient_generators, sq.characters) == reference_generators(poly)
+
+    def test_random_polynomials_match_the_reference(self):
+        kinds = Counter()
+        for poly in random_polynomials(2026_23, 1_000):
+            sq = symmetry_quotient(poly)
+            assert (sq.quotient_generators, sq.characters) == reference_generators(poly), poly
+            kinds["weighted"] += len(set(poly.weights)) > 1
+            kinds["non-split"] += sq.characters is None
+            kinds["multi-factor"] += len(sq.quotient_orders) > 1
+        assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
+
+
+class TestOneSmithForm:
+    """A run builds the scalar quotient from the one Smith form of [A | 1]:
+    neither the full group nor the splitting coefficients, each of which
+    takes a Smith form of its own, unless it is read."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        real = lattice.smith_normal_form
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        def unread(*args):
+            raise AssertionError("built, though the run does not read it")
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counted)
+        monkeypatch.setattr(symmetry, "smith_normal_form", counted)
+        monkeypatch.setattr(symmetry, "diagonal_symmetry_group", unread)
+        monkeypatch.setattr(symmetry, "splitting_coefficients", unread)
+        return calls
+
+    def test_headline_search(self, smith_calls, capsys):
+        assert main(["search", "--preset", "lu-counterexample", "-f", "json"]) == 0
+        assert "24 < 54" in capsys.readouterr().out
+        assert len(smith_calls) == 1
+
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_ladder_run(self, smith_calls, name):
+        sq = symmetry_quotient(parse(LADDER[name]))
+        window, _ = candidate_window(sq)
+        sub = random.Random(name).sample(window, min(20, len(window)))
+        assert max_exceptional(sq, vertices=sub).size > 0
+        assert len(smith_calls) == 1
+
+    def test_group_and_splitting_on_read(self, sq):
+        # each read builds them afresh, from the polynomial alone
+        assert sq.group == diagonal_symmetry_group(sq.poly) and sq.group is not sq.group
+        assert sq.splitting == lattice.splitting_coefficients(sq.weights)
+
+
+class TestGroupOrderRoutes:
+    """|det A| by Bareiss elimination against the Smith form's invariant
+    factors: a mutation on either side raises."""
+
+    def test_group_of_matrix_with_a_dropped_smith_factor(self, monkeypatch, pentagon_poly):
+        real = symmetry.smith_normal_form
+
+        def dropped(matrix):
+            snf = real(matrix)
+            rows = snf.D.to_lists()
+            rows[-1][-1] = 1
+            return SnfDecomposition(snf.U, IntMatrix.from_rows(rows), snf.V)
+
+        monkeypatch.setattr(symmetry, "smith_normal_form", dropped)
+        with pytest.raises(SymmetryInvariantError, match=r"multiply to 1, not \|det A\| = 33"):
+            symmetry_group_of_matrix(pentagon_poly.matrix)
+
+    def test_group_of_matrix_with_a_wrong_determinant(self, monkeypatch, pentagon_poly):
+        monkeypatch.setattr(IntMatrix, "det", lambda self: 66)
+        with pytest.raises(SymmetryInvariantError, match=r"multiply to 33, not \|det A\| = 66"):
+            symmetry_group_of_matrix(pentagon_poly.matrix)
+
+    def test_quotient_with_a_dropped_factor(self, monkeypatch, pentagon_poly):
+        real = symmetry._quotient_class_reps
+        monkeypatch.setattr(
+            symmetry, "_quotient_class_reps",
+            lambda poly: tuple(part[:-1] for part in real(poly)),
+        )
+        with pytest.raises(SymmetryInvariantError, match="33 is not 3 scalars times quotient order 1"):
+            symmetry_quotient(pentagon_poly)
+
+    def test_quotient_with_a_wrong_determinant(self, monkeypatch, pentagon_poly):
+        monkeypatch.setattr(InvertiblePolynomial, "determinant", lambda self: -66)
+        with pytest.raises(SymmetryInvariantError, match="66 is not 3 scalars times quotient order 11"):
+            symmetry_quotient(pentagon_poly)
 
 
 class TestInvariantErrors:
