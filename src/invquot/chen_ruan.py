@@ -27,21 +27,8 @@ class Sector(FrozenRecord):
     quotient factor; eigenphase is the eigenvalue as a fraction of a full turn.
     """
 
+    # eigenphase is a Fraction
     _fields = ("element", "class_powers", "eigenphase", "fixed_coords", "contribution")
-
-    def __init__(
-        self,
-        element: DiagonalElement,
-        class_powers: tuple[int, ...],
-        eigenphase,             # a Fraction
-        fixed_coords: tuple[int, ...],
-        contribution: int,
-    ):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "class_powers", class_powers)
-        object.__setattr__(self, "eigenphase", eigenphase)
-        object.__setattr__(self, "fixed_coords", fixed_coords)
-        object.__setattr__(self, "contribution", contribution)
 
 
 def _require_cubic_threefold(sq: SymmetryQuotient):
@@ -133,17 +120,11 @@ def enumerate_sectors(sq: SymmetryQuotient) -> list[Sector]:
 
 
 class UntwistedData(FrozenRecord):
-    _fields = ("hyperplane_classes", "middle_full", "middle_invariant")
-
-    def __init__(
-        self,
-        hyperplane_classes: int,  # h^{0,0} + h^{1,1} + h^{2,2} + h^{3,3}
-        middle_full: int,         # h^{2,1} of the hypersurface itself
-        middle_invariant: int,    # its invariant part under the quotient
-    ):
-        object.__setattr__(self, "hyperplane_classes", hyperplane_classes)
-        object.__setattr__(self, "middle_full", middle_full)
-        object.__setattr__(self, "middle_invariant", middle_invariant)
+    _fields = (
+        "hyperplane_classes",  # h^{0,0} + h^{1,1} + h^{2,2} + h^{3,3}
+        "middle_full",         # h^{2,1} of the hypersurface itself
+        "middle_invariant",    # its invariant part under the quotient
+    )
 
     @property
     def total(self) -> int:

@@ -42,6 +42,9 @@ class BiDegree(FrozenRecord):
 
     _fields = ("a", "b")
 
+    # not Record's initializer: a ladder-sweep pass builds about 6,700
+    # bidegrees, at 0.53 us each here against 1.8 us through Record's (warm,
+    # 2-core Xeon), some 8 ms of a pass under 60 ms
     def __init__(self, a: int, b: tuple[int, ...]):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -24,9 +24,6 @@ class IntMatrix(FrozenRecord):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -98,11 +95,6 @@ class SnfDecomposition(FrozenRecord):
     """U @ M @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0."""
 
     _fields = ("U", "D", "V")
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:

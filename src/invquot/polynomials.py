@@ -97,19 +97,12 @@ def _parse_monomials(text: str) -> list[dict[int, int]]:
 class InvertiblePolynomial(FrozenRecord):
     """Validated polynomial with its exponent matrix, weights and degree."""
 
-    _fields = ("matrix", "weights", "degree", "quasi_smooth_certified")
-
-    def __init__(
-        self,
-        matrix: IntMatrix,         # row i = exponent vector of monomial i
-        weights: tuple[int, ...],  # primitive positive integer weights
-        degree: int,               # common weighted degree of every monomial
-        quasi_smooth_certified: bool,
-    ):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "quasi_smooth_certified", quasi_smooth_certified)
+    _fields = (
+        "matrix",   # row i = exponent vector of monomial i
+        "weights",  # primitive positive integer weights
+        "degree",   # common weighted degree of every monomial
+        "quasi_smooth_certified",
+    )
 
     @property
     def n(self) -> int:
@@ -224,17 +217,9 @@ class Block(FrozenRecord):
 
     _fields = ("kind", "variables", "exponents")
 
-    def __init__(self, kind: str, variables: tuple[int, ...], exponents: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "exponents", exponents)
-
 
 class AtomicDecomposition(FrozenRecord):
     _fields = ("blocks",)
-
-    def __init__(self, blocks: tuple[Block, ...]):
-        object.__setattr__(self, "blocks", blocks)
 
     def summary(self) -> str:
         return decomposition_text((b.kind, b.exponents) for b in self.blocks)

@@ -1,15 +1,32 @@
 """Base classes of the value records (bidegrees, matrices, groups, reports).
 
-A record names its fields in `_fields` and sets them in its own `__init__`.
-It equals only records of its own class with equal fields, and its repr is
-`Name(field=value, ...)` in field order. A frozen record also hashes as the
-tuple of its fields and refuses every attribute assignment or deletion, so
-its `__init__` sets the fields with `object.__setattr__`.
+A record names its fields once, in `_fields`; the shared `__init__` binds
+them by position, then by keyword, with the TypeErrors of a Python signature,
+and stores them with one `__dict__` update. A record equals only records of
+its own class with equal fields; its repr is `Name(field=value, ...)` in field
+order. A frozen record also hashes as the tuple of its fields and refuses
+every attribute assignment or deletion, which the `__dict__` update bypasses.
 """
 
 
 class Record:
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            missing = ", ".join(repr(key) for key in fields if key not in values)
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        self.__dict__.update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -161,11 +161,6 @@ def candidate_window(sq: SymmetryQuotient):
 class CollectionReport(FrozenRecord):
     _fields = ("valid", "size", "violations")
 
-    def __init__(self, valid: bool, size: int, violations: tuple[dict, ...]):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "violations", violations)
-
 
 def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     """Check an ordered sequence of bidegrees for exceptionality.

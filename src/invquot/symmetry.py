@@ -33,9 +33,9 @@ class DiagonalElement(FrozenRecord):
 
     _fields = ("num", "den")
 
-    def __init__(self, num: tuple[int, ...], den: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        num, den = self.num, self.den
         if den < 1:
             raise SymmetryInvariantError(f"denominator {den} is not positive")
         if not all(0 <= x < den or (den == 1 and x == 0) for x in num):
@@ -74,18 +74,9 @@ class DiagonalElement(FrozenRecord):
         s = modulus // self.den
         return tuple(x * s for x in self.num)
 
-    def inverse(self) -> "DiagonalElement":
-        return DiagonalElement(
-            num=tuple((self.den - x) % self.den for x in self.num), den=self.den
-        )
-
     def character(self, exponents) -> int:
         """Residue of sum(e_i * num_i) mod den; zero iff the monomial is fixed."""
         return sum(e * x for e, x in zip(exponents, self.num)) % self.den
-
-    def fixed_coordinates(self) -> tuple[int, ...]:
-        """1-based indices of coordinates with phase zero."""
-        return tuple(i + 1 for i, x in enumerate(self.num) if x == 0)
 
 
 class FiniteAbelianGroup(FrozenRecord):
@@ -98,15 +89,9 @@ class FiniteAbelianGroup(FrozenRecord):
 
     _fields = ("nvars", "invariant_factors", "generators")
 
-    def __init__(
-        self,
-        nvars: int,
-        invariant_factors: tuple[int, ...],
-        generators: tuple[DiagonalElement, ...],
-    ):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "generators", generators)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        nvars, invariant_factors, generators = self._values()
         if len(invariant_factors) != len(generators):
             raise SymmetryInvariantError("one generator per invariant factor expected")
         for a, b in zip(invariant_factors, invariant_factors[1:]):
@@ -246,22 +231,13 @@ class SymmetryQuotient(FrozenRecord):
         "poly", "scalar_generator", "quotient_orders", "quotient_generators", "characters",
     )
 
-    def __init__(
-        self,
-        poly: InvertiblePolynomial,
-        scalar_generator: DiagonalElement,
-        quotient_orders: tuple[int, ...],
-        quotient_generators: tuple[DiagonalElement, ...],
-        characters: tuple[tuple[int, ...], ...] | None,
-    ):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "scalar_generator", scalar_generator)
-        object.__setattr__(self, "quotient_orders", quotient_orders)
-        object.__setattr__(self, "quotient_generators", quotient_generators)
-        object.__setattr__(self, "characters", characters)
-        # tables derived from this quotient (homs.ext_table and the Laurent
-        # monomial counts of the long-exact-sequence route), kept as long as
-        # it lives; not a field, so equality, hashing and repr ignore it
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # tables derived from this quotient, kept as long as it lives: "ext"
+        # (homs.ext_table), "neg_counts" (the Laurent monomial counts of the
+        # long-exact-sequence route), "pair_cap" (search._pair_cap) and
+        # "residue_maps" (search._residue_maps); not a field, so equality,
+        # hashing and repr ignore it
         object.__setattr__(self, "derived", {})
 
     @property

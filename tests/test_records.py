@@ -91,6 +91,18 @@ class TestEveryRecord:
         assert values(by_name) == values(by_position) == values(obj)
         with pytest.raises(TypeError):
             cls(*values(obj), None)
+        # as a Python signature would: each missing field (SearchResult's
+        # proof_log is optional), an unknown keyword, a field given twice
+        by_keyword = dict(zip(FIELDS[cls], values(obj)))
+        for name in FIELDS[cls]:
+            if name != "proof_log":
+                with pytest.raises(TypeError):
+                    cls(**{k: v for k, v in by_keyword.items() if k != name})
+        with pytest.raises(TypeError):
+            cls(**by_keyword, unknown=None)
+        first = FIELDS[cls][0]
+        with pytest.raises(TypeError):
+            cls(*values(obj), **{first: by_keyword[first]})
 
     def test_equal_only_to_its_own_class(self, records, cls):
         obj = records[cls]
