@@ -28,8 +28,8 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .lattice import (
-    IntMatrix,
     SnfDecomposition,
+    det,
     smith_normal_form,
     solve_positive_weights,
     splitting_coefficients,
@@ -85,7 +85,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "FixedLocusNotImplementedError",
     "GcdNotOneError",
-    "IntMatrix",
     "InvertiblePolynomial",
     "InvquotError",
     "LatticeInvariantError",
@@ -107,6 +106,7 @@ __all__ = [
     "candidate_window",
     "canonical_bidegree",
     "chen_ruan_dim",
+    "det",
     "diagonal_symmetry_group",
     "enumerate_sectors",
     "export_digraph_json",

@@ -42,7 +42,7 @@ def _require_cubic_threefold(sq: SymmetryQuotient):
 def _axis_inside_hypersurface(sq: SymmetryQuotient, coord: int) -> bool:
     """True when the coordinate axis (1-based) lies inside the hypersurface,
     i.e. no monomial is supported entirely on that single coordinate."""
-    for row in sq.poly.matrix.entries:
+    for row in sq.poly.matrix:
         if all(e == 0 for j, e in enumerate(row, start=1) if j != coord):
             return False
     return True

@@ -226,7 +226,7 @@ def _resolve_input(args) -> tuple[InvertiblePolynomial, dict]:
     info = {
         "source": kind if kind != "preset" else f"preset:{value}",
         "polynomial": poly.to_text(),
-        "matrix": poly.matrix.to_lists(),
+        "matrix": [list(row) for row in poly.matrix],
     }
     return poly, info
 

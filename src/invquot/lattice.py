@@ -1,9 +1,12 @@
-"""Exact integer matrix kernel: Smith normal form, weight systems, splitting coefficients.
+"""Exact integer matrix kernel: determinant, Smith normal form, weight systems,
+splitting coefficients.
 
-Everything here runs on arbitrary-precision Python integers and no step solves
-over the rationals: weights come from Cramer's rule on Bareiss determinants.
-Floating point is never used; fractions.Fraction appears only in the text of
-the NoPositiveWeightsError message, and is imported there.
+A matrix is a sequence of rows, each a sequence of Python integers; results
+come back as tuples of row tuples. Everything here runs on arbitrary-precision
+integers and no step solves over the rationals: weights come from Cramer's
+rule on Bareiss determinants. Floating point is never used; fractions.Fraction
+appears only in the text of the NoPositiveWeightsError message, and is
+imported there.
 """
 
 from __future__ import annotations
@@ -19,92 +22,47 @@ from .errors import (
 from .record import FrozenRecord
 
 
-class IntMatrix(FrozenRecord):
-    """Immutable integer matrix, row major."""
+def det(rows) -> int:
+    """Exact determinant of a square matrix by fraction-free Bareiss elimination.
 
-    _fields = ("entries",)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        return cls(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
-        )
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
+    >>> det([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    9
+    >>> det([])
+    1
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 class SnfDecomposition(FrozenRecord):
-    """U @ M @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0."""
+    """U @ M @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0;
+    each a tuple of row tuples."""
 
     _fields = ("U", "D", "V")
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        k = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(k))
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Diagonal entries larger than 1 (the nontrivial cyclic orders)."""
-        return tuple(d for d in self.diagonal if d > 1)
+        d = self.D
+        return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
 
 
 def _pivot(m, k, rows, cols):
@@ -121,20 +79,22 @@ def _pivot(m, k, rows, cols):
     return (best[1], best[2]) if best else None
 
 
-def smith_normal_form(matrix: IntMatrix) -> SnfDecomposition:
+def smith_normal_form(matrix) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Pivoting is deterministic: the entry of minimal nonzero absolute value,
     ties broken by (row, col). Works for rectangular matrices.
 
-    >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
+    >>> snf = smith_normal_form([[2, 0], [0, 4]])
     >>> snf.diagonal
     (2, 4)
     """
-    rows, cols = matrix.rows, matrix.cols
-    m = [list(r) for r in matrix.entries]
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    v = [list(r) for r in IntMatrix.identity(cols).entries]
+    m = [list(r) for r in matrix]
+    rows, cols = len(m), len(m[0]) if m else 0
+    if any(len(r) != cols for r in m):
+        raise ValueError("ragged rows")
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(a, b):
         m[a], m[b] = m[b], m[a]
@@ -206,11 +166,11 @@ def smith_normal_form(matrix: IntMatrix) -> SnfDecomposition:
                 u[k][j] = -u[k][j]
 
     return SnfDecomposition(
-        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(m), V=IntMatrix.from_rows(v)
+        U=tuple(map(tuple, u)), D=tuple(map(tuple, m)), V=tuple(map(tuple, v))
     )
 
 
-def solve_positive_weights(matrix: IntMatrix) -> tuple[tuple[int, ...], int]:
+def solve_positive_weights(matrix) -> tuple[tuple[int, ...], int]:
     """Primitive positive integer weights q and degree d with matrix @ q = d (1,...,1).
 
     By Cramer's rule the unique rational solution of A x = (1,...,1) is
@@ -221,28 +181,25 @@ def solve_positive_weights(matrix: IntMatrix) -> tuple[tuple[int, ...], int]:
     det(A) = 0 and NoPositiveWeightsError when some rational weight is zero or
     negative.
 
-    >>> solve_positive_weights(IntMatrix.from_rows([[1, 2], [2, 1]]))
+    >>> solve_positive_weights([[1, 2], [2, 1]])
     ((1, 1), 3)
     """
-    n = matrix.rows
-    if n != matrix.cols:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise SingularMatrixError("weight system needs a square matrix")
-    det = matrix.det()
-    if det == 0:
+    full = det(matrix)
+    if full == 0:
         raise SingularMatrixError("exponent matrix is singular over the rationals")
-    cramer = [
-        IntMatrix(tuple(row[:j] + (1,) + row[j + 1:] for row in matrix.entries)).det()
-        for j in range(n)
-    ]
-    if any(c * det <= 0 for c in cramer):
+    cramer = [det([[*row[:j], 1, *row[j + 1:]] for row in matrix]) for j in range(n)]
+    if any(c * full <= 0 for c in cramer):
         from fractions import Fraction
 
-        weights = [Fraction(c, det) for c in cramer]
+        weights = [Fraction(c, full) for c in cramer]
         raise NoPositiveWeightsError(f"rational weights {weights} are not all positive")
     g = gcd(*cramer)
     q = tuple(abs(c) // g for c in cramer)
-    d = sum(matrix[0, j] * q[j] for j in range(n))
-    if any(sum(a * x for a, x in zip(row, q)) != d for row in matrix.entries):
+    d = sum(matrix[0][j] * q[j] for j in range(n))
+    if any(sum(a * x for a, x in zip(row, q)) != d for row in matrix):
         raise LatticeInvariantError(f"weights {q} do not give every monomial degree {d}")
     return q, d
 
@@ -283,13 +240,12 @@ def splitting_coefficients(q: tuple[int, ...]) -> tuple[int, ...]:
     q = tuple(int(x) for x in q)
     if not q or any(x <= 0 for x in q):
         raise GcdNotOneError("weights must be positive integers")
-    snf = smith_normal_form(IntMatrix.from_rows([list(q)]))
-    if snf.D[0, 0] != 1:
-        raise GcdNotOneError(f"gcd of weights is {snf.D[0, 0]}, expected 1")
-    sign = snf.U[0, 0]
-    n = len(q)
-    b = [sign * snf.V[i, 0] for i in range(n)]
-    kernel = [tuple(snf.V[i, j] for i in range(n)) for j in range(1, n)]
+    snf = smith_normal_form([q])
+    if snf.D[0][0] != 1:
+        raise GcdNotOneError(f"gcd of weights is {snf.D[0][0]}, expected 1")
+    sign = snf.U[0][0]
+    first, *kernel = zip(*snf.V)
+    b = [sign * x for x in first]
     improved = True
     while improved:
         improved = False

@@ -16,9 +16,8 @@ from .errors import (
     NotAtomicSumError,
     NotSquareError,
     PolynomialSyntaxError,
-    SingularMatrixError,
 )
-from .lattice import IntMatrix, solve_positive_weights
+from .lattice import det, solve_positive_weights
 from .record import FrozenRecord
 
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|(\+)|(\*)|(\^)|(.))")
@@ -98,7 +97,7 @@ class InvertiblePolynomial(FrozenRecord):
     """Validated polynomial with its exponent matrix, weights and degree."""
 
     _fields = (
-        "matrix",   # row i = exponent vector of monomial i
+        "matrix",   # tuple of row tuples, row i = exponent vector of monomial i
         "weights",  # primitive positive integer weights
         "degree",   # common weighted degree of every monomial
         "quasi_smooth_certified",
@@ -106,13 +105,13 @@ class InvertiblePolynomial(FrozenRecord):
 
     @property
     def n(self) -> int:
-        return self.matrix.rows
+        return len(self.matrix)
 
     def determinant(self) -> int:
-        return self.matrix.det()
+        return det(self.matrix)
 
     def to_text(self) -> str:
-        return " + ".join(map(monomial_text, self.matrix.entries))
+        return " + ".join(map(monomial_text, self.matrix))
 
 
 def monomial_text(exponents) -> str:
@@ -128,26 +127,29 @@ def monomial_text(exponents) -> str:
 
 def from_matrix(rows) -> InvertiblePolynomial:
     """Build directly from an exponent matrix (one row per monomial)."""
-    matrix = rows if isinstance(rows, IntMatrix) else IntMatrix.from_rows(rows)
-    if not matrix.entries:
+    matrix = tuple(map(tuple, rows))
+    # type, not isinstance: True and False are bools, an int subclass
+    if not all(type(e) is int for row in matrix for e in row):
+        raise PolynomialSyntaxError("matrix entries must be integers")
+    if not matrix:
         raise PolynomialSyntaxError("empty exponent matrix: no monomials")
-    if matrix.rows != matrix.cols:
-        raise NotSquareError(
-            f"{matrix.rows} monomials but {matrix.cols} variables"
-        )
-    if any(e < 0 for row in matrix.entries for e in row):
+    n, cols = len(matrix), len(matrix[0])
+    if any(len(row) != cols for row in matrix):
+        raise PolynomialSyntaxError("matrix rows must all have the same length")
+    if n != cols:
+        raise NotSquareError(f"{n} monomials but {cols} variables")
+    if any(e < 0 for row in matrix for e in row):
         raise PolynomialSyntaxError("exponents must be nonnegative")
-    if any(all(e == 0 for e in row) for row in matrix.entries):
+    if any(all(e == 0 for e in row) for row in matrix):
         raise PolynomialSyntaxError("constant monomial (all-zero exponent row)")
     seen = set()
-    for row in matrix.entries:
+    for row in matrix:
         if row in seen:
             raise PolynomialSyntaxError(
                 "repeated monomial would need a coefficient other than 1"
             )
         seen.add(row)
-    if matrix.det() == 0:
-        raise SingularMatrixError("exponent matrix is singular")
+    # raises SingularMatrixError when det A = 0
     weights, degree = solve_positive_weights(matrix)
     certified = True
     try:
@@ -198,11 +200,6 @@ def parse_json_matrix(text: str) -> InvertiblePolynomial:
     rows = data["matrix"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise PolynomialSyntaxError("matrix must be a list of rows")
-    # type, not isinstance: a JSON true or false is a bool, an int subclass
-    if not all(type(x) is int for r in rows for x in r):
-        raise PolynomialSyntaxError("matrix entries must be integers")
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise PolynomialSyntaxError("matrix rows must all have the same length")
     return from_matrix(rows)
 
 
@@ -221,9 +218,6 @@ class Block(FrozenRecord):
 class AtomicDecomposition(FrozenRecord):
     _fields = ("blocks",)
 
-    def summary(self) -> str:
-        return decomposition_text((b.kind, b.exponents) for b in self.blocks)
-
 
 def decomposition_text(blocks) -> str:
     """Blocks given as (kind, exponents) pairs, e.g. Fermat(3) + Loop(2, 2)."""
@@ -231,9 +225,8 @@ def decomposition_text(blocks) -> str:
     return " + ".join(f"{names[kind]}({', '.join(map(str, e))})" for kind, e in blocks)
 
 
-def _decompose(matrix: IntMatrix) -> tuple[Block, ...]:
-    n = matrix.rows
-    rows = matrix.entries
+def _decompose(rows) -> tuple[Block, ...]:
+    n = len(rows)
     # head candidates per monomial: (head_var, tail_var or None)
     options: list[list[tuple[int, int | None]]] = []
     for i in range(n):

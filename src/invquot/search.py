@@ -103,7 +103,7 @@ def candidate_window(sq: SymmetryQuotient):
 
     # cutoff precondition: some defining monomial misses some variable x_j,
     # so x_j does not divide W and multiplication by it is injective on S/(W)
-    if not any(0 in row for row in sq.poly.matrix.entries):
+    if not any(0 in row for row in sq.poly.matrix):
         raise UnsupportedGeometryError(
             "every defining monomial touches every variable, no cutoff certificate"
         )
@@ -871,7 +871,7 @@ def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
     plus = [table.diff[minus[0]] for minus in table.minus]
     identity = list(range(m))
     maps = []
-    for sigma in _variable_permutations(sq.poly.matrix.entries)[1:]:
+    for sigma in _variable_permutations(sq.poly.matrix)[1:]:
         phi = [0] + [None] * (m - 1)
         frontier = [0]
         for r in frontier:

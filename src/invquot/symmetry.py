@@ -19,7 +19,7 @@ from .errors import (
     SymmetryInvariantError,
     UnsupportedGeometryError,
 )
-from .lattice import IntMatrix, smith_normal_form, splitting_coefficients
+from .lattice import det, smith_normal_form, splitting_coefficients
 from .polynomials import InvertiblePolynomial
 from .record import FrozenRecord
 
@@ -52,10 +52,6 @@ class DiagonalElement(FrozenRecord):
         g = reduce(gcd, nums, den)
         return cls(num=tuple(x // g for x in nums), den=den // g)
 
-    @classmethod
-    def identity(cls, n: int) -> "DiagonalElement":
-        return cls(num=(0,) * n, den=1)
-
     @property
     def n(self) -> int:
         return len(self.num)
@@ -63,9 +59,6 @@ class DiagonalElement(FrozenRecord):
     @property
     def order(self) -> int:
         return self.den
-
-    def is_identity(self) -> bool:
-        return self.den == 1
 
     def residues(self, modulus: int) -> tuple[int, ...]:
         """Phase numerators rescaled to a common modulus (order must divide it)."""
@@ -113,10 +106,6 @@ class FiniteAbelianGroup(FrozenRecord):
         return out
 
     @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
-
-    @property
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
@@ -129,7 +118,7 @@ def _subgroup_order(nvars: int, elements, modulus: int) -> int:
     modulus * I, so the order is modulus^nvars / D."""
     rows = [list(g.residues(modulus)) for g in elements]
     rows += [[modulus if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-    return modulus**nvars // prod(smith_normal_form(IntMatrix.from_rows(rows)).diagonal)
+    return modulus**nvars // prod(smith_normal_form(rows).diagonal)
 
 
 def spans_group(group: FiniteAbelianGroup, generators) -> bool:
@@ -147,36 +136,35 @@ def spans_group(group: FiniteAbelianGroup, generators) -> bool:
     )
 
 
-def symmetry_group_of_matrix(a: IntMatrix) -> FiniteAbelianGroup:
-    """Diagonal symmetries of any nondegenerate square exponent matrix, via
-    its Smith form: with U A V = D, the group is generated by the columns of
-    V divided by the matching diagonal entries, and the invariant factors are
-    the diagonal entries larger than 1. Their product, the group order, is
-    checked against |det A| by Bareiss elimination, a second route."""
+def symmetry_group_of_matrix(a) -> FiniteAbelianGroup:
+    """Diagonal symmetries of any nondegenerate square exponent matrix, given
+    as rows, via its Smith form: with U A V = D, the group is generated by the
+    columns of V divided by the matching diagonal entries, and the invariant
+    factors are the diagonal entries larger than 1. Their product, the group
+    order, is checked against |det A| by Bareiss elimination, a second route."""
     snf = smith_normal_form(a)
-    n = a.rows
-    if any(snf.D[i, i] == 0 for i in range(min(n, a.cols))):
+    diagonal = snf.diagonal
+    if 0 in diagonal:
         raise SingularMatrixError("exponent matrix is singular, the group is infinite")
     factors = []
     gens = []
-    for i in range(n):
-        d = snf.D[i, i]
+    for d, column in zip(diagonal, zip(*snf.V)):
         if d > 1:
-            g = DiagonalElement.of([snf.V[j, i] for j in range(n)], d)
+            g = DiagonalElement.of(column, d)
             if g.order != d:
                 raise SymmetryInvariantError(f"generator {g} does not have order {d}")
             # membership: every exponent row must pair to an integer
-            if any(g.character(row) for row in a.entries):
+            if any(g.character(row) for row in a):
                 raise SymmetryInvariantError(f"generator {g} does not preserve the polynomial")
             factors.append(d)
             gens.append(g)
-    det = abs(a.det())
-    if prod(factors) != det:
+    order = abs(det(a))
+    if prod(factors) != order:
         raise SymmetryInvariantError(
-            f"invariant factors {tuple(factors)} multiply to {prod(factors)}, not |det A| = {det}"
+            f"invariant factors {tuple(factors)} multiply to {prod(factors)}, not |det A| = {order}"
         )
     return FiniteAbelianGroup(
-        nvars=n, invariant_factors=tuple(factors), generators=tuple(gens)
+        nvars=len(a), invariant_factors=tuple(factors), generators=tuple(gens)
     )
 
 
@@ -279,30 +267,6 @@ class SymmetryQuotient(FrozenRecord):
     def quotient_is_cyclic(self) -> bool:
         return len(self.quotient_orders) <= 1
 
-    def intersection_group(self) -> FiniteAbelianGroup:
-        """The scalar symmetries: cyclic, generated by the weight phases."""
-        if self.scalar_generator.is_identity():
-            return FiniteAbelianGroup(
-                nvars=self.n, invariant_factors=(), generators=()
-            )
-        return FiniteAbelianGroup(
-            nvars=self.n,
-            invariant_factors=(self.scalar_order,),
-            generators=(self.scalar_generator,),
-        )
-
-    def quotient_group(self) -> FiniteAbelianGroup:
-        """The quotient realized inside the torus; needs the split model."""
-        if self.characters is None:
-            raise UnsupportedGeometryError(
-                "scalar subgroup does not split off, no torus model of the quotient"
-            )
-        return FiniteAbelianGroup(
-            nvars=self.n,
-            invariant_factors=self.quotient_orders,
-            generators=self.quotient_generators,
-        )
-
     def char_of_exponents(self, exponents) -> tuple[int, ...]:
         """Quotient character of a monomial, one residue per quotient factor."""
         if self.characters is None:
@@ -328,19 +292,17 @@ def _quotient_class_reps(poly: InvertiblePolynomial):
     """
     n = poly.n
     q, deg = poly.weights, poly.degree
-    snf = smith_normal_form(
-        IntMatrix.from_rows([list(row) + [1] for row in poly.matrix.entries])
-    )
+    snf = smith_normal_form([row + (1,) for row in poly.matrix])
     v = snf.V
     factors = []
     reps = []
     for i in range(n):
-        d = snf.D[i, i]
+        d = snf.D[i][i]
         if d <= 1:
             continue
         factors.append(d)
         reps.append(
-            DiagonalElement.of([v[j, i] * deg + v[n, i] * q[j] for j in range(n)], d * deg)
+            DiagonalElement.of([v[j][i] * deg + v[n][i] * q[j] for j in range(n)], d * deg)
         )
     return tuple(factors), tuple(reps)
 
@@ -394,7 +356,7 @@ def symmetry_quotient(poly: InvertiblePolynomial) -> SymmetryQuotient:
     them on read.
     """
     q, d = poly.weights, poly.degree
-    rows = poly.matrix.entries
+    rows = poly.matrix
     sigma = DiagonalElement.of(q, d)
     if any(sigma.character(row) for row in rows):
         raise SymmetryInvariantError("scalar generator does not preserve the polynomial")

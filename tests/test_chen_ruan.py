@@ -9,7 +9,7 @@ from itertools import product
 from math import lcm
 
 from test_search import LADDER
-from test_symmetry import from_fractions, mul, phases, power
+from test_symmetry import from_fractions, identity, mul, phases, power
 
 from invquot import (
     FixedLocusNotImplementedError,
@@ -24,7 +24,7 @@ from invquot import (
 )
 from invquot.chen_ruan import _pieces
 from invquot.presets import PRESETS
-from invquot.symmetry import DiagonalElement, SymmetryQuotient
+from invquot.symmetry import SymmetryQuotient
 
 # both presets and the 16 cubic atomic sums
 INPUTS = {**PRESETS, **LADDER}
@@ -125,7 +125,7 @@ class TestGuards:
         # phases of every lift only when each generator has its factor's order
         fields = {name: getattr(sq, name) for name in SymmetryQuotient._fields}
         bad = SymmetryQuotient(
-            **{**fields, "quotient_generators": (DiagonalElement.identity(sq.n),)}
+            **{**fields, "quotient_generators": (identity(sq.n),)}
         )
         for compute in (chen_ruan_dim, enumerate_sectors):
             with pytest.raises(SymmetryInvariantError, match="order 1, not its factor's 11"):
@@ -148,7 +148,7 @@ def _reference_pieces(sq):
     exponent = lcm(*sq.quotient_orders)
     out = []
     for powers in product(*(range(m) for m in sq.quotient_orders)):
-        lift = DiagonalElement.identity(sq.n)
+        lift = identity(sq.n)
         for k, g in zip(powers, sq.quotient_generators):
             lift = mul(lift, power(g, k))
         level = lcm(lift.order, exponent)
@@ -168,7 +168,7 @@ def _axis_outside(sq, coord):
     """A monomial x_coord^d keeps the coordinate axis off the hypersurface."""
     return any(
         row[coord - 1] and not any(e for j, e in enumerate(row, start=1) if j != coord)
-        for row in sq.poly.matrix.entries
+        for row in sq.poly.matrix
     )
 
 

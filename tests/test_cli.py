@@ -129,6 +129,13 @@ class TestInputValidation:
         assert out == ""
         assert err == "error: empty exponent matrix: no monomials\n"
 
+    def test_singular_matrix(self, capsys):
+        # x1^2*x2^2 is the square of x1*x2: det A = 0, found by the weight solve
+        code, out, err = run(capsys, "analyze", "x1^2*x2^2 + x1*x2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: exponent matrix is singular over the rationals\n"
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "analyze", PENTAGON, "--bogus")
         assert code == 1

@@ -16,7 +16,6 @@ from invquot import (
     CollectionReport,
     DiagonalElement,
     FiniteAbelianGroup,
-    IntMatrix,
     InvertiblePolynomial,
     SearchResult,
     SnfDecomposition,
@@ -37,7 +36,6 @@ FIELDS = {
     Sector: ("element", "class_powers", "eigenphase", "fixed_coords", "contribution"),
     UntwistedData: ("hyperplane_classes", "middle_full", "middle_invariant"),
     BiDegree: ("a", "b"),
-    IntMatrix: ("entries",),
     SnfDecomposition: ("U", "D", "V"),
     InvertiblePolynomial: ("matrix", "weights", "degree", "quasi_smooth_certified"),
     Block: ("kind", "variables", "exponents"),
@@ -64,7 +62,6 @@ def records(pentagon_poly):
         Sector: enumerate_sectors(sq)[0],
         UntwistedData: untwisted_invariants(sq),
         BiDegree: bidegree(sq, 1, 2),
-        IntMatrix: poly.matrix,
         SnfDecomposition: smith_normal_form(poly.matrix),
         InvertiblePolynomial: poly,
         Block: atomic_decomposition(poly).blocks[0],
@@ -204,7 +201,10 @@ class TestFiniteAbelianGroup:
 
 class TestOtherText:
     def test_int_matrix_and_block(self):
-        assert repr(IntMatrix(((1, 2), (3, 4)))) == "IntMatrix(entries=((1, 2), (3, 4)))"
+        # a matrix is a tuple of row tuples, shown as such inside a record
+        assert repr(smith_normal_form([[2, 0], [0, 4]])) == (
+            "SnfDecomposition(U=((1, 0), (0, 1)), D=((2, 0), (0, 4)), V=((1, 0), (0, 1)))"
+        )
         block = Block(kind="loop", variables=(1, 2), exponents=(2, 2))
         assert repr(block) == "Block(kind='loop', variables=(1, 2), exponents=(2, 2))"
 

@@ -1058,7 +1058,7 @@ class TestResidueMaps:
 
     @pytest.mark.parametrize("name", list(LADDER))
     def test_permutations_fix_w(self, name):
-        entries = parse(LADDER[name]).matrix.entries
+        entries = parse(LADDER[name]).matrix
         rows = set(entries)
         # x_j -> x_sigma(j) sends exponent e_j to place sigma(j)
         expected = [
@@ -1093,7 +1093,7 @@ class TestResidueMaps:
                 for x, y, order in zip(table.residues[r], chars[j], sq.quotient_orders)
             )]
 
-        sigmas = _variable_permutations(sq.poly.matrix.entries)
+        sigmas = _variable_permutations(sq.poly.matrix)
         for phi in maps:
             assert any(
                 all(phi[plus(r, j)] == plus(phi[r], sigma[j]) for r in range(m) for j in range(sq.n))
