@@ -10,15 +10,18 @@ long-exact-sequence route, which counts its Laurent monomials by character
 classes, kept alongside for cross-checking.
 
 Every dimension between O(u) and O(v) depends only on the difference v - u.
-One ExtTable per quotient, from ext_table(sq), holds the section counts per
-total degree and the Ext dimensions per difference (total degree, residue
-number), one total degree at a time on first use; the public per-pair
-functions are thin wrappers over it. The Ext digraph on distinct vertices is
-built the same way, by residue translation: the targets of a source in one
-layer are that layer's vertices at the source's residue plus each nonzero
-entry of one difference row. The long-exact-sequence route reads only the
-section counts and its own Laurent monomial counts, kept per quotient beside
-the table, never the Ext entries.
+One ExtTable per quotient, from ext_table(sq), holds int rows by residue
+number, one total degree at a time on first use: the section counts (Hom),
+the Serre row (Ext^3, the sections of the canonical degree less a read
+through one column), and the nonzero row hom | serre, which the window, the
+digraph and verification test; an Ext tuple is built only for a lookup, an
+audit entry or a violation. The public per-pair functions are thin wrappers
+over it. The Ext digraph on distinct vertices is built by residue
+translation: the targets of a source in one layer are that layer's vertices
+at the source's residue plus each nonzero entry of one difference row, and
+every target layer of a source is summed in one pipeline. The
+long-exact-sequence route reads only the section counts and its own Laurent
+monomial counts, kept per quotient beside the table, never the Ext entries.
 
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
@@ -28,8 +31,8 @@ dimension down to the 5-variable case.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
-from operator import add, sub
+from itertools import compress, product
+from operator import add, getitem, not_, or_, sub
 
 from .errors import CohomologyInvariantError, UnsupportedGeometryError
 from .polynomials import monomial_text
@@ -179,9 +182,9 @@ class ExtTable:
     residue tuple to its number and diff[i][j] is the number of j - i;
     minus[j][r] is the number of r - char x_{j+1}. Monomial counts are kept
     per total degree and filled upward by _count_step, from the last row of
-    each variable prefix; section and Ext dimensions are kept per difference
-    (a_target - a_source, residue-difference number), one whole row of
-    residues per total degree, on first use.
+    each variable prefix; the Hom, Serre and nonzero rows are kept per
+    difference (a_target - a_source, residue-difference number), one whole
+    row of residues per total degree, on first use.
     """
 
     def __init__(self, sq: SymmetryQuotient):
@@ -206,7 +209,8 @@ class ExtTable:
         # rows are never mutated, so the prefixes may share the zero row
         self._last = [self._zeros] * sq.n
         self._homs: dict[int, list[int]] = {}
-        self._ext: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._serres: dict[int, list[int]] = {}
+        self._nonzeros: dict[int, list[int]] = {}
         self._supports: dict[int, tuple[bool, list[int]]] = {}
 
     def residue_index(self, b) -> int:
@@ -250,39 +254,48 @@ class ExtTable:
         """Sections of the coordinate ring in difference (a, r)."""
         return self.hom_row(a)[r]
 
-    def _ext_row(self, a: int) -> list[tuple[int, int, int, int]]:
-        """Ext dimensions of every difference of total degree a, by residue
-        number: Hom from the section row of a, Ext^3 by Serre duality from
-        the section row of the canonical degree less a, read at kr - r."""
-        row = self._ext.get(a)
+    def serre_row(self, a: int) -> list[int]:
+        """dim Ext^3 in every difference of total degree a, by residue
+        number: by Serre duality, the sections of the canonical degree less
+        a, read at kr - r for difference r."""
+        row = self._serres.get(a)
         if row is None:
             serre = self.hom_row(self.canonical[0] - a)
-            # the two middle groups vanish whenever the ambient middle cohomology
-            # does; that is checked explicitly by the long-exact-sequence route
-            # in ext_dims_via_les
-            row = self._ext[a] = [
-                (h, 0, 0, s)
-                for h, s in zip(
-                    self.hom_row(a), map(serre.__getitem__, self._serre_column)
-                )
-            ]
+            row = self._serres[a] = list(map(serre.__getitem__, self._serre_column))
         return row
+
+    def nonzero_row(self, a: int) -> list[int]:
+        """Some Ext nonzero in every difference of total degree a, by residue
+        number: hom | serre, an int that is 0 exactly when every Ext is."""
+        row = self._nonzeros.get(a)
+        if row is None:
+            row = self._nonzeros[a] = list(map(or_, self.hom_row(a), self.serre_row(a)))
+        return row
+
+    def ext(self, a: int, r: int) -> tuple[int, int, int, int]:
+        """(dim Ext^0, ..., dim Ext^3) in difference (a, r): Hom, and Ext^3
+        by Serre duality. The two middle groups vanish whenever the ambient
+        middle cohomology does; that is checked explicitly by the
+        long-exact-sequence route in ext_dims_via_les."""
+        return (self.hom_row(a)[r], 0, 0, self.serre_row(a)[r])
 
     def dims(self, source: BiDegree, target: BiDegree) -> tuple[int, int, int, int]:
         """(dim Ext^0, ..., dim Ext^3) from O(source) to O(target), via Serre duality."""
         _require_threefold(self.sq)
         r = self.diff[self.residue_index(source.b)][self.residue_index(target.b)]
-        return self._ext_row(target.a - source.a)[r]
+        return self.ext(target.a - source.a, r)
 
     def _support(self, a: int) -> tuple[bool, list[int]]:
         """(True, the residue numbers s with some nonzero Ext in difference
         (a, s)), or (False, those with all Ext zero) when these are fewer."""
         support = self._supports.get(a)
         if support is None:
-            row = self._ext_row(a)
-            nonzero = [s for s, dims in enumerate(row) if any(dims)]
-            zero = [s for s, dims in enumerate(row) if not any(dims)]
-            support = (True, nonzero) if len(nonzero) <= len(zero) else (False, zero)
+            row = self.nonzero_row(a)
+            nonzero = list(compress(range(len(row)), row))
+            if 2 * len(nonzero) <= len(row):
+                support = (True, nonzero)
+            else:
+                support = (False, list(compress(range(len(row)), map(not_, row))))
             self._supports[a] = support
         return support
 
@@ -297,6 +310,11 @@ class ExtTable:
         whole layer less those at r + s over the zero entries when these are
         fewer. Each layer keeps the bit of its vertex at every residue number
         (0 where it has none), and distinct vertices make each sum an OR.
+        Per source layer, the whole layers read through their zero entries
+        (and the all-nonzero ones, which list none) fold into one constant,
+        and every listed entry of every target layer is one (bit list,
+        residue) pair, the bit list negated for a zero entry: the out row of
+        a source is that constant plus one sum over the pairs, read at r + s.
         """
         _require_threefold(self.sq)
         layers: dict[int, list[int]] = {}
@@ -310,23 +328,30 @@ class ExtTable:
                 raise ValueError(f"vertex {v} given twice")
             bits[r] = 1 << j
             keys.append((v.a, r))
-        # per source layer: for each target layer, its bit lookup, its whole
-        # mask and the support of the difference row between them
-        steps = {
-            ua: [
-                (bits.__getitem__, sum(bits), *self._support(va - ua))
-                for va, bits in layers.items()
-            ]
-            for ua in layers
-        }
+        # per target layer: its bits, the same negated, its whole mask
+        looks = [(va, bits, [-b for b in bits], sum(bits)) for va, bits in layers.items()]
+        # per source layer: the constant, and the bit list and residue number
+        # of every listed entry, in target layer order
+        steps = {}
+        for ua in layers:
+            constant, lists, entries = 0, [], []
+            for va, bits, negated, full in looks:
+                nonzero, support = self._support(va - ua)
+                if not nonzero:
+                    constant += full
+                lists += [bits if nonzero else negated] * len(support)
+                entries += support
+            steps[ua] = (constant, lists, entries)
         diff = self.diff
         out = []
         for i, (ua, ur) in enumerate(keys):
+            constant, lists, entries = steps[ua]
             plus = diff[diff[ur][0]].__getitem__   # residue number s -> r + s
-            m = 0
-            for bit_at, full, nonzero, support in steps[ua]:
-                hit = sum(map(bit_at, map(plus, support)))
-                m |= hit if nonzero else full - hit
+            # the constant goes last, so the running sum grows to full width
+            # only as the higher layers come: on the Fermat window, 5.7 ms
+            # for all rows against 8.8 ms with the constant first (warm,
+            # 2-core Xeon)
+            m = sum(map(getitem, lists, map(plus, entries))) + constant
             out.append(m & ~(1 << i))
         return out
 

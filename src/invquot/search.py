@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 import time
+from itertools import compress
 
 from .errors import SearchInvariantError, SearchTimeoutError, UnsupportedGeometryError
 from .homs import (
@@ -98,7 +99,6 @@ def candidate_window(sq: SymmetryQuotient):
     """
     _require_threefold(sq)
     table = ext_table(sq)
-    base = base_vertex(sq)
     audit: dict = {"layers": [], "excluded": [], "certificate": None}
 
     # cutoff precondition: some defining monomial misses some variable x_j,
@@ -110,6 +110,8 @@ def candidate_window(sq: SymmetryQuotient):
     # the Serre term lags the Hom term by n - d layers
     span = max(2, -table.canonical[0])
 
+    # minus[r]: the number of -r
+    minus = [row[0] for row in table.diff]
     full_row = None
     a = 0
     vertices = []
@@ -128,28 +130,27 @@ def candidate_window(sq: SymmetryQuotient):
             raise UnsupportedGeometryError(
                 "no all-positive row found within the scan limit"
             )
-        kept = []
         # the base is (0, residue number 0): forward reads difference (a, r),
-        # backward (-a, -r)
-        forward_row, backward_row = table._ext_row(a), table._ext_row(-a)
-        for r, b in enumerate(table.residues):
-            v = BiDegree(a=a, b=b)
-            if v == base:
-                kept.append(v)
-                continue
-            forward = forward_row[r]
-            backward = backward_row[table.diff[r][0]]
-            if any(forward) and any(backward):
-                audit["excluded"].append(
-                    {
-                        "vertex": [v.a, list(v.b)],
-                        "reason": "mutual arrows with base",
-                        "ext_base_to_v": list(forward),
-                        "ext_v_to_base": list(backward),
-                    }
-                )
-            else:
-                kept.append(v)
+        # backward (-a, -r); a vertex is excluded when both are nonzero
+        backward = table.nonzero_row(-a)
+        mutual = list(
+            map(operator.mul, table.nonzero_row(a), map(backward.__getitem__, minus))
+        )
+        if a == 0:
+            mutual[0] = 0    # the base itself, kept
+        for r in compress(range(len(mutual)), mutual):
+            audit["excluded"].append(
+                {
+                    "vertex": [a, list(table.residues[r])],
+                    "reason": "mutual arrows with base",
+                    "ext_base_to_v": list(table.ext(a, r)),
+                    "ext_v_to_base": list(table.ext(-a, minus[r])),
+                }
+            )
+        kept = [
+            BiDegree(a=a, b=b)
+            for b in compress(table.residues, map(operator.not_, mutual))
+        ]
         vertices.extend(kept)
         audit["layers"].append({"a": a, "kept": len(kept)})
         if full_row is None and min(table.hom_row(a)) > 0:
@@ -176,7 +177,7 @@ def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     if len(set(objs)) != len(objs):
         violations.append({"kind": "duplicate objects"})
     # every endomorphism Ext is that of the zero difference
-    self_ext = table._ext_row(0)[0]
+    self_ext = table.ext(0, 0)
     if self_ext != (1, 0, 0, 0):
         violations.extend(
             {"kind": "not exceptional", "object": str(e), "ext": list(self_ext)}
@@ -186,14 +187,13 @@ def verify_collection(sq: SymmetryQuotient, order) -> CollectionReport:
     for j, (ja, jr) in enumerate(keys):
         for i in range(j):
             ia, ir = keys[i]
-            back = table._ext_row(ia - ja)[diff[jr][ir]]
-            if any(back):
+            if table.nonzero_row(ia - ja)[diff[jr][ir]]:
                 violations.append(
                     {
                         "kind": "backward ext",
                         "source": str(objs[j]),
                         "target": str(objs[i]),
-                        "ext": list(back),
+                        "ext": list(table.ext(ia - ja, diff[jr][ir])),
                     }
                 )
     return CollectionReport(

@@ -391,18 +391,24 @@ class TestExtTable:
 
     @pytest.mark.parametrize("poly", [PENTAGON, Z9], ids=["pentagon", "z9"])
     def test_window_entries_match_les(self, poly):
-        # a fresh table, so exactly the rows the window's digraph reads are filled
+        # a fresh table, so exactly the rows the window's digraph reads are
+        # filled: per difference of total degrees, the Serre row, the nonzero
+        # row and the support read from it
         sq = symmetry_quotient(parse(poly))
         verts, _ = candidate_window(sq)
         table = ExtTable(sq)
         table.rows(verts)
         o = bidegree(sq, 0, [0] * len(sq.quotient_orders))
-        assert sorted(table._ext) == sorted({v.a - u.a for u in verts for v in verts})
-        for a, row in table._ext.items():
-            assert len(row) == len(table.residues)
-            for r, dims in enumerate(row):
-                d = BiDegree(a=a, b=table.residues[r])
-                assert dims == ext_dims_via_les(sq, o, d), (a, r)
+        differences = sorted({v.a - u.a for u in verts for v in verts})
+        assert sorted(table._serres) == sorted(table._nonzeros) == differences
+        assert sorted(table._supports) == differences
+        for a, (nonzero, support) in table._supports.items():
+            assert len(table._serres[a]) == len(table._nonzeros[a]) == len(table.residues)
+            for r, b in enumerate(table.residues):
+                dims = ext_dims_via_les(sq, o, BiDegree(a=a, b=b))
+                assert (table.hom_row(a)[r], 0, 0, table._serres[a][r]) == dims, (a, r)
+                assert bool(table._nonzeros[a][r]) == any(dims), (a, r)
+                assert (r in support) == (any(dims) == nonzero), (a, r)
 
     @pytest.mark.parametrize(
         "case", ["fermat", "pentagon", "z9", "trivial", "irregular"]
@@ -477,7 +483,10 @@ class TestExtTable:
         monkeypatch.setattr(SymmetryQuotient, "__hash__", no_hash)
         les = [ext_dims_via_les(sq, base, d) for sq, base, d in pairs]
         monkeypatch.undo()
-        assert not ext_table(first)._ext and not ext_table(second)._ext
+        for table in (ext_table(first), ext_table(second)):
+            # the Serre-duality route's rows stay empty
+            assert not table._homs and not table._serres
+            assert not table._nonzeros and not table._supports
         assert first.derived["neg_counts"] is not second.derived["neg_counts"]
         assert sorted(first.derived["neg_counts"]) == list(range(-9, 7))
         assert any(dims[3] for dims in les)
@@ -514,11 +523,13 @@ class TestExtTable:
         h = hash(first)
         table = ext_table(first)
         ext_dims(first, bidegree(first, 0, 0), bidegree(first, 2, 3))
-        assert ext_table(first) is table and table._ext
+        assert ext_table(first) is table and table._homs and table._serres
         again = symmetry_quotient(parse(PENTAGON))
         assert again == first and hash(again) == h
-        assert ext_table(again) is not table
-        assert not ext_table(again)._ext
+        fresh = ext_table(again)
+        assert fresh is not table
+        assert not fresh._counts and not fresh._homs and not fresh._serres
+        assert not fresh._nonzeros and not fresh._supports
 
 
 class TestLesInvariantErrors:

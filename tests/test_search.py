@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations, permutations, product
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,8 +26,10 @@ from invquot import (
     bidegree,
     candidate_window,
     export_digraph_json,
+    ext_dims,
     ext_dims_via_les,
     get_preset,
+    hom_dim,
     max_exceptional,
     parse,
     symmetry_quotient,
@@ -34,7 +37,7 @@ from invquot import (
 )
 from invquot import search as search_module
 from invquot.cli import main
-from invquot.homs import _difference_table, ext_table
+from invquot.homs import _difference_table, ext_table, shift
 from invquot.search import (
     _blocks,
     _chains,
@@ -86,6 +89,64 @@ REFERENCE_SEQUENCE = [
 
 def degs(sq, pairs):
     return [bidegree(sq, a, b) for a, b in pairs]
+
+
+def window_oracle(sq):
+    """The candidate window one vertex at a time: a vertex is excluded when
+    some Ext from the base to it and some Ext back are both nonzero, each
+    read by its own ext_dims lookup, and the scan stops n - d layers (at
+    least two) after the first layer whose section count is positive in
+    every residue."""
+    base = base_vertex(sq)
+    residues = ext_table(sq).residues
+    span = max(2, sq.n - sq.degree)
+    audit = {"layers": [], "excluded": [], "certificate": None}
+    vertices, full_row, a = [], None, 0
+    while full_row is None or a < full_row + span:
+        kept = []
+        for b in residues:
+            v = bidegree(sq, a, b)
+            forward, backward = ext_dims(sq, base, v), ext_dims(sq, v, base)
+            if v != base and any(forward) and any(backward):
+                audit["excluded"].append(
+                    {
+                        "vertex": [v.a, list(v.b)],
+                        "reason": "mutual arrows with base",
+                        "ext_base_to_v": list(forward),
+                        "ext_v_to_base": list(backward),
+                    }
+                )
+            else:
+                kept.append(v)
+        vertices.extend(kept)
+        audit["layers"].append({"a": a, "kept": len(kept)})
+        if full_row is None and all(hom_dim(sq, base, bidegree(sq, a, b)) for b in residues):
+            full_row = a
+        a += 1
+    audit["certificate"] = {
+        "first_all_positive_row": full_row,
+        "stop_layer": a,
+        "reason": (
+            f"rows >= {full_row} have positive section count in every residue, "
+            "so every vertex there has arrows to and from the base"
+        ),
+    }
+    return vertices, audit
+
+
+def per_pair_rows(sq, verts):
+    """Out rows of the Ext digraph from one ext_dims lookup per ordered pair."""
+    return [
+        sum(1 << j for j, v in enumerate(verts) if i != j and any(ext_dims(sq, u, v)))
+        for i, u in enumerate(verts)
+    ]
+
+
+WINDOW_INPUTS = {
+    **LADDER,
+    "lu-counterexample": get_preset("lu-counterexample"),
+    "cubic-trivial-quotient": get_preset("cubic-trivial-quotient"),
+}
 
 
 def _pair_bound_dp(chains, cap, chosen, avail):
@@ -160,6 +221,15 @@ class TestWindow:
         for a in (7, 8):
             for v in degs(sq, [(a, b) for b in product(range(2), repeat=4)]):
                 assert edge(sq, base, v) and edge(sq, v, base)
+
+    @pytest.mark.parametrize("name", list(WINDOW_INPUTS))
+    def test_matches_per_vertex_oracle(self, name):
+        # the kept vertices and the whole audit, certificate text included
+        sq = symmetry_quotient(parse(WINDOW_INPUTS[name]))
+        verts, audit = candidate_window(sq)
+        expected_verts, expected_audit = window_oracle(sq)
+        assert verts == expected_verts
+        assert audit == expected_audit
 
     def test_requires_free_variable(self):
         # every monomial of the chain-and-fermat mix below touches x1, so
@@ -252,6 +322,32 @@ class TestDigraph:
                     verify_collection(sq, list(p)).valid
                     for p in permutations(subset)
                 )
+
+
+class TestRows:
+    """ExtTable.rows against one ext_dims lookup per ordered pair, on every
+    ladder quotient, non-cyclic ones such as (2, 12), (3, 3, 6) and
+    (3, 3, 3, 3) among them."""
+
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_ladder_windows(self, name):
+        sq = symmetry_quotient(parse(LADDER[name]))
+        window, _ = candidate_window(sq)
+        assert ext_table(sq).rows(window) == per_pair_rows(sq, window)
+
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_seeded_sub_windows(self, name):
+        # unsorted draws from the window twisted by a random bidegree: some
+        # layers partial, some missing, total degrees down to -3
+        sq = symmetry_quotient(parse(LADDER[name]))
+        window, _ = candidate_window(sq)
+        table = ext_table(sq)
+        rng = random.Random(name)
+        for size in (2, 9, 30):
+            twist = bidegree(sq, -rng.randrange(4), rng.choice(table.residues))
+            sub = [shift(sq, v, twist) for v in rng.sample(window, size)]
+            assert min(Counter(v.a for v in sub).values()) < len(table.residues)
+            assert table.rows(sub) == per_pair_rows(sq, sub)
 
 
 class TestDigraphAgainstLes:
