@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .lattice import (
-    SnfDecomposition,
     det,
     smith_normal_form,
     solve_positive_weights,
@@ -98,7 +97,6 @@ __all__ = [
     "SearchTimeoutError",
     "SingularMatrixError",
     "SymmetryInvariantError",
-    "SnfDecomposition",
     "SymmetryQuotient",
     "UnsupportedGeometryError",
     "atomic_decomposition",

@@ -1,12 +1,14 @@
 """Exact integer matrix kernel: determinant, Smith normal form, weight systems,
 splitting coefficients.
 
-A matrix is a sequence of rows, each a sequence of Python integers; results
-come back as tuples of row tuples. Everything here runs on arbitrary-precision
-integers and no step solves over the rationals: weights come from Cramer's
-rule on Bareiss determinants. Floating point is never used; fractions.Fraction
-appears only in the text of the NoPositiveWeightsError message, and is
-imported there.
+A matrix is a sequence of rows, each a sequence of Python ints (type exactly
+`int`; `det` and `smith_normal_form` raise ValueError on any other entry).
+The Smith form returns the invariant factors and the column transform V, as
+a tuple and a tuple of row tuples; the row transform is not kept, since no
+caller reads it. Everything here runs on arbitrary-precision integers and no
+step solves over the rationals: weights come from Cramer's rule on Bareiss
+determinants. Floating point is never used; fractions.Fraction appears only
+in the text of the NoPositiveWeightsError message, and is imported there.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import (
     NoPositiveWeightsError,
     SingularMatrixError,
 )
-from .record import FrozenRecord
 
 
 def det(rows) -> int:
@@ -33,6 +34,8 @@ def det(rows) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("matrix entries must be integers")
     if n == 0:
         return 1
     m = [list(row) for row in rows]
@@ -53,18 +56,6 @@ def det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-class SnfDecomposition(FrozenRecord):
-    """U @ M @ V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0;
-    each a tuple of row tuples."""
-
-    _fields = ("U", "D", "V")
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        d = self.D
-        return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
-
-
 def _pivot(m, k, rows, cols):
     """Smallest nonzero |entry| in the trailing block, ties by (row, col)."""
     best = None
@@ -79,54 +70,43 @@ def _pivot(m, k, rows, cols):
     return (best[1], best[2]) if best else None
 
 
-def smith_normal_form(matrix) -> SnfDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def smith_normal_form(matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Invariant factors and column transform (diagonal, V) of an integer matrix.
 
-    Pivoting is deterministic: the entry of minimal nonzero absolute value,
-    ties broken by (row, col). Works for rectangular matrices.
+    The diagonal d_1 | d_2 | ..., all >= 0, has one entry per min(rows, cols).
+    V is unimodular, and column j of M V is d_j times column j of some
+    unimodular matrix (the inverse of the row transform, which is not kept),
+    so it is zero where d_j = 0 or j >= min(rows, cols). Pivoting is
+    deterministic: the entry of minimal nonzero absolute value, ties broken
+    by (row, col). Works for rectangular matrices.
 
-    >>> snf = smith_normal_form([[2, 0], [0, 4]])
-    >>> snf.diagonal
-    (2, 4)
+    >>> smith_normal_form([[2, 0], [0, 4]])
+    ((2, 4), ((1, 0), (0, 1)))
     """
     m = [list(r) for r in matrix]
     rows, cols = len(m), len(m[0]) if m else 0
     if any(len(r) != cols for r in m):
         raise ValueError("ragged rows")
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    if not all(type(x) is int for r in m for x in r):
+        raise ValueError("matrix entries must be integers")
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(a, b):
-        m[a], m[b] = m[b], m[a]
-        u[a], u[b] = u[b], u[a]
-
+    # a column operation acts on m and v alike; a row operation on m alone
     def swap_cols(a, b):
-        for r in m:
+        for r in (*m, *v):
             r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src, applied to m and u alike
-        mdst, msrc = m[dst], m[src]
-        for j in range(cols):
-            mdst[j] += c * msrc[j]
-        udst, usrc = u[dst], u[src]
-        for j in range(rows):
-            udst[j] += c * usrc[j]
 
     def add_col(dst, src, c):
-        for r in m:
-            r[dst] += c * r[src]
-        for r in v:
+        for r in (*m, *v):
             r[dst] += c * r[src]
 
-    for k in range(min(rows, cols)):
+    size = min(rows, cols)
+    for k in range(size):
         while True:
             pos = _pivot(m, k, rows, cols)
             if pos is None:
                 break
-            swap_rows(k, pos[0])
+            m[k], m[pos[0]] = m[pos[0]], m[k]
             swap_cols(k, pos[1])
             pivot = m[k][k]
             dirty = False
@@ -134,7 +114,7 @@ def smith_normal_form(matrix) -> SnfDecomposition:
                 if m[i][k]:
                     q = m[i][k] // pivot
                     if q:
-                        add_row(i, k, -q)
+                        m[i] = [x - q * y for x, y in zip(m[i], m[k])]
                     if m[i][k]:
                         dirty = True
             for j in range(k + 1, cols):
@@ -146,28 +126,16 @@ def smith_normal_form(matrix) -> SnfDecomposition:
                         dirty = True
             if dirty:
                 continue
-            # row and column are clear; force the divisibility chain
-            stray = None
-            for i in range(k + 1, rows):
-                mi = m[i]
-                for j in range(k + 1, cols):
-                    if mi[j] % pivot:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
+            # row and column are clear; force the divisibility chain, which a
+            # unit pivot meets
+            stray = abs(pivot) > 1 and next(
+                (i for i in range(k + 1, rows) if any(x % pivot for x in m[i][k + 1:])), None
+            )
+            if not stray:
                 break
-            add_row(k, stray, 1)
-        if k < min(rows, cols) and m[k][k] < 0:
-            for j in range(cols):
-                m[k][j] = -m[k][j]
-            for j in range(rows):
-                u[k][j] = -u[k][j]
+            m[k] = [x + y for x, y in zip(m[k], m[stray])]
 
-    return SnfDecomposition(
-        U=tuple(map(tuple, u)), D=tuple(map(tuple, m)), V=tuple(map(tuple, v))
-    )
+    return tuple(abs(m[k][k]) for k in range(size)), tuple(map(tuple, v))
 
 
 def solve_positive_weights(matrix) -> tuple[tuple[int, ...], int]:
@@ -237,15 +205,16 @@ def splitting_coefficients(q: tuple[int, ...]) -> tuple[int, ...]:
     >>> splitting_coefficients((2, 3))
     (-1, 1)
     """
-    q = tuple(int(x) for x in q)
-    if not q or any(x <= 0 for x in q):
+    if not q or any(type(x) is not int or x <= 0 for x in q):
         raise GcdNotOneError("weights must be positive integers")
-    snf = smith_normal_form([q])
-    if snf.D[0][0] != 1:
-        raise GcdNotOneError(f"gcd of weights is {snf.D[0][0]}, expected 1")
-    sign = snf.U[0][0]
-    first, *kernel = zip(*snf.V)
-    b = [sign * x for x in first]
+    q = tuple(q)
+    (g,), v = smith_normal_form([q])
+    if g != 1:
+        raise GcdNotOneError(f"gcd of weights is {g}, expected 1")
+    # on a row of positive integers every column operation leaves a
+    # nonnegative remainder, so the pivot is never negated: b is V's first column
+    b, *kernel = zip(*v)
+    b = list(b)
     improved = True
     while improved:
         improved = False

@@ -118,7 +118,7 @@ def _subgroup_order(nvars: int, elements, modulus: int) -> int:
     modulus * I, so the order is modulus^nvars / D."""
     rows = [list(g.residues(modulus)) for g in elements]
     rows += [[modulus if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-    return modulus**nvars // prod(smith_normal_form(rows).diagonal)
+    return modulus**nvars // prod(smith_normal_form(rows)[0])
 
 
 def spans_group(group: FiniteAbelianGroup, generators) -> bool:
@@ -138,17 +138,16 @@ def spans_group(group: FiniteAbelianGroup, generators) -> bool:
 
 def symmetry_group_of_matrix(a) -> FiniteAbelianGroup:
     """Diagonal symmetries of any nondegenerate square exponent matrix, given
-    as rows, via its Smith form: with U A V = D, the group is generated by the
+    as rows, via its Smith form (diagonal, V): the group is generated by the
     columns of V divided by the matching diagonal entries, and the invariant
     factors are the diagonal entries larger than 1. Their product, the group
     order, is checked against |det A| by Bareiss elimination, a second route."""
-    snf = smith_normal_form(a)
-    diagonal = snf.diagonal
+    diagonal, v = smith_normal_form(a)
     if 0 in diagonal:
         raise SingularMatrixError("exponent matrix is singular, the group is infinite")
     factors = []
     gens = []
-    for d, column in zip(diagonal, zip(*snf.V)):
+    for d, column in zip(diagonal, zip(*v)):
         if d > 1:
             g = DiagonalElement.of(column, d)
             if g.order != d:
@@ -284,20 +283,19 @@ def _quotient_class_reps(poly: InvertiblePolynomial):
     of the columns of [A | 1] acting on phase space: A columns give the unit
     lattice relations, the ones column kills the scalar generator.
 
-    With U [A | 1] V = D, column i of [A | 1] V is d_i times column i of
-    U^-1, that is A V[:n, i] + V[n, i] (1,...,1) = d_i U^-1 e_i. The
-    representative of factor i is A^-1 U^-1 e_i, and since A^-1 (1,...,1) =
-    q / d for the weights q and degree d, it is (V[:n, i] + V[n, i] q / d) /
-    d_i: phases (V[j, i] d + V[n, i] q_j) / (d_i d), all integers.
+    With the Smith form (diagonal, V) of [A | 1], column i of [A | 1] V is
+    d_i times column i of some unimodular W, that is A V[:n, i] + V[n, i]
+    (1,...,1) = d_i W e_i. The representative of factor i is A^-1 W e_i, and
+    since A^-1 (1,...,1) = q / d for the weights q and degree d, it is
+    (V[:n, i] + V[n, i] q / d) / d_i: phases (V[j, i] d + V[n, i] q_j) /
+    (d_i d), all integers.
     """
     n = poly.n
     q, deg = poly.weights, poly.degree
-    snf = smith_normal_form([row + (1,) for row in poly.matrix])
-    v = snf.V
+    diagonal, v = smith_normal_form([row + (1,) for row in poly.matrix])
     factors = []
     reps = []
-    for i in range(n):
-        d = snf.D[i][i]
+    for i, d in enumerate(diagonal):
         if d <= 1:
             continue
         factors.append(d)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from invquot import (
+    GcdNotOneError,
     NoPositiveWeightsError,
     SingularMatrixError,
     det,
@@ -52,11 +53,33 @@ def sympy_diagonal(m):
     return out
 
 
+def check_smith_form(m, diagonal, v):
+    """The Smith form (diagonal, V) of m, checked without a row transform:
+    V is unimodular; column j of M V is zero where d_j = 0 or j >= min(rows,
+    cols), and divisible by d_j elsewhere; and the quotient columns, (M V)_j /
+    d_j for those j, have every invariant factor 1 (sympy), so they extend
+    to a unimodular W, and U = W^-1 gives U M V = D."""
+    rows, cols = len(m), len(m[0])
+    assert len(diagonal) == min(rows, cols)
+    assert is_unimodular(v) and len(v) == cols
+    mv_columns = list(zip(*matmul(m, v)))
+    quotient = []
+    for j, column in enumerate(mv_columns):
+        d = diagonal[j] if j < len(diagonal) else 0
+        if d == 0:
+            assert not any(column)
+        else:
+            assert all(x % d == 0 for x in column)
+            quotient.append([x // d for x in column])
+    if quotient:
+        assert sympy_diagonal(list(zip(*quotient))) == [1] * len(quotient)
+
+
 class TestSmithNormalForm:
     def test_pentagon_matrix_invariants(self):
-        snf = smith_normal_form(PENTAGON_ROWS)
-        assert snf.diagonal == (1, 1, 1, 1, 33)
-        assert tuple(d for d in snf.diagonal if d > 1) == (33,)
+        diagonal, _ = smith_normal_form(PENTAGON_ROWS)
+        assert diagonal == (1, 1, 1, 1, 33)
+        assert tuple(d for d in diagonal if d > 1) == (33,)
 
     def test_reconstruction_and_unimodularity_random(self):
         rng = random.Random(20260819)
@@ -64,11 +87,9 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             m = random_matrix(rng, rows, cols)
-            snf = smith_normal_form(m)
-            assert matmul(matmul(snf.U, m), snf.V) == snf.D
-            assert is_unimodular(snf.U)
-            assert is_unimodular(snf.V)
-            diag = list(snf.diagonal)
+            diagonal, v = smith_normal_form(m)
+            check_smith_form(m, diagonal, v)
+            diag = list(diagonal)
             for x, y in zip(diag, diag[1:]):
                 assert x >= 0 and y >= 0
                 if x == 0:
@@ -82,7 +103,7 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             m = random_matrix(rng, rows, cols)
-            assert list(smith_normal_form(m).diagonal) == sympy_diagonal(m)
+            assert list(smith_normal_form(m)[0]) == sympy_diagonal(m)
 
     @given(
         st.lists(
@@ -93,20 +114,20 @@ class TestSmithNormalForm:
     )
     @settings(max_examples=150, derandomize=True)
     def test_reconstruction_property(self, rows):
-        snf = smith_normal_form(rows)
-        assert matmul(matmul(snf.U, rows), snf.V) == snf.D
-        assert abs(det(snf.U)) == 1
-        assert abs(det(snf.V)) == 1
+        check_smith_form(rows, *smith_normal_form(rows))
 
     def test_off_diagonal_zero(self):
+        # column j of M V is d_j times a column of a unimodular matrix, so
+        # U M V is diagonal for U its inverse
         rng = random.Random(5)
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            d = smith_normal_form(m).D
-            for i, row in enumerate(d):
-                for j, x in enumerate(row):
-                    if i != j:
-                        assert x == 0
+            check_smith_form(m, *smith_normal_form(m))
+
+    def test_rejects_non_integer_entries(self):
+        for rows in ([[2.5, 1], [1, 2]], [[True, 0], [0, 1]], [[Fraction(1), 2]]):
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                smith_normal_form(rows)
 
 
 class TestDeterminant:
@@ -125,6 +146,11 @@ class TestDeterminant:
             det([[1, 2]])
         with pytest.raises(ValueError, match="ragged"):
             smith_normal_form([[1, 2], [3]])
+
+    def test_rejects_non_integer_entries(self):
+        for rows in ([[1.5, 2], [3, 5]], [[True, 2], [3, 5]], [[Fraction(3, 2)]]):
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                det(rows)
 
 
 class TestPositiveWeights:
@@ -220,3 +246,8 @@ class TestSplittingCoefficients:
         c = splitting_coefficients((2, 3))
         assert sum(a * b for a, b in zip(c, (2, 3))) == 1
         assert max(abs(x) for x in c) <= 3
+
+    def test_rejects_non_integer_weights(self):
+        for q in ((2.7, 3), (True, 2), (Fraction(1), 2), (2, 3.0)):
+            with pytest.raises(GcdNotOneError, match="^weights must be positive integers$"):
+                splitting_coefficients(q)

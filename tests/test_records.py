@@ -18,14 +18,12 @@ from invquot import (
     FiniteAbelianGroup,
     InvertiblePolynomial,
     SearchResult,
-    SnfDecomposition,
     SymmetryInvariantError,
     SymmetryQuotient,
     atomic_decomposition,
     bidegree,
     enumerate_sectors,
     max_exceptional,
-    smith_normal_form,
     symmetry_quotient,
     untwisted_invariants,
     verify_collection,
@@ -36,7 +34,6 @@ FIELDS = {
     Sector: ("element", "class_powers", "eigenphase", "fixed_coords", "contribution"),
     UntwistedData: ("hyperplane_classes", "middle_full", "middle_invariant"),
     BiDegree: ("a", "b"),
-    SnfDecomposition: ("U", "D", "V"),
     InvertiblePolynomial: ("matrix", "weights", "degree", "quasi_smooth_certified"),
     Block: ("kind", "variables", "exponents"),
     AtomicDecomposition: ("blocks",),
@@ -62,7 +59,6 @@ def records(pentagon_poly):
         Sector: enumerate_sectors(sq)[0],
         UntwistedData: untwisted_invariants(sq),
         BiDegree: bidegree(sq, 1, 2),
-        SnfDecomposition: smith_normal_form(poly.matrix),
         InvertiblePolynomial: poly,
         Block: atomic_decomposition(poly).blocks[0],
         AtomicDecomposition: atomic_decomposition(poly),
@@ -200,10 +196,12 @@ class TestFiniteAbelianGroup:
 
 
 class TestOtherText:
-    def test_int_matrix_and_block(self):
+    def test_int_matrix_and_block(self, pentagon_poly):
         # a matrix is a tuple of row tuples, shown as such inside a record
-        assert repr(smith_normal_form([[2, 0], [0, 4]])) == (
-            "SnfDecomposition(U=((1, 0), (0, 1)), D=((2, 0), (0, 4)), V=((1, 0), (0, 1)))"
+        assert repr(pentagon_poly) == (
+            "InvertiblePolynomial(matrix=((2, 1, 0, 0, 0), (0, 2, 1, 0, 0), (0, 0, 2, 1, 0),"
+            " (0, 0, 0, 2, 1), (1, 0, 0, 0, 2)), weights=(1, 1, 1, 1, 1), degree=3,"
+            " quasi_smooth_certified=True)"
         )
         block = Block(kind="loop", variables=(1, 2), exponents=(2, 2))
         assert repr(block) == "Block(kind='loop', variables=(1, 2), exponents=(2, 2))"

@@ -684,6 +684,16 @@ class TestPairCap:
         assert result.proof_log["pair_cap"] is None
         assert sq.derived["pair_cap"] is None
 
+    # the 16 ladder maps as quartics, with xi^4 and xi^3*xj
+    QUARTICS = {name: poly.replace("^3", "^4").replace("^2", "^3") for name, poly in LADDER.items()}
+
+    @pytest.mark.parametrize("name", list(QUARTICS))
+    def test_no_cap_on_the_quartic_ladder(self, name):
+        # every (2, s) has five arrows down, not one, so fact 3 fails
+        sq = symmetry_quotient(parse(self.QUARTICS[name]))
+        assert search_module._pair_cap(sq, None) is None
+        assert sq.derived["pair_cap"] is None
+
     def test_not_derived_where_it_cannot_bind(self):
         # layers 0 and 1 only: no two layers two apart
         sq = symmetry_quotient(parse(PENTAGON))

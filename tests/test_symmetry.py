@@ -21,7 +21,6 @@ from invquot import (
     InvertiblePolynomial,
     InvquotError,
     SingularMatrixError,
-    SnfDecomposition,
     SymmetryInvariantError,
     UnsupportedGeometryError,
     candidate_window,
@@ -425,17 +424,19 @@ class TestSymmetryQuotient:
 
 def rational_route_reps(a):
     """Quotient invariant factors and representatives A^-1 U^-1 e_i, from the
-    Smith form U [A | 1] V = D, computed over the rationals by sympy."""
-    snf = smith_normal_form([list(row) + [1] for row in a])
-    uinv = sympy.Matrix(snf.U).inv()
+    Smith form (diagonal, V) of [A | 1], computed over the rationals by sympy:
+    U^-1 e_i is column i of [A | 1] V divided by d_i."""
+    a1 = [list(row) + [1] for row in a]
+    diagonal, v = smith_normal_form(a1)
+    a1v = sympy.Matrix(a1) * sympy.Matrix(v)
     a_sym = sympy.Matrix(a)
     factors, reps = [], []
-    for i in range(len(a)):
-        if snf.D[i][i] > 1:
-            col = a_sym.LUsolve(uinv[:, i])
-            factors.append(snf.D[i][i])
+    for i, d in enumerate(diagonal):
+        if d > 1:
+            col = a_sym.LUsolve(a1v[:, i] / d)
+            factors.append(d)
             reps.append(
-                from_fractions(Fraction(int(v.p), int(v.q)) for v in col)
+                from_fractions(Fraction(int(x.p), int(x.q)) for x in col)
             )
     return tuple(factors), tuple(reps)
 
@@ -583,10 +584,8 @@ class TestGroupOrderRoutes:
         real = symmetry.smith_normal_form
 
         def dropped(matrix):
-            snf = real(matrix)
-            rows = [list(row) for row in snf.D]
-            rows[-1][-1] = 1
-            return SnfDecomposition(snf.U, tuple(map(tuple, rows)), snf.V)
+            diagonal, v = real(matrix)
+            return (*diagonal[:-1], 1), v
 
         monkeypatch.setattr(symmetry, "smith_normal_form", dropped)
         with pytest.raises(SymmetryInvariantError, match=r"multiply to 1, not \|det A\| = 33"):
