@@ -15,8 +15,10 @@ number, one total degree at a time on first use: the section counts (Hom),
 the Serre row (Ext^3, the sections of the canonical degree less a read
 through one column), and the nonzero row hom | serre, which the window, the
 digraph and verification test; an Ext tuple is built only for a lookup, an
-audit entry or a violation. The public per-pair functions are thin wrappers
-over it. The Ext digraph on distinct vertices is built by residue
+audit entry or a violation. The public per-pair functions, hom_dim and
+ext_dims, each read one entry of it. The layer table of a vertex list, the
+bit of its vertex at every residue number of every total degree, is built
+by ExtTable.layers. The Ext digraph on distinct vertices is built by residue
 translation: the targets of a source in one layer are that layer's vertices
 at the source's residue plus each nonzero entry of one difference row, and
 every target layer of a source is summed in one pipeline. The
@@ -250,10 +252,6 @@ class ExtTable:
             )
         return row
 
-    def hom(self, a: int, r: int) -> int:
-        """Sections of the coordinate ring in difference (a, r)."""
-        return self.hom_row(a)[r]
-
     def serre_row(self, a: int) -> list[int]:
         """dim Ext^3 in every difference of total degree a, by residue
         number: by Serre duality, the sections of the canonical degree less
@@ -279,12 +277,6 @@ class ExtTable:
         long-exact-sequence route in ext_dims_via_les."""
         return (self.hom_row(a)[r], 0, 0, self.serre_row(a)[r])
 
-    def dims(self, source: BiDegree, target: BiDegree) -> tuple[int, int, int, int]:
-        """(dim Ext^0, ..., dim Ext^3) from O(source) to O(target), via Serre duality."""
-        _require_threefold(self.sq)
-        r = self.diff[self.residue_index(source.b)][self.residue_index(target.b)]
-        return self.ext(target.a - source.a, r)
-
     def _support(self, a: int) -> tuple[bool, list[int]]:
         """(True, the residue numbers s with some nonzero Ext in difference
         (a, s)), or (False, those with all Ext zero) when these are fewer."""
@@ -299,6 +291,22 @@ class ExtTable:
             self._supports[a] = support
         return support
 
+    def layers(self, verts) -> dict[int, list[int]]:
+        """The layer table of vertices that must be distinct (a repeat
+        raises ValueError): for each total degree a of the list, in the order
+        the list first reaches it, the bit 1 << j of the vertex verts[j] = (a,
+        r) at every residue number r, 0 where the list has none."""
+        layers: dict[int, list[int]] = {}
+        for j, v in enumerate(verts):
+            r = self.residue_index(v.b)
+            bits = layers.get(v.a)
+            if bits is None:
+                bits = layers[v.a] = [0] * len(self.residues)
+            if bits[r]:
+                raise ValueError(f"vertex {v} given twice")
+            bits[r] = 1 << j
+        return layers
+
     def rows(self, verts) -> list[int]:
         """Out rows of the Ext digraph on vertices that must be distinct (a
         repeat raises ValueError): bit j of out[i] is set when some Ext from
@@ -308,32 +316,24 @@ class ExtTable:
         (a, r) in layer a' are that layer's vertices at residues r + s, with
         s running over the nonzero entries of difference row a' - a, or the
         whole layer less those at r + s over the zero entries when these are
-        fewer. Each layer keeps the bit of its vertex at every residue number
-        (0 where it has none), and distinct vertices make each sum an OR.
-        Per source layer, the whole layers read through their zero entries
-        (and the all-nonzero ones, which list none) fold into one constant,
-        and every listed entry of every target layer is one (bit list,
-        residue) pair, the bit list negated for a zero entry: the out row of
-        a source is that constant plus one sum over the pairs, read at r + s.
+        fewer. The layer table (see layers) keeps the bit of each layer's
+        vertex at every residue number, and distinct vertices make each sum
+        an OR. Per source layer, the whole layers read through their zero
+        entries (and the all-nonzero ones, which list none) fold into one
+        constant, and every listed entry of every target layer is one (bit
+        list, residue) pair, the bit list negated for a zero entry: the out
+        row of a source is that constant plus one sum over the pairs, read at
+        r + s.
         """
         _require_threefold(self.sq)
-        layers: dict[int, list[int]] = {}
-        keys = []
-        for j, v in enumerate(verts):
-            r = self.residue_index(v.b)
-            bits = layers.get(v.a)
-            if bits is None:
-                bits = layers[v.a] = [0] * len(self.residues)
-            if bits[r]:
-                raise ValueError(f"vertex {v} given twice")
-            bits[r] = 1 << j
-            keys.append((v.a, r))
+        layers = self.layers(verts)
         # per target layer: its bits, the same negated, its whole mask
         looks = [(va, bits, [-b for b in bits], sum(bits)) for va, bits in layers.items()]
-        # per source layer: the constant, and the bit list and residue number
-        # of every listed entry, in target layer order
-        steps = {}
-        for ua in layers:
+        diff = self.diff
+        out = [0] * len(verts)
+        for ua, sources in layers.items():
+            # the constant, and the bit list and residue number of every
+            # listed entry, in target layer order
             constant, lists, entries = 0, [], []
             for va, bits, negated, full in looks:
                 nonzero, support = self._support(va - ua)
@@ -341,18 +341,15 @@ class ExtTable:
                     constant += full
                 lists += [bits if nonzero else negated] * len(support)
                 entries += support
-            steps[ua] = (constant, lists, entries)
-        diff = self.diff
-        out = []
-        for i, (ua, ur) in enumerate(keys):
-            constant, lists, entries = steps[ua]
-            plus = diff[diff[ur][0]].__getitem__   # residue number s -> r + s
-            # the constant goes last, so the running sum grows to full width
-            # only as the higher layers come: on the Fermat window, 5.7 ms
-            # for all rows against 8.8 ms with the constant first (warm,
-            # 2-core Xeon)
-            m = sum(map(getitem, lists, map(plus, entries))) + constant
-            out.append(m & ~(1 << i))
+            for ur in compress(range(len(sources)), sources):
+                bit = sources[ur]
+                plus = diff[diff[ur][0]].__getitem__   # residue number s -> r + s
+                # the constant goes last, so the running sum grows to full
+                # width only as the higher layers come: on the Fermat window,
+                # 5.7 ms for all rows against 8.8 ms with the constant first
+                # (warm, 2-core Xeon)
+                m = sum(map(getitem, lists, map(plus, entries))) + constant
+                out[bit.bit_length() - 1] = m & ~bit
         return out
 
 
@@ -383,7 +380,7 @@ def hom_dim(sq: SymmetryQuotient, source: BiDegree, target: BiDegree) -> int:
 
 def hom_dim_delta(sq: SymmetryQuotient, d: BiDegree) -> int:
     table = ext_table(sq)
-    return table.hom(d.a, table.residue_index(d.b))
+    return table.hom_row(d.a)[table.residue_index(d.b)]
 
 
 def canonical_bidegree(sq: SymmetryQuotient) -> BiDegree:
@@ -399,7 +396,10 @@ def ext_dims(
     sq: SymmetryQuotient, source: BiDegree, target: BiDegree
 ) -> tuple[int, int, int, int]:
     """(dim Ext^0, ..., dim Ext^3) between two line bundles, via Serre duality."""
-    return ext_table(sq).dims(source, target)
+    _require_threefold(sq)
+    table = ext_table(sq)
+    r = table.diff[table.residue_index(source.b)][table.residue_index(target.b)]
+    return table.ext(target.a - source.a, r)
 
 
 def _neg_char_counts(sq: SymmetryQuotient, a: int) -> dict[tuple[int, ...], int]:

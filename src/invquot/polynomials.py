@@ -281,44 +281,26 @@ def _decompose(rows) -> tuple[Block, ...]:
     for head, i in head_of.items():
         tail_of[head] = next(t for h, t in options[i] if h == head)
 
+    # the heads are all n variables and the tails are distinct, so head ->
+    # tail is injective with no fixed point: its components are paths, walked
+    # from the heads that are no tail, and cycles, each walked from its
+    # smallest variable once the paths are gone
+    tails = set(tail_of.values())
+    left = set(range(n))
     blocks = []
-    unvisited = set(range(n))
-    while unvisited:
-        start = min(unvisited)
-        # walk backwards to the chain start (a variable that is nobody's tail)
-        chain_start = start
-        seen = {start}
-        while True:
-            prev = next(
-                (v for v in unvisited if tail_of.get(v) == chain_start), None
-            )
-            if prev is None or prev in seen:
-                break
-            chain_start = prev
-            seen.add(prev)
-        # walk forward collecting the component
-        path = []
-        v = chain_start
-        while v is not None and v not in path:
+    for start in [*(v for v in range(n) if v not in tails), *range(n)]:
+        if start not in left:
+            continue
+        path = [start]
+        v = tail_of[start]
+        while v is not None and v != start:
             path.append(v)
-            v = tail_of.get(v)
-        is_loop = v is not None and v == path[0]
-        if v is not None and not is_loop:
-            raise NotAtomicSumError("tail chain re-enters a previous component")
+            v = tail_of[v]
+        left.difference_update(path)
+        kind = "loop" if v is not None else "chain" if len(path) > 1 else "fermat"
         variables = tuple(p + 1 for p in path)
         exponents = tuple(rows[head_of[p]][p] for p in path)
-        if is_loop:
-            # canonical rotation: start the cycle at its smallest variable
-            k = variables.index(min(variables))
-            variables = variables[k:] + variables[:k]
-            exponents = exponents[k:] + exponents[:k]
-            kind = "loop"
-        elif len(path) == 1:
-            kind = "fermat"
-        else:
-            kind = "chain"
         blocks.append(Block(kind=kind, variables=variables, exponents=exponents))
-        unvisited -= set(path)
     blocks.sort(key=lambda b: b.variables[0])
     return tuple(blocks)
 

@@ -390,7 +390,7 @@ class _Solver:
     without the leader.
     """
 
-    def __init__(self, out_mask: list[int], deadline, chains: list[list[int]] = ()):
+    def __init__(self, out_mask: list[int], deadline):
         self.out_mask = out_mask
         self.n = n = len(out_mask)
         self.deadline = deadline
@@ -404,10 +404,8 @@ class _Solver:
                 if byte:
                     for k in _BYTE_BITS[byte]:
                         in_mask[at + k] |= bit
-        # the pair bound runs along chains of layers with total degrees two
-        # apart, each a list of layer bitmasks, lowest layer first; the cap
-        # and the per-position plan are set once the cap is known
-        self.chains = chains
+        # the pair bound's cap and per-position plan, set once the cap is
+        # known (see set_pair_cap)
         self.pair_cap: int | None = None
         self.plan: list[tuple] = []
         self.chosen = 0
@@ -416,25 +414,27 @@ class _Solver:
         # with the lex-leader on, the layers and the symmetries (see lead)
         self.layers: list[tuple] | None = None
 
-    def set_pair_cap(self, cap: int):
-        """Turn the pair bound on with cap, and plan its pass for every
-        index pos of a node's next vertex: the bits of pos's layer, then, for
-        each chain with a layer at or above pos (pos's chain first), its last
-        layer wholly below pos (0 if none) and its layers from there up. The
-        plan is the same for every pos of one layer. Each layer of a sorted
-        vertex list is one index range and holds at most m <= cap vertices;
-        a larger layer is an invariant error."""
-        if any(bits.bit_count() > cap for chain in self.chains for bits in chain):
+    def set_pair_cap(self, cap: int, chains: list[list[int]]):
+        """Turn the pair bound on with cap, along chains of layers with total
+        degrees two apart, each a list of layer bitmasks, lowest layer first
+        (see _chains), and plan its pass for every index pos of a node's
+        next vertex: the bits of pos's layer, then, for each chain with a
+        layer at or above pos (pos's chain first), its last layer wholly
+        below pos (0 if none) and its layers from there up. The plan is the
+        same for every pos of one layer. Each layer of a sorted vertex list
+        is one index range and holds at most m <= cap vertices; a larger
+        layer is an invariant error."""
+        if any(bits.bit_count() > cap for chain in chains for bits in chain):
             raise SearchInvariantError("a layer holds more vertices than the pair cap")
         self.pair_cap = cap
         self.plan = plan = [()] * self.n
-        for chain in self.chains:
+        for chain in chains:
             for bits in chain:
                 if not bits:
                     continue
                 first = (bits & -bits).bit_length() - 1
                 runs = []
-                for other in self.chains:
+                for other in chains:
                     k = next((k for k, b in enumerate(other) if b >> first), None)
                     if k is None:
                         continue
@@ -505,43 +505,34 @@ class _Solver:
         self.chosen |= 1 << v
         self.undecided &= ~(1 << v)
 
-    def lead(self, layers: list[list[int]], maps: list[list[int]], table):
-        """Turn the lex-leader on (see the class docstring). layers holds the
-        residue numbers of the list's vertices, layer by layer in index
-        order, each layer ascending, and layer 0 every residue; maps the
-        residue maps besides the identity, and table the quotient's
-        ExtTable. Every symmetry g = t_-c o phi but the identity is listed
-        here once, as [diff[c][x] for x in phi], and is ties[0] of every
-        search. Sound only where the base, vertex 0, is forced and every g
-        maps each collection through the base into the list: the candidate
-        window (see the class docstring)."""
+    def lead(self, layers: dict[int, list[int]], maps: list[list[int]], table):
+        """Turn the lex-leader on (see the class docstring). layers is the
+        list's layer table (see ExtTable.layers), each layer an index range
+        in residue order, the layers in index order, and the first every
+        residue; maps the residue maps besides the identity, and table the
+        quotient's ExtTable. Every symmetry g = t_-c o phi but the identity
+        is listed here once, as [diff[c][x] for x in phi], and is ties[0] of
+        every search. Sound only where the base, vertex 0, is forced and
+        every g maps each collection through the base into the list: the
+        candidate window (see the class docstring)."""
         diff = table.diff
         m = len(diff)
-        if layers[0] != list(range(m)):
-            raise SearchInvariantError("layer 0 does not hold every residue in order")
         if not self.chosen & 1:
             raise SearchInvariantError("the base is not forced")
         # diff[c] is s -> s - c, so the first, t_0 o identity, is the identity
         self.symmetries = [
             [row[x] for x in phi] for phi in [list(range(m)), *maps] for row in diff
         ][1:]
-        # the residue number of every vertex bit; per layer its mask, and the
-        # bit of its vertex at each residue number (0 where it has none)
-        self.residue_of = residue_of = {}
-        self.layers = []
-        self.ends = []
-        start = 0
-        for residues in layers:
-            bit_at = [0] * m
-            for i, r in enumerate(residues, start):
-                bit = bit_at[r] = 1 << i
-                residue_of[bit] = r
-            end = start + len(residues)
-            self.layers.append(((1 << end) - (1 << start), bit_at))
-            self.ends.append(end)
-            start = end
-        if start != self.n:
-            raise SearchInvariantError("the layers do not cover the vertex list")
+        # per layer its mask and its bits by residue number, and the residue
+        # number of every vertex bit
+        self.layers = [(sum(bit_at), bit_at) for bit_at in layers.values()]
+        self.residue_of = {
+            bit: r for _, bit_at in self.layers for r, bit in enumerate(bit_at) if bit
+        }
+        if list(self.residue_of) != [1 << i for i in range(self.n)]:
+            raise SearchInvariantError("the layers are not index ranges in residue order")
+        if not all(self.layers[0][1]):
+            raise SearchInvariantError("layer 0 does not hold every residue")
 
     def _leads(self, k: int, chosen: int, ties: list) -> bool:
         """True when no g cuts the state whose layers 0..k are decided, that
@@ -654,7 +645,8 @@ class _Solver:
             # none is, no later layer can cut
             leads = self._leads
             ties = [self.symmetries] + [None] * len(self.layers)
-            passed = {end: k for k, end in enumerate(self.ends)}
+            # a layer's end is one past its highest bit
+            passed = {mask.bit_length(): k for k, (mask, _) in enumerate(self.layers)}
 
             def gate(pos, chosen, count, undecided, blocked):
                 nonlocal nodes, symmetry
@@ -667,7 +659,7 @@ class _Solver:
                     return
                 dfs(pos, chosen, count, undecided, blocked)
 
-            for end in self.ends:
+            for end in passed:
                 hand[end - 1] = gate
 
         def stats():
@@ -712,31 +704,27 @@ class _Solver:
         return order
 
 
-def _chains(verts: list[BiDegree]) -> list[list[int]]:
-    """The layers of a sorted vertex list as bitmasks, in chains of total
-    degrees two apart, lowest layer first."""
+def _chains(layers: dict[int, list[int]]) -> list[list[int]]:
+    """The layers of a sorted vertex list's layer table (see
+    ExtTable.layers) as bitmasks, in chains of total degrees two apart,
+    lowest layer first."""
     chains: list[list[int]] = []
     chain_ending_at: dict[int, list[int]] = {}
-    layers: dict[int, int] = {}
-    for i, v in enumerate(verts):
-        layers[v.a] = layers.get(v.a, 0) | 1 << i
     for a, bits in layers.items():
         chain = chain_ending_at.pop(a - 2, None)
         if chain is None:
             chain = []
             chains.append(chain)
-        chain.append(bits)
+        chain.append(sum(bits))
         chain_ending_at[a] = chain
     return chains
 
 
 def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     """{"cap": m + alpha, "alpha": alpha, "nodes": nodes of the alpha search},
-    or None when the three facts behind the cap fail (see _Solver). Kept with
-    the quotient; a deadline that passes in the alpha search raises _TimeUp
-    and keeps nothing."""
-    if "pair_cap" in sq.derived:
-        return sq.derived["pair_cap"]
+    or None when the three facts behind the cap fail (see _Solver), computed
+    on each call; a deadline that passes in the alpha search raises
+    _TimeUp."""
     table = ext_table(sq)
     m = len(table.residues)
     diff = table.diff
@@ -754,7 +742,6 @@ def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
         for r, row in enumerate(out[:m])
     )
     if not facts:
-        sq.derived["pair_cap"] = None
         return None
     (c,) = shifts
     # H: t -> sigma(s) = s + c for every arrow (0, t) -> (2, s)
@@ -768,8 +755,7 @@ def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
         solver.force(0)
         alpha, _, stats = solver.search(1, solver.chosen)
         nodes = stats["nodes"]
-    cap = sq.derived["pair_cap"] = {"cap": m + alpha, "alpha": alpha, "nodes": nodes}
-    return cap
+    return {"cap": m + alpha, "alpha": alpha, "nodes": nodes}
 
 
 def _variable_permutations(entries: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -845,7 +831,7 @@ def _check_residue_maps(table, maps: list[list[int]], top: int):
 def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
     """The residue maps of the variable permutations that fix W, as lists
     from residue number to residue number: the well-defined ones, distinct
-    and without the identity. Kept with the quotient; each search checks
+    and without the identity, computed on each call; each search checks
     them on the Ext rows of its own window (see _check_residue_maps).
 
     sigma sends the residue of x^e to that of x^(sigma e), so phi is the
@@ -862,9 +848,6 @@ def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
     move, so sigma is dropped only where none exists. The image of phi
     holds every character, so phi is onto: an automorphism of the residue
     group, which fixes the canonical residue, the character sum negated."""
-    maps = sq.derived.get("residue_maps")
-    if maps is not None:
-        return maps
     table = ext_table(sq)
     m = len(table.residues)
     # plus[j][r]: the number of r + char x_j, read as r less -char x_j
@@ -888,7 +871,6 @@ def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
         else:
             if len(frontier) == m and phi != identity and phi not in maps:
                 maps.append(phi)
-    sq.derived["residue_maps"] = maps
     return maps
 
 
@@ -923,22 +905,18 @@ def max_exceptional(
         proof_log["window"] = audit
     else:
         verts = _sorted_distinct(vertices)
-    base = base_vertex(sq)
     proof_log["vertices"] = len(verts)
     proof_log["forced_base"] = window
 
     table = ext_table(sq)
-    solver = _Solver(table.rows(verts), deadline, _chains(verts))
+    layers = table.layers(verts)
+    solver = _Solver(table.rows(verts), deadline)
     if window:
         # the window starts with layer 0 in residue order, the base first
         solver.force(0)
-        layers: dict[int, list[int]] = {}
-        for v in verts:
-            layers.setdefault(v.a, []).append(table.residue_index(v.b))
-        # the maps are kept with the quotient, and checked on every window
         maps = _residue_maps(sq)
         _check_residue_maps(table, maps, verts[-1].a)
-        solver.lead(list(layers.values()), maps, table)
+        solver.lead(layers, maps, table)
 
     def timed_out(message, size, mask, log):
         return SearchTimeoutError(
@@ -949,12 +927,11 @@ def max_exceptional(
         )
 
     # deterministic greedy seeds: plain order, and plain order with the
-    # nonzero residues of layer 0 deferred to the end
-    orders = [list(range(solver.n))]
-    deferred = [
-        i for i in range(solver.n) if verts[i].a == 0 and verts[i] != base
-    ]
-    orders.append([i for i in range(solver.n) if i not in deferred] + deferred)
+    # nonzero residues of layer 0 deferred to the end, in index order, which
+    # is residue order on a sorted list
+    deferred = [bit.bit_length() - 1 for bit in layers.get(0, ())[1:] if bit]
+    skip = set(deferred)
+    orders = [list(range(solver.n)), [i for i in range(solver.n) if i not in skip] + deferred]
     best_size, best_mask = solver.chosen.bit_count(), solver.chosen
     seeds = []
     for name, order in zip(("plain", "layer0-last"), orders):
@@ -967,8 +944,9 @@ def max_exceptional(
     # cap(2) >= m can bind only where two layers two apart hold more than m
     # vertices together; a lone layer never holds more than m
     m = len(table.residues)
+    chains = _chains(layers)
     cap = None
-    if any((x | y).bit_count() > m for c in solver.chains for x, y in zip(c, c[1:])):
+    if any((x | y).bit_count() > m for c in chains for x, y in zip(c, c[1:])):
         try:
             cap = _pair_cap(sq, deadline)
         except _TimeUp as up:
@@ -979,8 +957,7 @@ def max_exceptional(
                 {**proof_log, "pair_cap": {"timed_out": True, "nodes": up.args[2]["nodes"]}},
             ) from None
     if cap is not None:
-        solver.set_pair_cap(cap["cap"])
-        cap = dict(cap)
+        solver.set_pair_cap(cap["cap"], chains)
     proof_log["pair_cap"] = cap
 
     try:

@@ -221,10 +221,9 @@ class SymmetryQuotient(FrozenRecord):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # tables derived from this quotient, kept as long as it lives: "ext"
-        # (homs.ext_table), "neg_counts" (the Laurent monomial counts of the
-        # long-exact-sequence route), "pair_cap" (search._pair_cap) and
-        # "residue_maps" (search._residue_maps); not a field, so equality,
-        # hashing and repr ignore it
+        # (homs.ext_table) and "neg_counts" (the Laurent monomial counts of
+        # the long-exact-sequence route); not a field, so equality, hashing
+        # and repr ignore it
         object.__setattr__(self, "derived", {})
 
     @property

@@ -410,6 +410,23 @@ class TestExtTable:
                 assert bool(table._nonzeros[a][r]) == any(dims), (a, r)
                 assert (r in support) == (any(dims) == nonzero), (a, r)
 
+    def test_layers(self):
+        # unsorted, residues missing, a negative layer: each total degree in
+        # the order the list first reaches it, the bit of each vertex at its
+        # residue number
+        sq = symmetry_quotient(parse(PENTAGON))
+        table = ext_table(sq)
+        pairs = [(2, 5), (-1, 3), (0, 0), (0, 7), (3, 1), (-1, 0), (3, 10), (2, 2)]
+        verts = [bidegree(sq, a, b) for a, b in pairs]
+        expected = {}
+        for j, (a, b) in enumerate(pairs):
+            expected.setdefault(a, [0] * 11)[b] = 1 << j
+        layers = table.layers(verts)
+        assert layers == expected and list(layers) == [2, -1, 0, 3]
+        assert table.layers([]) == {}
+        with pytest.raises(ValueError, match="given twice"):
+            table.layers(verts + verts[3:4])
+
     @pytest.mark.parametrize(
         "case", ["fermat", "pentagon", "z9", "trivial", "irregular"]
     )

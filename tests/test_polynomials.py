@@ -1,8 +1,10 @@
 """Parsing, validation, and atomic decomposition of invertible polynomials."""
 
 import json
+import random
 
 import pytest
+from test_search import LADDER
 
 from invquot import (
     InvertiblePolynomial,
@@ -15,7 +17,8 @@ from invquot import (
     parse,
     parse_json_matrix,
 )
-from invquot.polynomials import decomposition_text, from_matrix, monomial_text
+from invquot.polynomials import Block, _decompose, decomposition_text, from_matrix, monomial_text
+from invquot.presets import PRESETS
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 
@@ -202,3 +205,169 @@ class TestAtomicDecomposition:
         # x1^4*x2, x2^3*x3, x3^2*x1 in cycle order from x1
         assert block.variables == (1, 2, 3)
         assert block.exponents == (4, 3, 2)
+
+
+def reference_walk(rows):
+    """The block walk _decompose replaced, kept as a reference: the same head
+    and tail assignment, then, from the smallest unvisited variable, a
+    backward walk to its component's start and a forward walk over it."""
+    n = len(rows)
+    options = []
+    for i in range(n):
+        support = [(j, rows[i][j]) for j in range(n) if rows[i][j]]
+        if len(support) == 1:
+            j, _ = support[0]
+            options.append([(j, None)])
+        elif len(support) == 2:
+            (j1, e1), (j2, e2) = support
+            opts = []
+            if e2 == 1:
+                opts.append((j1, j2))
+            if e1 == 1:
+                opts.append((j2, j1))
+            if not opts:
+                raise NotAtomicSumError(
+                    f"monomial {i + 1} links two variables with both exponents > 1"
+                )
+            options.append(opts)
+        else:
+            raise NotAtomicSumError(
+                f"monomial {i + 1} involves {len(support)} variables, expected 1 or 2"
+            )
+    head_of = {}
+    tails_used = set()
+
+    def assign(i):
+        if i == n:
+            return True
+        for head, tail in options[i]:
+            if head in head_of:
+                continue
+            if tail is not None and tail in tails_used:
+                continue
+            head_of[head] = i
+            if tail is not None:
+                tails_used.add(tail)
+            if assign(i + 1):
+                return True
+            del head_of[head]
+            if tail is not None:
+                tails_used.discard(tail)
+        return False
+
+    if not assign(0):
+        raise NotAtomicSumError("no consistent head/tail assignment exists")
+    tail_of = {}
+    for head, i in head_of.items():
+        tail_of[head] = next(t for h, t in options[i] if h == head)
+
+    blocks = []
+    unvisited = set(range(n))
+    while unvisited:
+        start = min(unvisited)
+        chain_start = start
+        seen = {start}
+        while True:
+            prev = next(
+                (v for v in unvisited if tail_of.get(v) == chain_start), None
+            )
+            if prev is None or prev in seen:
+                break
+            chain_start = prev
+            seen.add(prev)
+        path = []
+        v = chain_start
+        while v is not None and v not in path:
+            path.append(v)
+            v = tail_of.get(v)
+        is_loop = v is not None and v == path[0]
+        if v is not None and not is_loop:
+            raise NotAtomicSumError("tail chain re-enters a previous component")
+        variables = tuple(p + 1 for p in path)
+        exponents = tuple(rows[head_of[p]][p] for p in path)
+        if is_loop:
+            k = variables.index(min(variables))
+            variables = variables[k:] + variables[:k]
+            exponents = exponents[k:] + exponents[:k]
+            kind = "loop"
+        elif len(path) == 1:
+            kind = "fermat"
+        else:
+            kind = "chain"
+        blocks.append(Block(kind=kind, variables=variables, exponents=exponents))
+        unvisited -= set(path)
+    blocks.sort(key=lambda b: b.variables[0])
+    return tuple(blocks)
+
+
+def random_atomic_sum(rng):
+    """The exponent rows of a seeded random sum of Fermat, chain and loop
+    blocks, its variables relabelled and its rows shuffled."""
+    n = rng.randint(1, 9)
+    label = list(range(n))
+    rng.shuffle(label)
+    rows = []
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        kind = "fermat" if size == 1 else rng.choice(["chain", "loop"])
+        block = label[start:start + size]
+        for k, j in enumerate(block):
+            row = [0] * n
+            row[j] = rng.randint(1, 4) if size > 1 else rng.randint(2, 5)
+            if k + 1 < size:
+                row[block[k + 1]] = 1
+            elif kind == "loop":
+                row[block[0]] = 1
+            rows.append(tuple(row))
+        start += size
+    rng.shuffle(rows)
+    return rows
+
+
+class TestDecomposeAgainstReference:
+    """_decompose walks each component forward once; the blocks, their kind,
+    variables, exponents and order, are those of the backward walk it
+    replaced."""
+
+    @staticmethod
+    def outcome(walk, rows):
+        try:
+            return walk(rows)
+        except NotAtomicSumError as err:
+            return str(err)
+
+    @pytest.mark.parametrize(
+        "text", [*PRESETS.values(), *LADDER.values()], ids=[*PRESETS, *LADDER]
+    )
+    def test_presets_and_ladder(self, text):
+        # the cubic-trivial-quotient preset is no atomic sum
+        rows = parse(text).matrix
+        assert self.outcome(_decompose, rows) == self.outcome(reference_walk, rows)
+
+    def test_seeded_random_atomic_sums(self):
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(2000):
+            rows = random_atomic_sum(rng)
+            blocks = _decompose(rows)
+            assert blocks == reference_walk(rows), rows
+            kinds.update(b.kind for b in blocks)
+        assert kinds == {"fermat", "chain", "loop"}
+
+    def test_seeded_rows_of_one_or_two_variables(self):
+        # atomic or not: the same blocks, or the same error
+        rng = random.Random(12)
+        atomic = 0
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            rows = []
+            for _ in range(n):
+                row = [0] * n
+                for j in rng.sample(range(n), rng.randint(1, min(2, n))):
+                    row[j] = rng.randint(1, 3)
+                rows.append(tuple(row))
+            got = self.outcome(_decompose, rows)
+            assert got == self.outcome(reference_walk, rows), rows
+            atomic += not isinstance(got, str)
+        assert 200 < atomic < 1800

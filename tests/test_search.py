@@ -465,18 +465,21 @@ class TestMaxExceptional:
 
     def test_witness_pass_leaves_report_stats(self, sq, monkeypatch):
         # each search pass returns fresh stats; the report keeps those of the
-        # optimum search as it returned them, whatever the witness pass counts
+        # optimum search as it returned them, whatever the witness pass counts.
+        # Only the window solver's two passes are kept: the alpha search
+        # behind the pair cap runs on a solver of its own
         snapshots = []
         real = _Solver.search
 
         def spy(solver, *args, **kwargs):
             size, mask, stats = real(solver, *args, **kwargs)
-            snapshots.append(copy.deepcopy(stats))
+            snapshots.append((solver.n, copy.deepcopy(stats)))
             return size, mask, stats
 
         monkeypatch.setattr(_Solver, "search", spy)
-        stats = max_exceptional(sq).proof_log["stats"]
-        optimum, witness = snapshots
+        result = max_exceptional(sq)
+        stats = result.proof_log["stats"]
+        optimum, witness = [s for n, s in snapshots if n == len(result.vertices)]
         assert stats == optimum
         assert witness["nodes"] > 0
         assert witness["improvements"] == []
@@ -498,6 +501,14 @@ class TestMaxExceptional:
         log = err.value.proof_log
         assert log["optimum_proven"] and log["optimum"] == 24
         assert log["stats"]["nodes"] == 265
+
+    def test_search_keeps_nothing_on_the_quotient(self):
+        # the pair cap and the residue maps are computed by each search; the
+        # quotient keeps only its Ext table
+        sq = symmetry_quotient(parse(Z9))
+        result = max_exceptional(sq)
+        assert result.proof_log["pair_cap"] == {"cap": 11, "alpha": 2, "nodes": 5}
+        assert list(sq.derived) == ["ext"]
 
     def test_witness_is_lex_min_optimal_subset(self, sq):
         # the canonical witness must contain the base vertex and be
@@ -657,22 +668,25 @@ class TestPairCap:
         got = search_module._pair_cap(sq, None)
         assert got["cap"] == cap == sq.quotient_order + got["alpha"]
         assert got["nodes"] == nodes
-        assert sq.derived["pair_cap"] is got
 
     def test_alpha_is_searched_without_the_leader(self, monkeypatch):
         # H is one layer, where the lex-leader could cut only leaves that
-        # cannot raise the incumbent (see _Solver), so it is left off
+        # cannot raise the incumbent (see _Solver), so it is left off: the
+        # window's search turns the leader on once, and its alpha search not
+        # at all
         calls = []
-        real = _Solver.lead
+        real_lead, real_cap = _Solver.lead, search_module._pair_cap
         monkeypatch.setattr(
-            _Solver, "lead", lambda solver, *args: calls.append(args) or real(solver, *args)
+            _Solver, "lead", lambda solver, *args: calls.append("lead") or real_lead(solver, *args)
+        )
+        monkeypatch.setattr(
+            search_module, "_pair_cap", lambda *args: calls.append("cap") or real_cap(*args)
         )
         sq = symmetry_quotient(parse(Z9))
-        assert "pair_cap" not in sq.derived
         assert search_module._pair_cap(sq, None) == {"cap": 11, "alpha": 2, "nodes": 5}
-        assert calls == []
+        assert calls == ["cap"]
         max_exceptional(sq)
-        assert len(calls) == 1
+        assert calls == ["cap", "lead", "cap"]
 
     def test_no_cap_on_the_quadric(self):
         # layer 2 has no arrow down to layer 0 (the Serre term lags by
@@ -682,7 +696,6 @@ class TestPairCap:
         result = max_exceptional(sq, vertices=[v for v in window if v.a <= 2])
         assert result.size == len(result.vertices) == 48
         assert result.proof_log["pair_cap"] is None
-        assert sq.derived["pair_cap"] is None
 
     # the 16 ladder maps as quartics, with xi^4 and xi^3*xj
     QUARTICS = {name: poly.replace("^3", "^4").replace("^2", "^3") for name, poly in LADDER.items()}
@@ -692,18 +705,23 @@ class TestPairCap:
         # every (2, s) has five arrows down, not one, so fact 3 fails
         sq = symmetry_quotient(parse(self.QUARTICS[name]))
         assert search_module._pair_cap(sq, None) is None
-        assert sq.derived["pair_cap"] is None
 
-    def test_not_derived_where_it_cannot_bind(self):
+    def test_not_derived_where_it_cannot_bind(self, monkeypatch):
         # layers 0 and 1 only: no two layers two apart
+        calls = []
+        real = search_module._pair_cap
+        monkeypatch.setattr(
+            search_module, "_pair_cap", lambda *args: calls.append(args) or real(*args)
+        )
         sq = symmetry_quotient(parse(PENTAGON))
         window, _ = candidate_window(sq)
         result = max_exceptional(sq, vertices=[v for v in window if v.a <= 1])
         assert result.proof_log["pair_cap"] is None
-        assert "pair_cap" not in sq.derived
+        assert calls == []
         assert max_exceptional(sq).proof_log["pair_cap"] == {
             "cap": 12, "alpha": 1, "nodes": 1,
         }
+        assert len(calls) == 1
 
     def test_four_cycles_between_layers_0_and_2(self, sq):
         window, _ = candidate_window(sq)
@@ -730,7 +748,7 @@ class TestPairCap:
         log = err.value.proof_log
         assert log["pair_cap"]["timed_out"] is True
         assert 900 < log["pair_cap"]["nodes"] < 1_100
-        assert "stats" not in log and "pair_cap" not in sq.derived
+        assert "stats" not in log
         best = err.value.best_witness
         assert len(best) == err.value.best_size == max(s["size"] for s in log["seeds"])
         assert base_vertex(sq) in best
@@ -743,16 +761,22 @@ class TestPairBound:
 
     @staticmethod
     def recorded_states(monkeypatch, run):
-        """Every (solver, pos, chosen, count, avail) at which run() asks for
-        the bound."""
+        """Every (solver, chains, pos, chosen, count, avail) at which run()
+        asks for the bound, chains those the solver's cap was set along."""
         states = []
-        real = _Solver._pair_bound
+        chains_of = {}
+        real_set, real_bound = _Solver.set_pair_cap, _Solver._pair_bound
 
-        def spy(solver, *state):
-            states.append((solver, *state))
-            return real(solver, *state)
+        def set_spy(solver, cap, chains):
+            chains_of[solver] = chains
+            return real_set(solver, cap, chains)
 
-        monkeypatch.setattr(_Solver, "_pair_bound", spy)
+        def bound_spy(solver, *state):
+            states.append((solver, chains_of[solver], *state))
+            return real_bound(solver, *state)
+
+        monkeypatch.setattr(_Solver, "set_pair_cap", set_spy)
+        monkeypatch.setattr(_Solver, "_pair_bound", bound_spy)
         run()
         monkeypatch.undo()
         return states
@@ -763,11 +787,11 @@ class TestPairBound:
         available only at or above it), against the dynamic program; returns
         how many the bound cuts below count + avail."""
         binding = 0
-        for solver, pos, chosen, count, avail in states:
+        for solver, chains, pos, chosen, count, avail in states:
             assert chosen >> pos == 0 and avail & ((1 << pos) - 1) == 0
             assert count == chosen.bit_count()
             bound = solver._pair_bound(pos, chosen, count, avail)
-            assert bound == _pair_bound_dp(solver.chains, solver.pair_cap, chosen, avail)
+            assert bound == _pair_bound_dp(chains, solver.pair_cap, chosen, avail)
             binding += bound < count + avail.bit_count()
         return binding
 
@@ -815,7 +839,8 @@ class TestPairBound:
             sub = sorted(rng.sample(pair, cap + 2) + rng.sample(middle, 2))
             assert any(
                 (x | y).bit_count() > sq.quotient_order
-                for chain in _chains(sub) for x, y in zip(chain, chain[1:])
+                for chain in _chains(ext_table(sq).layers(sub))
+                for x, y in zip(chain, chain[1:])
             )
             states += self.recorded_states(
                 monkeypatch, lambda: max_exceptional(sq, vertices=sub)
@@ -849,8 +874,8 @@ class TestPairBound:
             chosen = sum(1 << i for i in range(pos) if rng.random() < 0.7)
             avail = sum(1 << i for i in range(pos, n) if rng.random() < 0.7)
             cap = m + rng.randint(0, 2)
-            solver = _Solver([0] * n, None, chains)
-            solver.set_pair_cap(cap)
+            solver = _Solver([0] * n, None)
+            solver.set_pair_cap(cap, chains)
             count = chosen.bit_count()
             # the upper layers of the pairs over the cap; only the pair ending
             # at pos's layer may be one on a state the DFS reaches
@@ -880,17 +905,17 @@ class TestPairBound:
         # layers of 4 and 3 chosen vertices under a cap of 6, with the last
         # vertex of the upper layer still open
         chains = [[0b1111, 0b1111 << 4]]
-        solver = _Solver([0] * 8, None, chains)
-        solver.set_pair_cap(6)
+        solver = _Solver([0] * 8, None)
+        solver.set_pair_cap(6, chains)
         chosen, avail = (1 << 7) - 1, 1 << 7
         with pytest.raises(SearchInvariantError, match="pair bound infeasible"):
             solver._pair_bound(7, chosen, 7, avail)
         with pytest.raises(SearchInvariantError):
             _pair_bound_dp(chains, 6, chosen, avail)
-        solver.set_pair_cap(7)
+        solver.set_pair_cap(7, chains)
         assert solver._pair_bound(7, chosen, 7, avail) == 7
         with pytest.raises(SearchInvariantError, match="more vertices than the pair cap"):
-            solver.set_pair_cap(3)
+            solver.set_pair_cap(3, chains)
 
 
 class TestBruteForce:
@@ -1056,9 +1081,7 @@ class TestTranslationLeader:
         assert maps
         solver = _Solver(table.rows(verts), None)
         solver.force(0)
-        solver.lead(
-            [[table.residue_index(v.b) for v in verts if v.a == a] for a in (0, 2)], maps, table
-        )
+        solver.lead(table.layers(verts), maps, table)
         size, _, stats = solver.search(0, None)
         assert stats["symmetry_prunes"] > 0
         _, mask, _ = solver.search(size - 1, None, stop=True)
@@ -1080,17 +1103,15 @@ class TestTranslationLeader:
         if isinstance(shape, tuple):
             table = SimpleNamespace(diff=_difference_table(shape))
             m = len(table.diff)
-            layers, maps = [list(range(m))], [[table.diff[s][0] for s in range(m)]]
+            layers = {0: [1 << s for s in range(m)]}
+            maps = [[table.diff[s][0] for s in range(m)]]
             solver = _Solver([0] * m, None)
         else:
             sq = symmetry_quotient(parse(shape))
             window, _ = candidate_window(sq)
             table = ext_table(sq)
             m = len(table.residues)
-            layers = {}
-            for v in window:
-                layers.setdefault(v.a, []).append(table.residue_index(v.b))
-            layers, maps = list(layers.values()), _residue_maps(sq)
+            layers, maps = table.layers(window), _residue_maps(sq)
             assert maps
             solver = _Solver(table.rows(window), None)
         solver.force(0)
@@ -1119,6 +1140,20 @@ class TestTranslationLeader:
                 assert sorted(map(tuple, ties[1])) == sorted(tied), members
             outcomes.add((leads, bool(tied)))
         assert {(False, False), (True, True)} <= outcomes
+
+    def test_lead_checks_the_layer_table(self, sq):
+        # the gate reads each layer as an index range in residue order, and
+        # layer 0 as every residue, the base first
+        window, _ = candidate_window(sq)
+        table, maps = ext_table(sq), _residue_maps(sq)
+        for verts, layers, match in (
+            (window, dict(reversed(table.layers(window).items())), "not index ranges"),
+            (window[:1] + window[2:], None, "layer 0 does not hold every residue"),
+        ):
+            solver = _Solver(table.rows(verts), None)
+            solver.force(0)
+            with pytest.raises(SearchInvariantError, match=match):
+                solver.lead(layers or table.layers(verts), maps, table)
 
     def test_timeout_reports_valid_collection(self, monkeypatch):
         # a clock that advances one microsecond per reading: the budget runs
@@ -1181,7 +1216,6 @@ class TestResidueMaps:
         top = window[-1].a
         table = ext_table(sq)
         maps = _residue_maps(sq)
-        assert sq.derived["residue_maps"] is maps
         assert len(maps) == self.COUNTS[name][0]
         m = len(table.residues)
         canonical = table.canonical[1]
@@ -1242,11 +1276,12 @@ class TestResidueMaps:
         with pytest.raises(SearchInvariantError, match="not a bijection"):
             _check_residue_maps(table, [[3 * s % 9 for s in range(9)]], top)
 
-    def test_every_search_checks_the_maps_it_uses(self):
-        # the maps are kept with the quotient, so a wrong one kept there must
-        # still be caught by the next search, on its own window
+    def test_every_search_checks_the_maps_it_uses(self, monkeypatch):
+        # a wrong map handed to the search must be caught on its own window
+        monkeypatch.setattr(
+            search_module, "_residue_maps", lambda sq: [[2 * s % 9 for s in range(9)]]
+        )
         sq = symmetry_quotient(parse(Z9))
-        sq.derived["residue_maps"] = [[2 * s % 9 for s in range(9)]]
         with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
             max_exceptional(sq)
 
