@@ -18,12 +18,13 @@ digraph and verification test; an Ext tuple is built only for a lookup, an
 audit entry or a violation. The public per-pair functions, hom_dim and
 ext_dims, each read one entry of it. The layer table of a vertex list, the
 bit of its vertex at every residue number of every total degree, is built
-by ExtTable.layers. The Ext digraph on distinct vertices is built by residue
-translation: the targets of a source in one layer are that layer's vertices
-at the source's residue plus each nonzero entry of one difference row, and
-every target layer of a source is summed in one pipeline. The
-long-exact-sequence route reads only the section counts and its own Laurent
-monomial counts, kept per quotient beside the table, never the Ext entries.
+by ExtTable.layers, and ExtTable.rows builds the Ext digraph on its
+vertices by residue translation: the targets of a source in one layer are
+that layer's vertices at the source's residue plus each nonzero entry of
+one difference row, and every target layer of a source is summed in one
+pipeline. The long-exact-sequence route reads only the section counts and
+its own Laurent monomial counts, kept per quotient beside the table, never
+the Ext entries.
 
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
@@ -307,30 +308,28 @@ class ExtTable:
             bits[r] = 1 << j
         return layers
 
-    def rows(self, verts) -> list[int]:
-        """Out rows of the Ext digraph on vertices that must be distinct (a
-        repeat raises ValueError): bit j of out[i] is set when some Ext from
+    def rows(self, layers: dict[int, list[int]]) -> list[int]:
+        """Out rows of the Ext digraph on the distinct vertices of a layer
+        table, layers(verts): bit j of out[i] is set when some Ext from
         verts[i] to verts[j] is nonzero (i != j).
 
         An arrow u -> v depends only on v - u. So the targets of a source
         (a, r) in layer a' are that layer's vertices at residues r + s, with
         s running over the nonzero entries of difference row a' - a, or the
         whole layer less those at r + s over the zero entries when these are
-        fewer. The layer table (see layers) keeps the bit of each layer's
-        vertex at every residue number, and distinct vertices make each sum
-        an OR. Per source layer, the whole layers read through their zero
-        entries (and the all-nonzero ones, which list none) fold into one
-        constant, and every listed entry of every target layer is one (bit
-        list, residue) pair, the bit list negated for a zero entry: the out
-        row of a source is that constant plus one sum over the pairs, read at
-        r + s.
+        fewer. The layer table keeps the bit of each layer's vertex at every
+        residue number, and distinct vertices make each sum an OR. Per source
+        layer, the whole layers read through their zero entries (and the
+        all-nonzero ones, which list none) fold into one constant, and every
+        listed entry of every target layer is one (bit list, residue) pair,
+        the bit list negated for a zero entry: the out row of a source is
+        that constant plus one sum over the pairs, read at r + s.
         """
         _require_threefold(self.sq)
-        layers = self.layers(verts)
         # per target layer: its bits, the same negated, its whole mask
         looks = [(va, bits, [-b for b in bits], sum(bits)) for va, bits in layers.items()]
         diff = self.diff
-        out = [0] * len(verts)
+        out = [0] * sum(len(bits) - bits.count(0) for bits in layers.values())
         for ua, sources in layers.items():
             # the constant, and the bit list and residue number of every
             # listed entry, in target layer order

@@ -16,8 +16,9 @@ def edge(sq, u, v) -> bool:
 def hom_digraph(sq, vertices):
     """Each vertex, in bidegree order without repeats, with its Ext targets."""
     verts = _sorted_distinct(vertices)
+    table = ext_table(sq)
     adj = {}
-    for u, m in zip(verts, ext_table(sq).rows(verts)):
+    for u, m in zip(verts, table.rows(table.layers(verts))):
         targets = []
         while m:
             low = m & -m

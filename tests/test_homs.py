@@ -397,7 +397,7 @@ class TestExtTable:
         sq = symmetry_quotient(parse(poly))
         verts, _ = candidate_window(sq)
         table = ExtTable(sq)
-        table.rows(verts)
+        table.rows(table.layers(verts))
         o = bidegree(sq, 0, [0] * len(sq.quotient_orders))
         differences = sorted({v.a - u.a for u in verts for v in verts})
         assert sorted(table._serres) == sorted(table._nonzeros) == differences
@@ -434,6 +434,7 @@ class TestExtTable:
         # the residue-translated rows against one Ext lookup per ordered pair
         poly = {"fermat": FERMAT, "z9": Z9, "trivial": get_preset("cubic-trivial-quotient")}
         sq = symmetry_quotient(parse(poly.get(case, PENTAGON)))
+        table = ext_table(sq)
         if case == "trivial":
             # one residue, so every layer is a single vertex
             verts = [bidegree(sq, a) for a in range(-4, 5)]
@@ -443,11 +444,10 @@ class TestExtTable:
             pairs = [(2, 5), (-1, 3), (0, 0), (0, 7), (3, 1), (-1, 0), (3, 10), (2, 2)]
             verts = [bidegree(sq, a, b) for a, b in pairs]
             with pytest.raises(ValueError, match="given twice"):
-                ext_table(sq).rows(verts + verts[3:4])
+                table.rows(table.layers(verts + verts[3:4]))
         else:
             verts, _ = candidate_window(sq)
-        table = ext_table(sq)
-        out = table.rows(verts)
+        out = table.rows(table.layers(verts))
         assert out == [
             sum(
                 1 << j

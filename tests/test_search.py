@@ -293,7 +293,7 @@ class TestDigraph:
         verts = [v for v in window if v.a <= 1]
         assert _sorted_distinct(verts) is verts
         data = export_digraph_json(sq, verts)
-        assert data["vertices"] == [[v.a, list(v.b)] for v in verts]
+        assert data["vertices"] == [(v.a, v.b) for v in verts]
         for given in (
             sorted(verts + verts[:3]), sorted(verts + verts[-2:]), verts[::-1],
             tuple(verts), iter(verts),
@@ -333,7 +333,8 @@ class TestRows:
     def test_ladder_windows(self, name):
         sq = symmetry_quotient(parse(LADDER[name]))
         window, _ = candidate_window(sq)
-        assert ext_table(sq).rows(window) == per_pair_rows(sq, window)
+        table = ext_table(sq)
+        assert table.rows(table.layers(window)) == per_pair_rows(sq, window)
 
     @pytest.mark.parametrize("name", list(LADDER))
     def test_seeded_sub_windows(self, name):
@@ -347,7 +348,7 @@ class TestRows:
             twist = bidegree(sq, -rng.randrange(4), rng.choice(table.residues))
             sub = [shift(sq, v, twist) for v in rng.sample(window, size)]
             assert min(Counter(v.a for v in sub).values()) < len(table.residues)
-            assert table.rows(sub) == per_pair_rows(sq, sub)
+            assert table.rows(table.layers(sub)) == per_pair_rows(sq, sub)
 
 
 class TestDigraphAgainstLes:
@@ -532,7 +533,8 @@ class TestClosesCycle:
         if poly == "z9":
             sq = symmetry_quotient(parse(Z9))
         verts, _ = candidate_window(sq)
-        solver = _Solver(ext_table(sq).rows(verts), None)
+        table = ext_table(sq)
+        solver = _Solver(table.rows(table.layers(verts)), None)
         n = solver.n
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
@@ -1079,9 +1081,10 @@ class TestTranslationLeader:
         table = ext_table(sq)
         maps = _residue_maps(sq)
         assert maps
-        solver = _Solver(table.rows(verts), None)
+        layers = table.layers(verts)
+        solver = _Solver(table.rows(layers), None)
         solver.force(0)
-        solver.lead(table.layers(verts), maps, table)
+        solver.lead(layers, maps, table)
         size, _, stats = solver.search(0, None)
         assert stats["symmetry_prunes"] > 0
         _, mask, _ = solver.search(size - 1, None, stop=True)
@@ -1113,7 +1116,7 @@ class TestTranslationLeader:
             m = len(table.residues)
             layers, maps = table.layers(window), _residue_maps(sq)
             assert maps
-            solver = _Solver(table.rows(window), None)
+            solver = _Solver(table.rows(layers), None)
         solver.force(0)
         solver.lead(layers, maps, table)
         diff, identity = table.diff, list(range(m))
@@ -1150,7 +1153,7 @@ class TestTranslationLeader:
             (window, dict(reversed(table.layers(window).items())), "not index ranges"),
             (window[:1] + window[2:], None, "layer 0 does not hold every residue"),
         ):
-            solver = _Solver(table.rows(verts), None)
+            solver = _Solver(table.rows(table.layers(verts)), None)
             solver.force(0)
             with pytest.raises(SearchInvariantError, match=match):
                 solver.lead(layers or table.layers(verts), maps, table)
@@ -1242,9 +1245,9 @@ class TestResidueMaps:
         # every arrow of the window goes to an arrow between the images,
         # read off the full layers 0..top
         grid = [bidegree(sq, a, b) for a in range(top + 1) for b in table.residues]
-        full = table.rows(grid)
+        full = table.rows(table.layers(grid))
         at = {v: i for i, v in enumerate(grid)}
-        rows = table.rows(window)
+        rows = table.rows(table.layers(window))
         arrows = [(window[i], window[j]) for i, row in enumerate(rows) for j in _peel(row)]
         assert arrows
         for phi in maps:
@@ -1377,6 +1380,12 @@ class TestExports:
         )
         assert len(data["edges"]) == expected_edges
 
+    @pytest.mark.parametrize("poly", [PENTAGON, Z9], ids=["pentagon", "z9"])
+    def test_window_export_matches_list_form(self, poly):
+        sq = symmetry_quotient(parse(poly))
+        window, _ = candidate_window(sq)
+        _assert_export(export_digraph_json(sq, window), window, per_pair_rows(sq, window))
+
     def test_fermat_json_digest(self):
         # the JSON text of the Fermat export is pinned; each vertex list is
         # one object, shared by every arrow at that vertex
@@ -1398,6 +1407,26 @@ def _peel(m):
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _assert_export(data, verts, rows):
+    """export_digraph_json's output on sorted distinct verts, whose out rows
+    are rows, against a bit-peeling reference: one (a, b) tuple per vertex
+    sharing the bidegree's residue tuple, one tuple per edge holding the very
+    vertex entries of its ends, by source then target, and the JSON text of
+    the list-of-lists form."""
+    node = data["vertices"]
+    assert node == [(v.a, v.b) for v in verts]
+    assert all(type(x) is tuple and x[1] is v.b for x, v in zip(node, verts))
+    reference = [(i, j) for i, m in enumerate(rows) for j in _peel(m)]
+    assert data["edges"] == [(node[i], node[j]) for i, j in reference]
+    assert all(type(e) is tuple for e in data["edges"])
+    assert [(id(u), id(v)) for u, v in data["edges"]] == [
+        (id(node[i]), id(node[j])) for i, j in reference
+    ]
+    lists = [[v.a, list(v.b)] for v in verts]
+    as_lists = {"vertices": lists, "edges": [[lists[i], lists[j]] for i, j in reference]}
+    assert json.dumps(data) == json.dumps(as_lists)
 
 
 def _peel_in_rows(rows):
@@ -1430,23 +1459,16 @@ class TestByteWalk:
         rng = random.Random(1_700 + n)
         while True:
             sub = sorted(rng.sample(window, n))
-            rows = table.rows(sub)
+            rows = table.rows(table.layers(sub))
             if n < 2 or any(row >> n - 1 for row in rows):
                 break
-        data = export_digraph_json(sq, sub)
-        node = data["vertices"]
-        assert node == [[v.a, list(v.b)] for v in sub]
-        reference = [(i, j) for i, m in enumerate(rows) for j in _peel(m)]
-        assert data["edges"] == [[node[i], node[j]] for i, j in reference]
-        # each edge holds the very vertex lists of its two ends
-        assert [(id(u), id(v)) for u, v in data["edges"]] == [
-            (id(node[i]), id(node[j])) for i, j in reference
-        ]
+        _assert_export(export_digraph_json(sq, sub), sub, rows)
         assert _Solver(rows, None).in_mask == _peel_in_rows(rows)
 
     def test_full_window_transpose(self, fermat):
         sq, window = fermat
-        rows = ext_table(sq).rows(window)
+        table = ext_table(sq)
+        rows = table.rows(table.layers(window))
         in_rows = _peel_in_rows(rows)
         assert len(in_rows) == 518 and sum(map(int.bit_count, in_rows)) == 53_449
         assert _Solver(rows, None).in_mask == in_rows
