@@ -3,10 +3,12 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -611,7 +613,9 @@ TOO_SMALL = (
     "error: 2 variables give an ambient space too small for this line bundle model\n"
 )
 # SHA-256 of stdout for every successful run, keyed command-input-format; a
-# JSON report is hashed with its timings removed, re-dumped with indent=2
+# JSON report is hashed with its timings removed, re-dumped with indent=2, so
+# these pins do not see the CLI's own JSON writer: the raw bytes are checked
+# by TestGoldenOutput::test_json_bytes
 GOLDEN = {
     "analyze-pentagon-text":
         "6c676abdcdd268076c6c9d9f77e260eb84d81569d7598e46b0f7a02b13a9fb21",
@@ -720,6 +724,24 @@ class TestGoldenOutput:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest, err) == (0, GOLDEN[f"{command}-{source}-{fmt}"], "")
 
+    @pytest.mark.parametrize("source", list(GOLDEN_INPUTS))
+    @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+    def test_json_bytes(self, capsys, monkeypatch, tmp_path, command, source):
+        # the report as printed and as written by --out, timings included, is
+        # json.dumps's own indent=2 text of itself
+        argv = [*GOLDEN_COMMANDS[command], *GOLDEN_INPUTS[source], "--format", "json"]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "collection.json").write_text(json.dumps([[0, 0], [2, 0], [1, 0]]))
+        code, out, err = run(capsys, *argv)
+        if source == "binary" and command != "analyze":
+            assert (code, out, err) == (1, "", TOO_SMALL)
+            return
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert run(capsys, *argv, "--out", "report.json") == (0, "", "")
+        written = (tmp_path / "report.json").read_bytes().decode()
+        assert written == json.dumps(json.loads(written), indent=2) + "\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
     def test_argparse_route_pinned(self, capsys, monkeypatch, tmp_path, command, fmt):
@@ -747,3 +769,162 @@ class TestGoldenOutput:
                 "timed_out", "window_size", "best_size", "best_witness",
                 "proof_log", "chen_ruan_dim", "verdict",
             ]
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str()"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_CHARS = [
+    "a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+    "\xe9", "\u20ac", "\u2028", "\U0001f600", "\ud800", "\udfff",
+]
+_INTS = [0, 1, -1, 54, -(2**70), 2**64, 2**64 + 1, -(10**30)]
+_FLOATS = [0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_key(rng):
+    return rng.choice([
+        _random_text, lambda r: _Str(_random_text(r)), lambda r: r.choice(_INTS),
+        lambda r: _Int(r.choice(_INTS)), lambda r: r.choice(_FLOATS),
+        lambda r: r.choice([True, False, None]),
+    ])(rng)
+
+
+def _random_json(rng, depth):
+    """A value json.dumps can write: scalars of every kind and their
+    subclasses, and, above depth 0, lists, tuples and dicts (and list and
+    dict subclasses) of random values, empty ones among them."""
+    kind = rng.randrange(13 if depth else 8)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice(_INTS)
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return _Str(_random_text(rng))
+    if kind == 5:
+        return _Int(rng.choice(_INTS))
+    if kind == 6:
+        return _Float(rng.choice(_FLOATS))
+    if kind == 7:
+        return rng.choice([[], (), {}, _List(), _Dict()])
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    if kind == 8:
+        return items
+    if kind == 9:
+        return tuple(items)
+    if kind == 10:
+        return _List(items)
+    pairs = [(_random_key(rng), item) for item in items]
+    return dict(pairs) if kind == 11 else _Dict(pairs)
+
+
+class TestJsonText:
+    """cli._json_text, the writer of every JSON report, against
+    json.dumps(value, indent=2)."""
+
+    HEADLINE = ["search", "--preset", "lu-counterexample", "-f", "json"]
+
+    @pytest.mark.parametrize("source", list(GOLDEN_INPUTS))
+    @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+    def test_golden_reports(self, capsys, monkeypatch, tmp_path, command, source):
+        reports = []
+        write = cli._json_text
+
+        def spy(value):
+            reports.append(value)
+            return write(value)
+
+        monkeypatch.setattr(cli, "_json_text", spy)
+        argv = [*GOLDEN_COMMANDS[command], *GOLDEN_INPUTS[source], "--format", "json"]
+        code, _, _, _ = _golden_run(capsys, monkeypatch, tmp_path, argv)
+        if source == "binary" and command != "analyze":
+            assert (code, reports) == (1, [])
+            return
+        assert code == 0
+        assert write(reports[0]) == json.dumps(reports[0], indent=2)
+
+    def test_random_values(self):
+        rng = random.Random(30)
+        depths = set()
+        for _ in range(2000):
+            value = _random_json(rng, 6)
+            text = json.dumps(value, indent=2)
+            assert cli._json_text(value) == text
+            depths.add(max((len(line) - len(line.lstrip(" "))) // 2 for line in text.split("\n")))
+        assert max(depths) == 6
+
+    def test_scalars_and_empty_containers(self):
+        for value in [
+            None, True, False, 0, -(2**70), 2**64, -0.0, 1e-300, math.nan, math.inf,
+            -math.inf, "", 'q"b\\\x01\u20ac\ud800', [], (), {}, _List(), _Dict(),
+            _Str("x"), _Int(-3), _Float(2.5), {1: [], 2.5: {}, True: (), None: "", False: 0},
+        ]:
+            assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, [b"bytes"], {"q": Fraction(1, 3)}, [0, object()], {(1, 2): 0}],
+        ids=["set", "bytes", "fraction", "object", "tuple-key"],
+    )
+    def test_type_errors(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_self_containing_list(self):
+        # no cycle markers: a report is a tree, so a cycle is a recursion
+        # error, not json's ValueError
+        value = [0]
+        value.append(value)
+        with pytest.raises(RecursionError):
+            cli._json_text(value)
+
+    def test_headline_skips_the_indent_encoder(self, capsys, monkeypatch):
+        # json.dumps with indent runs json's pure-Python encoder; the report
+        # must not go through it
+        dumps = json.dumps
+
+        def compact_only(value, **kwargs):
+            if "indent" in kwargs:
+                raise AssertionError("json.dumps called with indent")
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", compact_only)
+        code, out, err = run(capsys, *self.HEADLINE)
+        monkeypatch.undo()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["verdict"] == VERDICT
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
