@@ -667,11 +667,13 @@ _int_text = int.__repr__
 def _json_text(value) -> str:
     """The text of json.dumps(value, indent=2), byte for byte.
 
-    Exact str, int, float, list, tuple and dict take a fast path; anything
-    else goes through json's own isinstance order, so subclasses, None and
-    bools print as json prints them, and any other value, or a key that is
-    not a str, int, float, bool or None, raises TypeError. Reports are trees,
-    so no container is checked for cycles: one that contains itself raises
+    The exact types a report holds are written here: str, int, float, None,
+    True, False, list, tuple, and dict with str keys. Any other value, a
+    dict with any other key among them, goes to json.dumps(value, indent=2)
+    whole, its newlines moved to the indent of the line it starts on, so
+    subclasses, non-finite floats and non-str keys print as json prints them
+    and anything json refuses raises as json raises. Reports are trees, so
+    no container is checked for cycles: one that contains itself raises
     RecursionError.
     """
     parts = []
@@ -681,91 +683,43 @@ def _json_text(value) -> str:
 
 def _json_write(value, out, newline: str) -> None:
     # out appends to the text; newline is "\n" and the indent of the line
-    # value starts on
+    # value starts on. The most frequent types of a report are tried first:
+    # int, list, str, dict
     t = type(value)
-    if t is str:
-        out(_json_str(value))
-        return
     if t is int:
         out(_int_text(value))
-        return
-    if t is float:
-        out(_json_float(value))
-        return
-    if t is not dict and t is not list and t is not tuple:
-        if isinstance(value, str):
-            out(_json_str(value))
-        elif value is None:
-            out("null")
-        elif value is True:
-            out("true")
-        elif value is False:
-            out("false")
-        elif isinstance(value, int):
-            out(_int_text(value))
-        elif isinstance(value, float):
-            out(_json_float(value))
-        elif isinstance(value, (list, tuple)):
-            t = list
-        elif isinstance(value, dict):
-            t = dict
-        else:
-            raise TypeError(
-                f"Object of type {value.__class__.__name__} is not JSON serializable"
-            )
-        if t is not list and t is not dict:
+    elif t is list or t is tuple:
+        if not value:
+            out("[]")
             return
-    if not value:
-        out("{}" if t is dict else "[]")
-        return
-    inner = newline + "  "
-    comma = "," + inner
-    sep = inner
-    if t is dict:
-        out("{")
-        for key, item in value.items():
-            out(sep)
-            out(_json_str(key) if type(key) is str else _json_key(key))
-            out(": ")
-            _json_write(item, out, inner)
-            sep = comma
-        out(newline + "}")
-    else:
-        out("[")
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
         for item in value:
             out(sep)
             _json_write(item, out, inner)
             sep = comma
         out(newline + "]")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    # json's key rule, in its order, for a key that is not exactly a str
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float):
-        return _json_str(_json_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _json_str(_int_text(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
+    elif t is str:
+        out(_json_str(value))
+    elif t is dict and all(type(key) is str for key in value):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key, item in value.items():
+            out(sep)
+            out(_json_str(key))
+            out(": ")
+            _json_write(item, out, inner)
+            sep = comma
+        out(newline + "}")
+    elif t is float and math.isfinite(value):
+        out(float.__repr__(value))
+    elif value is None or value is True or value is False:
+        out("null" if value is None else "true" if value else "false")
+    else:
+        out(json.dumps(value, indent=2).replace("\n", newline))
 
 
 # -- driver ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ lexicographically smallest optimal subset. Each pass returns its result with
 its own counters, so the witness pass leaves the optimum's report alone. On
 the candidate window, where the base is forced, the search also keeps one
 state per symmetry class, a lex-leader over the quotient's translations and
-the residue maps of the variable permutations that fix W, checked at every
-layer boundary; on a cubic threefold, two layers of total degrees two apart
-hold at most m + alpha vertices, alpha found by the same search on an
-m-vertex digraph (see _Solver).
+the residue maps read off the window's Ext rows (the additive bijections of
+the residue group that keep which entries of every row are nonzero),
+checked at every layer boundary; on a cubic threefold, two layers of total
+degrees two apart hold at most m + alpha vertices, alpha found by the same
+search on an m-vertex digraph (see _Solver).
 """
 
 from __future__ import annotations
@@ -340,12 +341,14 @@ class _Solver:
     The lex-leader (Crawford-Ginsberg-Luks-Roy) is used only on the
     candidate window with the base forced. Its symmetries are the
     maps g = t_-phi(r) o phi: phi is the identity or a residue map, which
-    sends (a, s) to (a, phi(s)) and comes from a permutation of the
-    variables that fixes W (Kreuzer-Skarke; see _residue_maps), and t_c
-    translates every residue by c. With R_0, ..., R_(k-1) the chosen residues
-    of the layers already passed, r runs over R_0. A child of the DFS that
-    completes a layer (whose index is the first of the next layer, or n)
-    goes through the gate, and the state is cut when some g gives a list
+    sends (a, s) to (a, phi(s)), and t_c translates every residue by c. A
+    residue map is an additive bijection of the residue group that keeps
+    which entries of each Ext difference row of total degree -top..top are
+    nonzero, top the window's last layer (see _residue_maps). With R_0,
+    ..., R_(k-1) the chosen residues of the layers already passed, r runs
+    over R_0. A child of the DFS that completes a layer (whose index is the
+    first of the next layer, or n) goes through the gate, and the state is
+    cut when some g gives a list
     (sorted g(R_0), ..., sorted g(R_(k-1))) lexicographically smaller than
     (sorted R_0, ..., sorted R_(k-1)); ties are kept. A cut state counts as
     a node and as a symmetry prune. Each g is one list from residue number
@@ -355,24 +358,31 @@ class _Solver:
     and it neither cuts nor ties. So the gate cuts exactly where some
     g = t_-phi(r) o phi does.
 
-    It is sound. Arrows depend only on differences, and a residue map keeps
-    which difference rows are nonzero (checked on ExtTable's rows, see
-    _check_residue_maps), so each g is an automorphism of the Ext digraph
-    on layers 0..top. Let C be a collection through the base with layer-0
-    set R_0 and r in R_0. Then g(C) is again a collection; it contains
+    It is sound. The arrow (a, s) -> (a', s') depends only on the difference
+    (a' - a, s' - s), of total degree in -top..top on layers 0..top. g sends
+    it to (a' - a, phi(s') - phi(s)) = (a' - a, phi(s' - s)), as phi is
+    additive and translations cancel, and phi keeps which entries of that
+    row are nonzero, so each g is an automorphism of the Ext digraph on
+    layers 0..top. Let C be a collection through the base with layer-0 set
+    R_0 and r in R_0. Then g(C) is again a collection; it contains
     g(0, r) = (0, 0), the base, keeps the layer of every member, and, since
     it holds the base, has no member in mutual conflict with the base; so it
     lies in the same window, and g maps the collections through the base
-    into the window. The g are closed under composition: phi' o t_c =
-    t_phi'(c) o phi', so g' o g = t_-phi'phi(r'') o phi'phi for the member
-    (0, r'') of C that g sends to (0, r'), with phi'phi again a residue map
-    or the identity, since the residue maps of the permutations that fix W
-    form a group. So the images of C under the g, C among them, are one
-    set, closed under every g, and the collection of that set with the
-    smallest layer-by-layer list K(C) is cut by no g at any boundary: a g
-    that gave a smaller list on layers 0..k-1 would give a smaller K, since
-    g keeps the size of every layer. Applied to an optimum, some optimum
-    survives.
+    into the window. The g are closed under composition: an additive phi'
+    gives phi' o t_c = t_phi'(c) o phi', so g' o g = t_-phi'phi(r'') o
+    phi'phi for the member (0, r'') of C that g sends to (0, r'), and
+    phi'phi is again a residue map or the identity, since the additive
+    bijections that keep the rows form a group. So the images of C under
+    the g, C among them, are one set, closed under every g, and the
+    collection of that set with the smallest layer-by-layer list K(C) is
+    cut by no g at any boundary: a g that gave a smaller list on layers
+    0..k-1 would give a smaller K, since g keeps the size of every layer.
+    Applied to an optimum, some optimum survives.
+
+    Digraph automorphisms that are not additive are left out (the Z/9
+    window has 9 that fix the base, against the identity and 2 residue
+    maps), and so are maps that shift the total degree: the closure step
+    above needs phi additive and every layer kept.
 
     The canonical witness W* survives too. The window lists the layers in
     order and each layer in residue order, so within a layer the g's
@@ -759,120 +769,71 @@ def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     return {"cap": m + alpha, "alpha": alpha, "nodes": nodes}
 
 
-def _variable_permutations(entries: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Every permutation sigma of the variables, x_j -> x_sigma(j), that maps
-    the rows of the exponent matrix onto themselves, so fixes W (all its
-    coefficients are 1), in lexicographic order, the identity first.
+def _residue_maps(table, top: int) -> list[list[int]]:
+    """Every additive bijection phi of the residue group but the identity
+    that keeps which entries of each Ext difference row of total degree
+    -top..top are nonzero, the rows a window with layers 0..top reads: some
+    Ext is nonzero at (a, s) exactly when one is at (a, phi(s)). Each is a
+    list from residue number to residue number, the lists sorted, computed
+    on each call.
 
-    Found by backtracking over sigma(0), sigma(1), ..., each image tried in
-    ascending order among the free variables whose column holds the same
-    exponents as that of x_j, and each row checked whole once its last
-    variable is placed; a branch ends at the first row it breaks."""
-    n = len(entries)
-    rows = set(entries)
-    columns = [sorted(column) for column in zip(*entries)]
-    # due[j]: the rows whose last variable is x_j, as (variable, exponent)
-    # terms
-    due: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
-    for row in entries:
-        terms = [(j, e) for j, e in enumerate(row) if e]
-        due[terms[-1][0]].append(terms)
-    found = []
-    sigma = [0] * n
-    free = [True] * n
-
-    def extend(j):
-        for k in range(n):
-            if not free[k] or columns[k] != columns[j]:
-                continue
-            sigma[j] = k
-            for terms in due[j]:
-                image = [0] * n
-                for v, e in terms:
-                    image[sigma[v]] = e
-                if tuple(image) not in rows:
-                    break
-            else:
-                if j + 1 == n:
-                    found.append(tuple(sigma))
-                else:
-                    free[k] = False
-                    extend(j + 1)
-                    free[k] = True
-
-    extend(0)
-    return found
-
-
-def _check_residue_maps(table, maps: list[list[int]], top: int):
-    """Raise SearchInvariantError unless every map is a bijection of the
-    residue numbers that keeps the nonzero pattern of the Ext rows of total
-    degrees -top..top, the differences of a window with layers 0..top: some
-    Ext is nonzero at (a, s) exactly when one is at (a, phi(s)). A bijection
-    keeps that pattern exactly when it maps each row's support, the smaller
-    of its nonzero and its zero residues, onto itself, so every row is read
-    at once: bit a + top of rows[s] is set when s is in the support of row a,
-    and phi must keep rows."""
+    A bijection keeps every row's pattern exactly when it maps each row's
+    support, the smaller of its nonzero and its zero residues, onto itself,
+    so every row is read at once: bit a + top of sig[s] is set when s is in
+    the support of row a, and phi must keep sig. An additive phi is fixed by
+    its images of the basis residues, one per factor of the quotient, and
+    the image of a basis residue of order q must have order dividing q. The
+    images are chosen one basis residue at a time among the residues of the
+    same signature, and each choice extends phi to the subgroup spanned so
+    far, by phi(h + k e) = phi(h) + k phi(e); a choice ends at the first
+    element whose image breaks sig or repeats an earlier image."""
     m = len(table.residues)
-    rows = [0] * m
+    sig = [0] * m
     for a in range(-top, top + 1):
         bit = 1 << a + top
         for s in table._support(a)[1]:
-            rows[s] |= bit
-    identity = list(range(m))
-    for phi in maps:
-        if sorted(phi) != identity:
-            raise SearchInvariantError(f"residue map {phi} is not a bijection")
-        if list(map(rows.__getitem__, phi)) != rows:
-            raise SearchInvariantError(
-                f"residue map {phi} does not keep the Ext rows of the window"
-            )
-
-
-def _residue_maps(sq: SymmetryQuotient) -> list[list[int]]:
-    """The residue maps of the variable permutations that fix W, as lists
-    from residue number to residue number: the well-defined ones, distinct
-    and without the identity, computed on each call; each search checks
-    them on the Ext rows of its own window (see _check_residue_maps).
-
-    sigma sends the residue of x^e to that of x^(sigma e), so phi is the
-    additive map with phi(char x_j) = char x_sigma(j), when there is one.
-    It is built by one breadth-first walk from phi(0) = 0 along the moves
-    r -> r + char x_j, which sets phi(r + char x_j) = phi(r) + char x_sigma(j)
-    and drops sigma at the first move that contradicts an image already
-    set. The characters generate the residues, since the monomials reach
-    every residue, so the walk sets every phi(r) (where it does not, sigma
-    is dropped too), and a walk that ends keeps
-    phi(r + char x_j) = phi(r) + char x_sigma(j) for every r and j.
-    Then phi(r + s) = phi(r) + phi(s), by s's moves taken from r and from
-    0, so phi is additive; an additive phi with those images passes every
-    move, so sigma is dropped only where none exists. The image of phi
-    holds every character, so phi is onto: an automorphism of the residue
-    group, which fixes the canonical residue, the character sum negated."""
-    table = ext_table(sq)
-    m = len(table.residues)
-    # plus[j][r]: the number of r + char x_j, read as r less -char x_j
-    plus = [table.diff[minus[0]] for minus in table.minus]
-    identity = list(range(m))
+            sig[s] |= bit
+    # plus[x][y]: the number of x + y, read as y less -x
+    plus = [table.diff[row[0]] for row in table.diff]
+    orders = table.sq.quotient_orders
+    # the basis residues, in mixed radix one digit 1 and the rest 0, with the
+    # residues of the same signature whose order divides theirs
+    steps, place = [], m
+    for q in orders:
+        place //= q
+        steps.append((place, q, [
+            c for c in range(m)
+            if sig[c] == sig[place]
+            and all(t * q % order == 0 for t, order in zip(table.residues[c], orders))
+        ]))
     maps = []
-    for sigma in _variable_permutations(sq.poly.matrix)[1:]:
-        phi = [0] + [None] * (m - 1)
-        frontier = [0]
-        for r in frontier:
-            for j, step in enumerate(plus):
-                t, image = step[r], plus[sigma[j]][phi[r]]
-                if phi[t] is None:
-                    phi[t] = image
-                    frontier.append(t)
-                elif phi[t] != image:
-                    break
+
+    def extend(phi, span, i):
+        if i == len(steps):
+            maps.append(phi)
+            return
+        e, q, candidates = steps[i]
+        for c in candidates:
+            new, grown, images = phi[:], [], {phi[h] for h in span}
+            ke = kc = 0
+            for _ in range(q - 1):
+                ke, kc = plus[ke][e], plus[kc][c]
+                for h in span:
+                    x, y = plus[h][ke], plus[phi[h]][kc]
+                    if sig[y] != sig[x] or y in images:
+                        break
+                    new[x] = y
+                    images.add(y)
+                    grown.append(x)
+                else:
+                    continue
+                break
             else:
-                continue
-            break
-        else:
-            if len(frontier) == m and phi != identity and phi not in maps:
-                maps.append(phi)
-    return maps
+                extend(new, span + grown, i + 1)
+
+    extend([0] + [None] * (m - 1), [0], 0)
+    identity = list(range(m))
+    return sorted(phi for phi in maps if phi != identity)
 
 
 def max_exceptional(
@@ -915,9 +876,7 @@ def max_exceptional(
     if window:
         # the window starts with layer 0 in residue order, the base first
         solver.force(0)
-        maps = _residue_maps(sq)
-        _check_residue_maps(table, maps, verts[-1].a)
-        solver.lead(layers, maps, table)
+        solver.lead(layers, _residue_maps(table, verts[-1].a), table)
 
     def timed_out(message, size, mask, log):
         return SearchTimeoutError(

@@ -41,12 +41,10 @@ from invquot.homs import _difference_table, ext_table, shift
 from invquot.search import (
     _blocks,
     _chains,
-    _check_residue_maps,
     _residue_maps,
     _Solver,
     _sorted_distinct,
     _TimeUp,
-    _variable_permutations,
     base_vertex,
 )
 
@@ -78,6 +76,8 @@ LADDER = {
     "loop2+loop3": "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2",
     "loop5": "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x1*x5^2",
 }
+# the 16 ladder maps as quartics, with xi^4 and xi^3*xj
+QUARTICS = {name: poly.replace("^3", "^4").replace("^2", "^3") for name, poly in LADDER.items()}
 
 REFERENCE_SEQUENCE = [
     (1, 2), (1, 6), (1, 7), (1, 8), (1, 10), (2, 0),
@@ -699,13 +699,10 @@ class TestPairCap:
         assert result.size == len(result.vertices) == 48
         assert result.proof_log["pair_cap"] is None
 
-    # the 16 ladder maps as quartics, with xi^4 and xi^3*xj
-    QUARTICS = {name: poly.replace("^3", "^4").replace("^2", "^3") for name, poly in LADDER.items()}
-
     @pytest.mark.parametrize("name", list(QUARTICS))
     def test_no_cap_on_the_quartic_ladder(self, name):
         # every (2, s) has five arrows down, not one, so fact 3 fails
-        sq = symmetry_quotient(parse(self.QUARTICS[name]))
+        sq = symmetry_quotient(parse(QUARTICS[name]))
         assert search_module._pair_cap(sq, None) is None
 
     def test_not_derived_where_it_cannot_bind(self, monkeypatch):
@@ -1036,7 +1033,7 @@ class TestTranslationLeader:
     @staticmethod
     def layer_zero_translations(monkeypatch):
         real = _Solver._leads
-        monkeypatch.setattr(search_module, "_residue_maps", lambda sq: [])
+        monkeypatch.setattr(search_module, "_residue_maps", lambda table, top: [])
         monkeypatch.setattr(
             _Solver, "_leads",
             lambda solver, k, chosen, ties: real(solver, k, chosen, ties) if k == 0 else True,
@@ -1079,7 +1076,7 @@ class TestTranslationLeader:
         verts = [v for v in window if v.a in (0, 2)]
         assert len(verts) == 18 and verts[0] == base_vertex(sq)
         table = ext_table(sq)
-        maps = _residue_maps(sq)
+        maps = _residue_maps(table, window[-1].a)
         assert maps
         layers = table.layers(verts)
         solver = _Solver(table.rows(layers), None)
@@ -1114,7 +1111,7 @@ class TestTranslationLeader:
             window, _ = candidate_window(sq)
             table = ext_table(sq)
             m = len(table.residues)
-            layers, maps = table.layers(window), _residue_maps(sq)
+            layers, maps = table.layers(window), _residue_maps(table, window[-1].a)
             assert maps
             solver = _Solver(table.rows(layers), None)
         solver.force(0)
@@ -1148,7 +1145,8 @@ class TestTranslationLeader:
         # the gate reads each layer as an index range in residue order, and
         # layer 0 as every residue, the base first
         window, _ = candidate_window(sq)
-        table, maps = ext_table(sq), _residue_maps(sq)
+        table = ext_table(sq)
+        maps = _residue_maps(table, window[-1].a)
         for verts, layers, match in (
             (window, dict(reversed(table.layers(window).items())), "not index ranges"),
             (window[:1] + window[2:], None, "layer 0 does not hold every residue"),
@@ -1183,12 +1181,24 @@ class TestTranslationLeader:
 
 
 class TestResidueMaps:
-    """The residue maps of the variable permutations that fix W, on every
-    ladder input: the permutations against all 120, and each map against the
-    Ext digraph of the full layers of the window and against the character
-    steps it must keep."""
+    """The residue maps read off the window's Ext rows (see _residue_maps),
+    on the cubic and quartic ladders, the presets and the Fermat quadric:
+    each against the permutations of the variables that fix W, brute-forced
+    over all 120, and, on the cubic ladder, against the Ext digraph of the
+    full layers of the window."""
 
-    # distinct residue maps besides the identity, and permutations fixing W
+    INPUTS = {
+        **LADDER,
+        **{f"quartic-{name}": poly for name, poly in QUARTICS.items()},
+        "lu-counterexample": get_preset("lu-counterexample"),
+        "cubic-trivial-quotient": get_preset("cubic-trivial-quotient"),
+        "quadric": QUADRIC,
+    }
+
+    # residue maps besides the identity, and permutations fixing W. The
+    # first is the number of distinct additive maps that the permutations
+    # induce on the characters, so with the containment checked below the
+    # finder returns exactly those
     COUNTS = {
         "chain5": (0, 1), "chain4+fermat": (0, 1), "chain2+chain3": (0, 1),
         "chain3+fermat+fermat": (1, 2), "chain3+loop2": (0, 2),
@@ -1198,19 +1208,60 @@ class TestResidueMaps:
         "fermat+fermat+fermat+loop2": (1, 12), "fermat+fermat+loop3": (2, 6),
         "fermat+loop2+loop2": (1, 8), "fermat+loop4": (3, 4),
         "loop2+loop3": (2, 6), "loop5": (4, 5),
+        "quartic-chain5": (0, 1), "quartic-chain4+fermat": (0, 1),
+        "quartic-chain2+chain3": (0, 1), "quartic-chain3+fermat+fermat": (1, 2),
+        "quartic-chain3+loop2": (1, 2), "quartic-chain2+chain2+fermat": (0, 2),
+        "quartic-chain2+fermat+fermat+fermat": (5, 6),
+        "quartic-chain2+fermat+loop2": (1, 2), "quartic-chain2+loop3": (2, 3),
+        "quartic-fermat+fermat+fermat+fermat+fermat": (23, 120),
+        "quartic-fermat+fermat+fermat+loop2": (3, 12),
+        "quartic-fermat+fermat+loop3": (2, 6), "quartic-fermat+loop2+loop2": (7, 8),
+        "quartic-fermat+loop4": (3, 4), "quartic-loop2+loop3": (5, 6),
+        "quartic-loop5": (4, 5),
+        "lu-counterexample": (4, 5), "cubic-trivial-quotient": (0, 24), "quadric": (23, 120),
     }
 
-    @pytest.mark.parametrize("name", list(LADDER))
+    @pytest.mark.parametrize("name", list(INPUTS))
     def test_permutations_fix_w(self, name):
-        entries = parse(LADDER[name]).matrix
+        # the oracle: the permutations sigma of the variables that map the
+        # rows of the exponent matrix onto themselves, so fix W, by trying
+        # all 120; every map is additive and sends each character c_j to
+        # c_sigma(j) for one of them
+        sq = symmetry_quotient(parse(self.INPUTS[name]))
+        window, _ = candidate_window(sq)
+        table = ext_table(sq)
+        maps = _residue_maps(table, window[-1].a)
+        entries = sq.poly.matrix
         rows = set(entries)
         # x_j -> x_sigma(j) sends exponent e_j to place sigma(j)
-        expected = [
+        sigmas = [
             sigma for sigma in permutations(range(5))
             if {tuple(row[sigma.index(k)] for k in range(5)) for row in entries} == rows
         ]
-        assert _variable_permutations(entries) == expected
-        assert len(expected) == self.COUNTS[name][1]
+        assert (len(maps), len(sigmas)) == self.COUNTS[name]
+        assert maps == sorted(maps)
+        orders = sq.quotient_orders
+        m = len(table.residues)
+
+        def add(r, s):
+            return table.index[tuple(
+                (x + y) % q for x, y, q in zip(table.residues[r], table.residues[s], orders)
+            )]
+
+        basis = [table.index[tuple(int(i == k) for i in range(len(orders)))] for k in range(len(orders))]
+        chars = [
+            table.residue_index(sq.char_of_exponents([int(i == j) for i in range(5)]))
+            for j in range(5)
+        ]
+        identity = list(range(m))
+        for phi in maps:
+            assert sorted(phi) == identity and phi != identity
+            # phi(r + e) = phi(r) + phi(e) for every r and basis residue e,
+            # which the basis residues generate: phi is additive
+            assert all(phi[add(r, e)] == add(phi[r], phi[e]) for r in range(m) for e in basis)
+            assert any(
+                all(phi[chars[j]] == chars[sigma[j]] for j in range(5)) for sigma in sigmas
+            ), (name, phi)
 
     @pytest.mark.parametrize("name", list(LADDER))
     def test_maps_keep_the_window_digraph(self, name):
@@ -1218,30 +1269,11 @@ class TestResidueMaps:
         window, _ = candidate_window(sq)
         top = window[-1].a
         table = ext_table(sq)
-        maps = _residue_maps(sq)
+        maps = _residue_maps(table, top)
         assert len(maps) == self.COUNTS[name][0]
-        m = len(table.residues)
         canonical = table.canonical[1]
         for phi in maps:
-            assert sorted(phi) == list(range(m)) and phi != list(range(m))
             assert phi[0] == 0 and phi[canonical] == canonical
-        # each map is additive: phi(r + char x_j) = phi(r) + char x_sigma(j)
-        # for every r and j, for some sigma that fixes W, with the sums
-        # taken on the residue tuples
-        chars = [sq.char_of_exponents([int(i == j) for i in range(sq.n)]) for j in range(sq.n)]
-
-        def plus(r, j):
-            return table.index[tuple(
-                (x + y) % order
-                for x, y, order in zip(table.residues[r], chars[j], sq.quotient_orders)
-            )]
-
-        sigmas = _variable_permutations(sq.poly.matrix)
-        for phi in maps:
-            assert any(
-                all(phi[plus(r, j)] == plus(phi[r], sigma[j]) for r in range(m) for j in range(sq.n))
-                for sigma in sigmas
-            ), (name, phi)
         # every arrow of the window goes to an arrow between the images,
         # read off the full layers 0..top
         grid = [bidegree(sq, a, b) for a in range(top + 1) for b in table.residues]
@@ -1258,35 +1290,51 @@ class TestResidueMaps:
             for u, v in arrows:
                 assert full[image[u]] >> image[v] & 1, (name, phi, u, v)
 
+    @pytest.mark.parametrize("orders", [(2, 2), (4,), (6,), (2, 4), (8,), (2, 2, 2)],
+                             ids=["2x2", "4", "6", "2x4", "8", "2x2x2"])
+    def test_rows_that_split_nothing_leave_every_automorphism(self, orders):
+        # with no residue set apart by a row, the finder returns every
+        # automorphism of the residue group but the identity: against all
+        # permutations that fix 0, those that keep sums
+        residues = list(product(*map(range, orders)))
+        table = SimpleNamespace(
+            residues=residues, diff=_difference_table(orders),
+            sq=SimpleNamespace(quotient_orders=orders), _support=lambda a: (True, []),
+        )
+        m = len(residues)
+        number = {r: i for i, r in enumerate(residues)}
+        add = [[number[tuple((x + y) % q for x, y, q in zip(r, s, orders))] for s in residues]
+               for r in residues]
+        expected = sorted(
+            phi for phi in ([0, *rest] for rest in permutations(range(1, m)))
+            if all(phi[add[r][s]] == add[phi[r]][phi[s]] for r in range(m) for s in range(m))
+        )
+        assert _residue_maps(table, 1) == expected[1:]
+
     def test_z9_maps(self):
         # the rotation x3 -> x4 -> x5 -> x3 of the loop3 block and its square
         # act on Z/9 as multiplication by 7 and by 4; the loop2 swap fixes
         # every residue
         sq = symmetry_quotient(parse(Z9))
-        maps = _residue_maps(sq)
-        assert sorted(maps) == sorted([[4 * s % 9 for s in range(9)], [7 * s % 9 for s in range(9)]])
+        window, _ = candidate_window(sq)
+        maps = _residue_maps(ext_table(sq), window[-1].a)
+        assert maps == [[4 * s % 9 for s in range(9)], [7 * s % 9 for s in range(9)]]
 
-    def test_a_map_that_breaks_an_ext_row_raises(self):
-        # s -> 2s is an automorphism of Z/9, but no permutation of the
-        # variables gives it, and it moves the nonzero Ext entries
+    def test_z9_keeps_no_map_that_breaks_a_row(self):
+        # s -> 2s is an automorphism of Z/9, but it moves a nonzero entry of
+        # an Ext row the window reads, and s -> 3s is additive but no
+        # bijection: the finder returns neither
         sq = symmetry_quotient(parse(Z9))
         window, _ = candidate_window(sq)
         table = ext_table(sq)
         top = window[-1].a
-        _check_residue_maps(table, _residue_maps(sq), top)
-        with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
-            _check_residue_maps(table, [[2 * s % 9 for s in range(9)]], top)
-        with pytest.raises(SearchInvariantError, match="not a bijection"):
-            _check_residue_maps(table, [[3 * s % 9 for s in range(9)]], top)
-
-    def test_every_search_checks_the_maps_it_uses(self, monkeypatch):
-        # a wrong map handed to the search must be caught on its own window
-        monkeypatch.setattr(
-            search_module, "_residue_maps", lambda sq: [[2 * s % 9 for s in range(9)]]
+        assert any(
+            bool(table.nonzero_row(a)[s]) != bool(table.nonzero_row(a)[2 * s % 9])
+            for a in range(-top, top + 1) for s in range(9)
         )
-        sq = symmetry_quotient(parse(Z9))
-        with pytest.raises(SearchInvariantError, match="does not keep the Ext rows"):
-            max_exceptional(sq)
+        maps = _residue_maps(table, top)
+        assert [2 * s % 9 for s in range(9)] not in maps
+        assert [3 * s % 9 for s in range(9)] not in maps
 
 
 class TestOrder:
