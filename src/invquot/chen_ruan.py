@@ -14,7 +14,7 @@ from itertools import product
 from math import lcm
 
 from .errors import FixedLocusNotImplementedError, SymmetryInvariantError, UnsupportedGeometryError
-from .homs import BiDegree, _require_threefold, monomial_dim
+from .homs import _require_threefold, ext_table
 from .record import FrozenRecord
 from .symmetry import DiagonalElement, SymmetryQuotient
 
@@ -146,15 +146,10 @@ def untwisted_invariants(sq: SymmetryQuotient) -> UntwistedData:
                 "coordinate characters do not sum to zero, the residue "
                 "bookkeeping for the middle cohomology is not implemented"
             )
-    full = sum(
-        monomial_dim(sq, BiDegree(a=1, b=b))
-        for b in product(*(range(m) for m in sq.quotient_orders))
-    )
-    invariant = monomial_dim(
-        sq, BiDegree(a=1, b=tuple(0 for _ in sq.quotient_orders))
-    )
+    # degree-1 monomials by residue number, the zero residue first
+    row = ext_table(sq).monomial_row(1)
     return UntwistedData(
-        hyperplane_classes=4, middle_full=full, middle_invariant=invariant
+        hyperplane_classes=4, middle_full=sum(row), middle_invariant=row[0]
     )
 
 

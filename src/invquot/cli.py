@@ -368,8 +368,8 @@ def _run_table(
         rows.append(
             {
                 "a": a,
-                "dims": [dims[BiDegree(a=a, b=b)] for b in residues],
-                "representatives": [reps[BiDegree(a=a, b=b)] for b in residues],
+                "dims": [dims[BiDegree(a, b)] for b in residues],
+                "representatives": [reps[BiDegree(a, b)] for b in residues],
             }
         )
     return {

@@ -14,15 +14,16 @@ One ExtTable per quotient, from ext_table(sq), holds int rows by residue
 number, one total degree at a time on first use: the section counts (Hom),
 the Serre row (Ext^3, the sections of the canonical degree less a read
 through one column), and the nonzero row hom | serre, which the window, the
-digraph and verification test; an Ext tuple is built only for a lookup, an
-audit entry or a violation. The public per-pair functions, hom_dim and
-ext_dims, each read one entry of it. The layer table of a vertex list, the
-bit of its vertex at every residue number of every total degree, is built
-by ExtTable.layers, and ExtTable.rows builds the Ext digraph on its
-vertices by residue translation: the targets of a source in one layer are
-that layer's vertices at the source's residue plus each nonzero entry of
-one difference row, and every target layer of a source is summed in one
-pipeline. The long-exact-sequence route reads only the section counts and
+digraph and verification test; an Ext tuple is built only for a lookup or a
+violation, and the window's audit entries of a layer come from one read of
+its Hom and Serre rows (ExtTable.exts). The public per-pair functions,
+hom_dim and ext_dims, each read one entry of it. The layer table of a
+vertex list, the bit of its vertex at every residue number of every total
+degree, is built by ExtTable.layers, and ExtTable.rows builds the Ext
+digraph on its vertices by residue translation: the targets of a source in
+one layer are that layer's vertices at the source's residue plus each
+nonzero entry of one difference row, and every target layer of a source is
+summed in one pipeline. The long-exact-sequence route reads only the section counts and
 its own Laurent monomial counts, kept per quotient beside the table, never
 the Ext entries.
 
@@ -50,7 +51,8 @@ class BiDegree(FrozenRecord):
 
     # not Record's initializer: a ladder-sweep pass builds about 6,700
     # bidegrees, at 0.53 us each here against 1.8 us through Record's (warm,
-    # 2-core Xeon), some 8 ms of a pass under 60 ms
+    # 2-core Xeon), some 8 ms of a pass under 60 ms; the per-cell loops of
+    # the window and the tables pass a and b positionally, 0.43 us each
     def __init__(self, a: int, b: tuple[int, ...]):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -277,6 +279,15 @@ class ExtTable:
         middle cohomology does; that is checked explicitly by the
         long-exact-sequence route in ext_dims_via_les."""
         return (self.hom_row(a)[r], 0, 0, self.serre_row(a)[r])
+
+    def exts(self, a: int, numbers) -> list[list[int]]:
+        """The entries of ext(a, r) as lists, for each residue number r of
+        numbers in turn: the Hom and Serre rows of a are read once for all.
+        The window writes a layer's audit entries with it, as JSON lists;
+        ext stays for a single pair, a tuple that ext_dims returns and
+        verification compares, which a one-entry list would only wrap."""
+        hom, serre = self.hom_row(a), self.serre_row(a)
+        return [[hom[r], 0, 0, serre[r]] for r in numbers]
 
     def _support(self, a: int) -> tuple[bool, list[int]]:
         """(True, the residue numbers s with some nonzero Ext in difference
@@ -515,7 +526,7 @@ def hom_table(sq: SymmetryQuotient, max_a: int) -> dict[BiDegree, int]:
     """Section dimensions of O(a, b) for 0 <= a <= max_a and every residue b."""
     table = ext_table(sq)
     return {
-        BiDegree(a=a, b=b): h
+        BiDegree(a, b): h
         for a in range(max_a + 1)
         for b, h in zip(table.residues, table.hom_row(a))
     }
@@ -548,7 +559,7 @@ def representative_table(
     for a in range(max_a + 1):
         for r, (b, h) in enumerate(zip(table.residues, table.hom_row(a))):
             if h <= 0:
-                out[BiDegree(a=a, b=b)] = None
+                out[BiDegree(a, b)] = None
                 continue
             exps = []
             rest, s = a, r
@@ -565,5 +576,5 @@ def representative_table(
                 exps.append(e)
                 rest -= e
             exps.append(rest)
-            out[BiDegree(a=a, b=b)] = monomial_text(exps)
+            out[BiDegree(a, b)] = monomial_text(exps)
     return out

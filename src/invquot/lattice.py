@@ -6,9 +6,10 @@ A matrix is a sequence of rows, each a sequence of Python ints (type exactly
 The Smith form returns the invariant factors and the column transform V, as
 a tuple and a tuple of row tuples; the row transform is not kept, since no
 caller reads it. Everything here runs on arbitrary-precision integers and no
-step solves over the rationals: weights come from Cramer's rule on Bareiss
-determinants. Floating point is never used; fractions.Fraction appears only
-in the text of the NoPositiveWeightsError message, and is imported there.
+step solves over the rationals: the weights are the Cramer numerators that one
+fraction-free Gauss-Jordan pass over [A | 1] leaves in its last column.
+Floating point is never used; fractions.Fraction appears only in the text of
+the NoPositiveWeightsError message, and is imported there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import (
 
 
 def det(rows) -> int:
-    """Exact determinant of a square matrix by fraction-free Bareiss elimination.
+    """Exact determinant of a square matrix: the last pivot of _cramer's
+    fraction-free elimination.
 
     >>> det([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
     9
@@ -34,26 +36,7 @@ def det(rows) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if not all(type(x) is int for row in rows for x in row):
-        raise ValueError("matrix entries must be integers")
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _cramer(rows)[0]
 
 
 def _pivot(m, k, rows, cols):
@@ -138,16 +121,57 @@ def smith_normal_form(matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return tuple(abs(m[k][k]) for k in range(size)), tuple(map(tuple, v))
 
 
+def _cramer(rows) -> tuple[int, list[int]]:
+    """det A and the Cramer numerators det A_1, ..., det A_n of a square
+    integer matrix A, A_j being A with column j replaced by ones; the
+    numerators are [] when det A = 0.
+
+    One fraction-free Gauss-Jordan pass over [A | 1] (Bareiss, Math. Comp.
+    22, 1968): step k clears column k in every other row, each entry becoming
+    (p m_ij - m_ik m_kj) / p', p the pivot of step k and p' that of the step
+    before, and every division is exact. After step k each entry is a minor
+    of order k + 1 of the row-permuted [A | 1], so after the last step the
+    pivot is det A and the last column holds the det A_j, each times the
+    sign of the row swaps, which the two share (A_j's column of ones is
+    permuted with its rows into a column of ones).
+
+    >>> _cramer([[0, 1], [1, 0]])
+    (-1, [-1, -1])
+    """
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("matrix entries must be integers")
+    m = [[*row, 1] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot_row is None:
+                return 0, []
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        p = m[k][k]
+        tail = m[k][k + 1:]
+        # columns up to k are read no more (zero but on the diagonal)
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign * prev, [sign * row[n] for row in m]
+
+
 def solve_positive_weights(matrix) -> tuple[tuple[int, ...], int]:
     """Primitive positive integer weights q and degree d with matrix @ q = d (1,...,1).
 
     By Cramer's rule the unique rational solution of A x = (1,...,1) is
     x_j = det(A_j) / det(A), where A_j is A with column j replaced by ones;
-    every determinant is an exact Bareiss integer. The weights are positive
-    exactly when each det(A_j) has the sign of det(A), and q is then the
-    vector of |det(A_j)| divided by their gcd. Raises SingularMatrixError when
-    det(A) = 0 and NoPositiveWeightsError when some rational weight is zero or
-    negative.
+    det(A) and every det(A_j) are exact integers from one fraction-free
+    elimination (_cramer). The weights are positive exactly when each det(A_j)
+    has the sign of det(A), and q is then the vector of |det(A_j)| divided by
+    their gcd. Raises SingularMatrixError when det(A) = 0 and
+    NoPositiveWeightsError when some rational weight is zero or negative.
 
     >>> solve_positive_weights([[1, 2], [2, 1]])
     ((1, 1), 3)
@@ -155,10 +179,9 @@ def solve_positive_weights(matrix) -> tuple[tuple[int, ...], int]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise SingularMatrixError("weight system needs a square matrix")
-    full = det(matrix)
+    full, cramer = _cramer(matrix)
     if full == 0:
         raise SingularMatrixError("exponent matrix is singular over the rationals")
-    cramer = [det([[*row[:j], 1, *row[j + 1:]] for row in matrix]) for j in range(n)]
     if any(c * full <= 0 for c in cramer):
         from fractions import Fraction
 

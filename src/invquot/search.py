@@ -139,17 +139,23 @@ def candidate_window(sq: SymmetryQuotient):
         )
         if a == 0:
             mutual[0] = 0    # the base itself, kept
-        for r in compress(range(len(mutual)), mutual):
-            audit["excluded"].append(
-                {
-                    "vertex": [a, list(table.residues[r])],
-                    "reason": "mutual arrows with base",
-                    "ext_base_to_v": list(table.ext(a, r)),
-                    "ext_v_to_base": list(table.ext(-a, minus[r])),
-                }
+        # the layer's audit reads the Hom and Serre rows of a and -a once
+        excluded = list(compress(range(len(mutual)), mutual))
+        audit["excluded"] += [
+            {
+                "vertex": [a, list(table.residues[r])],
+                "reason": "mutual arrows with base",
+                "ext_base_to_v": to_v,
+                "ext_v_to_base": to_base,
+            }
+            for r, to_v, to_base in zip(
+                excluded,
+                table.exts(a, excluded),
+                table.exts(-a, map(minus.__getitem__, excluded)),
             )
+        ]
         kept = [
-            BiDegree(a=a, b=b)
+            BiDegree(a, b)
             for b in compress(table.residues, map(operator.not_, mutual))
         ]
         vertices.extend(kept)

@@ -12,12 +12,14 @@ from test_search import LADDER
 from test_symmetry import from_fractions, identity, mul, phases, power
 
 from invquot import (
+    BiDegree,
     FixedLocusNotImplementedError,
     InvquotError,
     SymmetryInvariantError,
     UnsupportedGeometryError,
     chen_ruan_dim,
     enumerate_sectors,
+    monomial_dim,
     parse,
     symmetry_quotient,
     untwisted_invariants,
@@ -43,6 +45,16 @@ class TestUntwisted:
         assert u.middle_full == 5
         assert u.middle_invariant == 5
         assert u.total == 14
+
+    def test_invariant_part_is_the_zero_residue(self, sq):
+        # the pentagon's quotient with characters (0, 0, 1, 4, 6) / 11, which
+        # sum to zero: x1 and x2 are the invariant linear monomials, and no
+        # other residue holds two of the five
+        fields = {name: getattr(sq, name) for name in SymmetryQuotient._fields}
+        moved = SymmetryQuotient(**{**fields, "characters": ((0, 0, 1, 4, 6),)})
+        u = untwisted_invariants(moved)
+        assert u.middle_full == 5
+        assert u.middle_invariant == monomial_dim(moved, BiDegree(1, (0,))) == 2
 
 
 class TestSectors:

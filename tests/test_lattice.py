@@ -11,15 +11,21 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from test_search import LADDER, QUARTICS
+
 from invquot import (
     GcdNotOneError,
+    LatticeInvariantError,
     NoPositiveWeightsError,
     SingularMatrixError,
     det,
+    parse,
     smith_normal_form,
     solve_positive_weights,
     splitting_coefficients,
 )
+from invquot.lattice import _cramer
+from invquot.presets import PRESETS
 
 PENTAGON_ROWS = [
     [2, 1, 0, 0, 0],
@@ -222,6 +228,125 @@ class TestPositiveWeights:
         # q2 = 0, so the rational weights are (1, 0) and none is positive
         with pytest.raises(NoPositiveWeightsError):
             solve_positive_weights([[1, 3], [1, 1]])
+
+
+def bareiss_det(rows):
+    """det of a square integer matrix by forward fraction-free (Bareiss)
+    elimination, which shares no code with lattice._cramer."""
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("matrix entries must be integers")
+    n = len(rows)
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def cramer_on_det(matrix):
+    """The weight solve by Cramer's rule on n + 1 determinants, det A and
+    each det A_j, by bareiss_det: the reference for the one-pass elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise SingularMatrixError("weight system needs a square matrix")
+    full = bareiss_det(matrix)
+    if full == 0:
+        raise SingularMatrixError("exponent matrix is singular over the rationals")
+    cramer = [bareiss_det([[*row[:j], 1, *row[j + 1:]] for row in matrix]) for j in range(n)]
+    if any(c * full <= 0 for c in cramer):
+        weights = [Fraction(c, full) for c in cramer]
+        raise NoPositiveWeightsError(f"rational weights {weights} are not all positive")
+    g = gcd(*cramer)
+    q = tuple(abs(c) // g for c in cramer)
+    return q, sum(matrix[0][j] * q[j] for j in range(n))
+
+
+def _outcome(solve, matrix):
+    """solve(matrix), or the type and message of the error it raises."""
+    try:
+        return solve(matrix)
+    except (ValueError, LatticeInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+# both presets and the 16 cubic and 16 quartic atomic sums
+WEIGHT_INPUTS = {
+    **PRESETS,
+    **LADDER,
+    **{f"quartic-{name}": poly for name, poly in QUARTICS.items()},
+}
+
+
+class TestOnePassWeights:
+    """solve_positive_weights reads det A and every Cramer numerator off one
+    fraction-free Gauss-Jordan pass over [A | 1]; cramer_on_det takes n + 1
+    determinants."""
+
+    @pytest.mark.parametrize("name", list(WEIGHT_INPUTS))
+    def test_matches_cramer_on_det(self, name):
+        matrix = parse(WEIGHT_INPUTS[name]).matrix
+        q, d = solve_positive_weights(matrix)
+        assert (q, d) == cramer_on_det(matrix)
+        assert d == (4 if name.startswith("quartic-") else 3)
+
+    def test_random_matrices(self):
+        # zero leading pivots, both determinant signs, singular matrices and
+        # weight systems with a zero or negative rational weight
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 6)
+            m = [[rng.choice((-2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            expected = _outcome(cramer_on_det, m)
+            assert _outcome(solve_positive_weights, m) == expected
+            full = bareiss_det(m)
+            numerators = [bareiss_det([[*r[:j], 1, *r[j + 1:]] for r in m]) for j in range(n)]
+            assert _cramer(m) == (full, numerators if full else [])
+            assert det(m) == full
+            # a zero leading principal minor of a nonsingular matrix is a
+            # zero pivot that only a row swap gets past
+            if full and any(bareiss_det([r[:k] for r in m[:k]]) == 0 for k in range(1, n)):
+                seen["row swap"] += 1
+            seen[full < 0, expected[0] if isinstance(expected[0], type) else "weights"] += 1
+        assert seen["row swap"] >= 100
+        for sign in (False, True):
+            assert seen[sign, NoPositiveWeightsError] >= 100
+            assert seen[sign, "weights"] >= 20
+        assert seen[False, SingularMatrixError] >= 100
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [],
+            [[1, 2]],
+            [[1, 2], [3]],
+            [[1.5, 2], [3, 5]],
+            [[True, 2], [3, 5]],
+            [[Fraction(3, 2)]],
+            [[0, 1], [1, 0]],
+            [[0, 2, 1], [1, 0, 2], [2, 1, 0]],
+            [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+            [[1, 3], [1, 1]],
+            [[2, 4], [1, 2]],
+        ],
+        ids=[
+            "empty", "not-square", "ragged", "float", "bool", "fraction",
+            "swap-negative", "swap-first", "swap-second", "zero-weight", "singular",
+        ],
+    )
+    def test_edge_cases(self, matrix):
+        assert _outcome(solve_positive_weights, matrix) == _outcome(cramer_on_det, matrix)
 
 
 class TestSplittingCoefficients:

@@ -144,6 +144,8 @@ def per_pair_rows(sq, verts):
 
 WINDOW_INPUTS = {
     **LADDER,
+    # degree-4 windows, whose Serre term has total degree d - n = -1
+    **{f"quartic-{name}": poly for name, poly in QUARTICS.items()},
     "lu-counterexample": get_preset("lu-counterexample"),
     "cubic-trivial-quotient": get_preset("cubic-trivial-quotient"),
 }

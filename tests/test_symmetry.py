@@ -636,7 +636,8 @@ class TestInvariantErrors:
                     make()
                 except SymmetryInvariantError as exc:
                     print("raised:", exc)
-            lattice.det = lambda rows: 1
+            # the weight solve's elimination, made to give every determinant 1
+            lattice._cramer = lambda rows: (1, [1] * len(rows))
             try:
                 lattice.solve_positive_weights([[2, 0], [0, 1]])
             except LatticeInvariantError as exc:
