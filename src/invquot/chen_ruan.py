@@ -39,13 +39,16 @@ def _require_cubic_threefold(sq: SymmetryQuotient):
         )
 
 
-def _axis_inside_hypersurface(sq: SymmetryQuotient, coord: int) -> bool:
-    """True when the coordinate axis (1-based) lies inside the hypersurface,
-    i.e. no monomial is supported entirely on that single coordinate."""
-    for row in sq.poly.matrix:
-        if all(e == 0 for j, e in enumerate(row, start=1) if j != coord):
-            return False
-    return True
+def _axes_inside(matrix) -> frozenset[int]:
+    """The coordinates (1-based) whose axis lies inside the hypersurface of a
+    square exponent matrix with no zero row, read in one pass over its rows:
+    an axis lies in it unless some monomial is a pure power of its
+    coordinate."""
+    outside = set()
+    for row in matrix:
+        if len(row) - row.count(0) == 1:
+            outside.add(next(j for j, e in enumerate(row, start=1) if e))
+    return frozenset(range(1, len(matrix) + 1)).difference(outside)
 
 
 def _piece_contribution(inside: frozenset[int], fixed: tuple[int, ...]) -> int:
@@ -77,9 +80,7 @@ def _pieces(sq: SymmetryQuotient):
     SymmetryInvariantError."""
     _require_cubic_threefold(sq)
     n = sq.n
-    inside = frozenset(
-        c for c in range(1, n + 1) if _axis_inside_hypersurface(sq, c)
-    )
+    inside = _axes_inside(sq.poly.matrix)
     for g, m in zip(sq.quotient_generators, sq.quotient_orders):
         if g.den != m:
             raise SymmetryInvariantError(

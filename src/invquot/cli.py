@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .chen_ruan import chen_ruan_dim, enumerate_sectors, untwisted_invariants
 from .errors import DegenerateLoopError, InvquotError, PolynomialSyntaxError, SearchTimeoutError
-from .homs import BiDegree, all_residues, bidegree, representative_table, hom_table
+from .homs import BiDegree, bidegree, ext_table, representative_table, hom_table
 from .polynomials import (
     InvertiblePolynomial,
     atomic_decomposition,
@@ -362,14 +362,16 @@ def _run_table(
 ) -> dict:
     dims = hom_table(sq, args.max_a)
     reps = representative_table(sq, args.max_a)
-    residues = all_residues(sq)
+    table = ext_table(sq)
+    residues = table.residues
     rows = []
     for a in range(args.max_a + 1):
+        cells = table.cells(a, range(len(residues)))
         rows.append(
             {
                 "a": a,
-                "dims": [dims[BiDegree(a, b)] for b in residues],
-                "representatives": [reps[BiDegree(a, b)] for b in residues],
+                "dims": [dims[c] for c in cells],
+                "representatives": [reps[c] for c in cells],
             }
         )
     return {

@@ -23,9 +23,12 @@ degree, is built by ExtTable.layers, and ExtTable.rows builds the Ext
 digraph on its vertices by residue translation: the targets of a source in
 one layer are that layer's vertices at the source's residue plus each
 nonzero entry of one difference row, and every target layer of a source is
-summed in one pipeline. The long-exact-sequence route reads only the section counts and
-its own Laurent monomial counts, kept per quotient beside the table, never
-the Ext entries.
+summed in one pipeline. The table also keeps the BiDegree of each cell
+once asked for (ExtTable.cells): the window's kept vertices and the keys of
+hom_table and representative_table are those objects, so a quotient builds
+each cell once. The long-exact-sequence route reads only the section counts
+and its own Laurent monomial counts, kept per quotient beside the table,
+never the Ext entries.
 
 Everything requires the split grading (characters available), all weights
 equal to 1, and at least 5 variables; Ext computations additionally pin the
@@ -44,18 +47,20 @@ from .record import FrozenRecord
 from .symmetry import SymmetryQuotient
 
 
+_setattr = object.__setattr__
+
+
 class BiDegree(FrozenRecord):
     """Total degree plus one residue per quotient factor, ordered by (a, b)."""
 
     _fields = ("a", "b")
 
-    # not Record's initializer: a ladder-sweep pass builds about 6,700
-    # bidegrees, at 0.53 us each here against 1.8 us through Record's (warm,
-    # 2-core Xeon), some 8 ms of a pass under 60 ms; the per-cell loops of
-    # the window and the tables pass a and b positionally, 0.43 us each
+    # not Record's initializer: a ladder-sweep pass builds about 2,200
+    # bidegrees (ExtTable.cells, one per cell per quotient), at 0.43 us each
+    # here against 1.8 us through Record's (warm, 2-core Xeon)
     def __init__(self, a: int, b: tuple[int, ...]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
 
     # built and compared in the window and table loops, so each comparison
     # is one tuple comparison
@@ -189,7 +194,9 @@ class ExtTable:
     per total degree and filled upward by _count_step, from the last row of
     each variable prefix; the Hom, Serre and nonzero rows are kept per
     difference (a_target - a_source, residue-difference number), one whole
-    row of residues per total degree, on first use.
+    row of residues per total degree, on first use. Beside them, per total
+    degree, the BiDegree of each residue number is built on first use and
+    kept (cells), so the window and the tables share one object per cell.
     """
 
     def __init__(self, sq: SymmetryQuotient):
@@ -217,6 +224,9 @@ class ExtTable:
         self._serres: dict[int, list[int]] = {}
         self._nonzeros: dict[int, list[int]] = {}
         self._supports: dict[int, tuple[bool, list[int]]] = {}
+        # per total degree, the BiDegree of each residue number, None until
+        # first asked for
+        self._cells: dict[int, list[BiDegree | None]] = {}
 
     def residue_index(self, b) -> int:
         """Number of a residue; anything but a normalized tuple goes through
@@ -225,6 +235,22 @@ class ExtTable:
             return self.index[b]
         except (KeyError, TypeError):
             return self.index[bidegree(self.sq, 0, b).b]
+
+    def cells(self, a: int, numbers) -> list[BiDegree]:
+        """BiDegree(a, residues[r]) for each residue number r of numbers in
+        turn. Each cell is built once, on first use, and kept with the
+        table, so the window and the tables of one quotient share one
+        object per cell."""
+        row = self._cells.get(a)
+        if row is None:
+            row = self._cells[a] = [None] * len(self.residues)
+        out = []
+        for r in numbers:
+            cell = row[r]
+            if cell is None:
+                cell = row[r] = BiDegree(a, self.residues[r])
+            out.append(cell)
+        return out
 
     def monomial_row(self, a: int) -> list[int]:
         """Degree-a monomials of the ambient ring, by residue number.
@@ -525,11 +551,11 @@ def all_residues(sq: SymmetryQuotient):
 def hom_table(sq: SymmetryQuotient, max_a: int) -> dict[BiDegree, int]:
     """Section dimensions of O(a, b) for 0 <= a <= max_a and every residue b."""
     table = ext_table(sq)
-    return {
-        BiDegree(a, b): h
-        for a in range(max_a + 1)
-        for b, h in zip(table.residues, table.hom_row(a))
-    }
+    every = range(len(table.residues))
+    out: dict[BiDegree, int] = {}
+    for a in range(max_a + 1):
+        out.update(zip(table.cells(a, every), table.hom_row(a)))
+    return out
 
 
 def representative_table(
@@ -555,11 +581,12 @@ def representative_table(
     for a in range(max_a + 1):
         last = _count_step(a, reverse, last)
         suffix.append(last)
+    every = range(len(table.residues))
     out: dict[BiDegree, str | None] = {}
     for a in range(max_a + 1):
-        for r, (b, h) in enumerate(zip(table.residues, table.hom_row(a))):
+        for r, (cell, h) in enumerate(zip(table.cells(a, every), table.hom_row(a))):
             if h <= 0:
-                out[BiDegree(a, b)] = None
+                out[cell] = None
                 continue
             exps = []
             rest, s = a, r
@@ -576,5 +603,5 @@ def representative_table(
                 exps.append(e)
                 rest -= e
             exps.append(rest)
-            out[BiDegree(a, b)] = monomial_text(exps)
+            out[cell] = monomial_text(exps)
     return out

@@ -154,10 +154,7 @@ def candidate_window(sq: SymmetryQuotient):
                 table.exts(-a, map(minus.__getitem__, excluded)),
             )
         ]
-        kept = [
-            BiDegree(a, b)
-            for b in compress(table.residues, map(operator.not_, mutual))
-        ]
+        kept = table.cells(a, compress(range(len(mutual)), map(operator.not_, mutual)))
         vertices.extend(kept)
         audit["layers"].append({"a": a, "kept": len(kept)})
         if full_row is None and min(table.hom_row(a)) > 0:

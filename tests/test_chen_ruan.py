@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import random
 from itertools import product
 from math import lcm
 
-from test_search import LADDER
+from test_search import LADDER, QUARTICS
 from test_symmetry import from_fractions, identity, mul, phases, power
 
 from invquot import (
@@ -24,7 +25,8 @@ from invquot import (
     symmetry_quotient,
     untwisted_invariants,
 )
-from invquot.chen_ruan import _pieces
+from invquot.chen_ruan import _axes_inside, _pieces
+from invquot.lattice import det
 from invquot.presets import PRESETS
 from invquot.symmetry import SymmetryQuotient
 
@@ -228,3 +230,42 @@ class TestAgreement:
             None if c is None else (powers, phase, fixed, c)
             for _, powers, phase, fixed, c in reference
         ]
+
+
+def _axes_inside_per_coordinate(matrix):
+    """Each axis on its own: it lies in the hypersurface unless some row is
+    zero off its coordinate."""
+    n = len(matrix)
+    return frozenset(
+        c for c in range(1, n + 1)
+        if not any(all(e == 0 for j, e in enumerate(row, start=1) if j != c) for row in matrix)
+    )
+
+
+def _random_invertible(rng):
+    """A seeded random square matrix of non-negative exponents with nonzero
+    determinant and no zero row."""
+    while True:
+        n = rng.randint(1, 6)
+        matrix = tuple(
+            tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(n)
+        )
+        if all(any(row) for row in matrix) and det(matrix):
+            return matrix
+
+
+class TestAxesInside:
+    @pytest.mark.parametrize(
+        "text",
+        [*PRESETS.values(), *LADDER.values(), *QUARTICS.values()],
+        ids=[*PRESETS, *LADDER, *(f"quartic-{name}" for name in QUARTICS)],
+    )
+    def test_matches_per_coordinate(self, text):
+        matrix = parse(text).matrix
+        assert _axes_inside(matrix) == _axes_inside_per_coordinate(matrix)
+
+    def test_random_invertible_matrices(self):
+        rng = random.Random(33)
+        for _ in range(500):
+            matrix = _random_invertible(rng)
+            assert _axes_inside(matrix) == _axes_inside_per_coordinate(matrix), matrix

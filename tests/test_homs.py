@@ -44,6 +44,7 @@ from invquot.homs import (
 )
 from invquot.polynomials import monomial_text
 from invquot.symmetry import SymmetryQuotient
+from test_search import LADDER, QUARTICS, window_oracle
 
 PENTAGON = "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1"
 Z9 = "x1^2*x2 + x1*x2^2 + x3^2*x4 + x4^2*x5 + x3*x5^2"
@@ -583,3 +584,75 @@ class TestLesInvariantErrors:
             "raised: H^3 of (1, 0): ambient H^3 is nonzero",
             "raised: H^3 of (1, 0): H^4(P, deg - w) -> H^4(P, deg) is not surjective",
         ]
+
+
+def _fresh_tables(sq, max_a):
+    """hom_table and representative_table keyed by fresh BiDegrees."""
+    reps = representative_table(sq, max_a)
+    return (
+        {BiDegree(d.a, d.b): hom_dim_delta(sq, BiDegree(d.a, d.b)) for d in reps},
+        {BiDegree(d.a, d.b): t for d, t in reps.items()},
+    )
+
+
+class TestSharedCells:
+    """The window and both tables of a quotient share one BiDegree per cell,
+    the ones ExtTable.cells keeps."""
+
+    def test_tables_share_keys(self):
+        sq = symmetry_quotient(parse(PENTAGON))
+        dims, reps = hom_table(sq, 3), representative_table(sq, 3)
+        assert list(map(id, dims)) == list(map(id, reps))
+
+    def test_window_vertices_are_table_keys(self):
+        sq = symmetry_quotient(parse(PENTAGON))
+        keys = {(d.a, d.b): d for d in hom_table(sq, 3)}
+        verts, _ = candidate_window(sq)
+        low = [v for v in verts if v.a <= 3]
+        assert low
+        assert all(keys[v.a, v.b] is v for v in low)
+
+    def test_cells_equal_fresh_bidegrees(self):
+        sq = symmetry_quotient(parse(Z9))
+        table = ext_table(sq)
+        numbers = [5, 0, 5, 8, 2, 0]
+        cells = table.cells(2, numbers)
+        assert cells == [BiDegree(2, table.residues[r]) for r in numbers]
+        assert cells[0] is cells[2] and cells[1] is cells[5]
+        assert table.cells(2, iter([8]))[0] is cells[3]
+
+    def test_quotients_share_no_cell(self):
+        poly = parse(PENTAGON)
+        first, second = symmetry_quotient(poly), symmetry_quotient(poly)
+        ones = hom_table(first, 3)
+        twos = hom_table(second, 3)
+        assert list(ones) == list(twos)
+        assert not set(map(id, ones)) & set(map(id, twos))
+
+    @pytest.mark.parametrize("window_first", [False, True], ids=["tables-first", "window-first"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            get_preset("lu-counterexample"),
+            get_preset("cubic-trivial-quotient"),
+            *LADDER.values(),
+            *QUARTICS.values(),
+        ],
+        ids=["lu", "trivial", *LADDER, *(f"quartic-{name}" for name in QUARTICS)],
+    )
+    def test_match_fresh_reference(self, text, window_first):
+        # the reference reads a quotient of its own: the window vertex by
+        # vertex (window_oracle, by bidegree), the tables keyed by fresh
+        # BiDegrees
+        reference = symmetry_quotient(parse(text))
+        ref_verts, ref_audit = window_oracle(reference)
+        ref_dims, ref_reps = _fresh_tables(reference, 3)
+        sq = symmetry_quotient(parse(text))
+        if window_first:
+            verts, audit = candidate_window(sq)
+        dims, reps = hom_table(sq, 3), representative_table(sq, 3)
+        if not window_first:
+            verts, audit = candidate_window(sq)
+        assert verts == ref_verts and audit == ref_audit
+        assert list(dims.items()) == list(ref_dims.items())
+        assert list(reps.items()) == list(ref_reps.items())
