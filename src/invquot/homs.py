@@ -63,7 +63,8 @@ class BiDegree(FrozenRecord):
         _setattr(self, "b", b)
 
     # built and compared in the window and table loops, so each comparison
-    # is one tuple comparison
+    # is one tuple comparison; x > y and x >= y are the reflected y < x and
+    # y <= x
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b) == (other.a, other.b)
@@ -80,16 +81,6 @@ class BiDegree(FrozenRecord):
     def __le__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b) <= (other.a, other.b)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) > (other.a, other.b)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) >= (other.a, other.b)
         return NotImplemented
 
     def __str__(self):
@@ -403,11 +394,6 @@ def monomial_dim(sq: SymmetryQuotient, deg: BiDegree) -> int:
     return table.monomial_row(deg.a)[table.residue_index(deg.b)]
 
 
-def _w_degree(sq: SymmetryQuotient) -> BiDegree:
-    """Bidegree of the defining polynomial: (d, 0) since its rows have character 0."""
-    return bidegree(sq, sq.degree, [0] * len(sq.quotient_orders))
-
-
 def hom_dim(sq: SymmetryQuotient, source: BiDegree, target: BiDegree) -> int:
     """dim Hom(O(source), O(target)): sections of the coordinate ring in
     bidegree target - source."""
@@ -507,8 +493,8 @@ def hypersurface_cohomology(
     counts, with the connecting maps accounted for degree by degree.
     """
     _require_threefold(sq)
-    w = _w_degree(sq)
-    lower = shift(sq, deg, negate(sq, w))
+    # W has bidegree (d, 0): each of its monomials has character 0
+    lower = bidegree(sq, deg.a - sq.degree, deg.b)
     h = [ambient_cohomology_dim(sq, i, deg) for i in range(5)]
     hl = [ambient_cohomology_dim(sq, i, lower) for i in range(5)]
     # H^0(X): cokernel of multiplication by w on sections, which is injective

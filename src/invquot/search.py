@@ -299,17 +299,27 @@ class _Solver:
     total degrees a and a + 2 hold at most cap(2) = m + alpha vertices of
     any collection, m the quotient order. Twisting moves them to layers 0
     and 2, and a collection stays one on any subset, so take layers 0 and 2
-    full, one vertex per residue. Three facts about their arrows, checked on
-    ExtTable.rows before the cap is derived: (1) no layer has an arrow
-    inside it; (2) the only arrows up are Hom arrows, (0, r) -> (2, s)
-    exactly when hom(2, s - r) > 0; (3) each (2, s) has exactly one arrow
-    down, an Ext^3 arrow dual to total degree 0, to (0, sigma(s)) with
-    sigma a translation (by k). Let R + S be a collection, R in layer 0 and
-    S in layer 2, and P = {s in S : sigma(s) in R}. Sigma is a bijection, so
-    it maps S - P injectively into the residues missing from R, and
+    full, one vertex per residue. An arrow (a, r) -> (a', s) depends only
+    on (a' - a, s - r), so three facts about their arrows are each read off
+    one Ext difference row before the cap is derived: (1) no layer has an
+    arrow inside it, as the nonzero row of total degree 0 is zero off the
+    zero residue; (2) the only arrows up are Hom arrows, (0, r) -> (2, s)
+    exactly when hom(2, s - r) > 0, as row 2 is nonzero exactly where the
+    Hom row of 2 is; (3) each (2, s) has one arrow down, to (0, sigma(s)),
+    sigma(s) = s + c, as row -2 is nonzero at exactly one residue c. Every
+    cubic has them by degree, the Serre term of (a, r) being the sections
+    in (-2 - a, k - r): row 0 is delta_0, Hom in degree 0 being the
+    constant and its Serre term at degree -2; row 2 has none, at -4; row -2
+    is the Serre term of degree 0, nonzero only at r = k, so c = k. The
+    quadric and the quartics fail (3): row -2 is nonzero at no residue on
+    the quadric and at five on each ladder quartic, so they get no cap.
+    Let R + S be a collection, R in layer 0 and S in layer 2, and
+    P = {s in S : sigma(s) in R}. Sigma is a bijection, so it maps S - P
+    injectively into the residues missing from R, and
     |R| + |S| <= m + |P|. Let H be the digraph on the m residues with
     t -> t' exactly when (0, t) -> (2, sigma^-1(t')), that is when
-    hom(2, sigma^-1(t') - t) > 0. A cycle t -> t' -> .. of H inside
+    hom(2, t' - c - t) > 0: H's row t is the translate by t of the one set
+    {y + c : hom(2, y) > 0}. A cycle t -> t' -> .. of H inside
     sigma(P) lifts to the cycle (0, t) -> (2, sigma^-1(t')) -> (0, t') -> ..
     inside R + S, so sigma(P) is acyclic in H and |P| <= alpha, the size of
     the largest acyclic set of H. The cap is reached: take R all of layer 0
@@ -319,8 +329,7 @@ class _Solver:
     inside A, which has none. H is translation-invariant and every
     translate of an acyclic set of H is acyclic, so alpha is found by this
     same solver on H's m rows with residue 0 forced; a loop of H at one
-    residue is a loop at all, and then alpha = 0. A quotient where a fact
-    fails, the quadric for one, has no cap.
+    residue is a loop at all, and then alpha = 0.
 
     H is searched without the lex-leader below, which would change nothing
     there: H is one layer, so the gate could cut only a leaf C, at its last
@@ -735,32 +744,28 @@ def _chains(layers: dict[int, list[int]]) -> list[list[int]]:
 
 def _pair_cap(sq: SymmetryQuotient, deadline) -> dict | None:
     """{"cap": m + alpha, "alpha": alpha, "nodes": nodes of the alpha search},
-    or None when the three facts behind the cap fail (see _Solver), computed
-    on each call; a deadline that passes in the alpha search raises
+    or None when a fact behind the cap fails (see _Solver); the facts and
+    H's rows are read off the Ext difference rows of total degrees 0, 2 and
+    -2, on each call. A deadline that passes in the alpha search raises
     _TimeUp."""
     table = ext_table(sq)
     m = len(table.residues)
     diff = table.diff
-    # the layer table of (0, r) then (2, r) for every residue number r
-    out = table.rows({0: [1 << r for r in range(m)], 2: [1 << m + r for r in range(m)]})
-    layer = (1 << m) - 1
     hom_two = table.hom_row(2)
-    # fact 3: the only arrow of (2, s) goes down to (0, s + c), one c for all s
-    shifts = {
-        diff[s][row.bit_length() - 1] if row & layer == row and row.bit_count() == 1 else None
-        for s, row in enumerate(out[m:])
-    }
-    # facts 1 and 2: (0, r) has arrows up only, to (2, s) when hom(2, s - r) > 0
-    facts = len(shifts) == 1 and None not in shifts and all(
-        row == sum(1 << m + s for s in range(m) if hom_two[diff[r][s]] > 0)
-        for r, row in enumerate(out[:m])
-    )
-    if not facts:
+    # the facts: row 0 is zero off the zero residue (number 0), row 2 is
+    # nonzero where hom(2, .) is, row -2 is nonzero at one residue c
+    shifts = list(compress(range(m), table.nonzero_row(-2)))
+    if (
+        any(table.nonzero_row(0)[1:])
+        or list(map(bool, table.nonzero_row(2))) != list(map(bool, hom_two))
+        or len(shifts) != 1
+    ):
         return None
     (c,) = shifts
-    # H: t -> sigma(s) = s + c for every arrow (0, t) -> (2, s)
-    sigma = diff[diff[c][0]]        # s -> s + c
-    rows = [sum(1 << sigma[s] for s in range(m) if row >> m + s & 1) for row in out[:m]]
+    # H's row t: the translate by t of {y + c : hom(2, y) > 0}
+    plus_c = diff[diff[c][0]]       # y -> y + c
+    ups = [plus_c[y] for y in compress(range(m), hom_two)]
+    rows = [sum(1 << plus[y] for y in ups) for plus in (diff[diff[t][0]] for t in range(m))]
     if rows[0] & 1:
         # a loop at residue 0, so at every residue: no vertex of H can join
         alpha, nodes = 0, 0

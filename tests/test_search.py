@@ -37,7 +37,7 @@ from invquot import (
 )
 from invquot import search as search_module
 from invquot.cli import main
-from invquot.homs import _difference_table, ext_table, shift
+from invquot.homs import ExtTable, _difference_table, ext_table, shift
 from invquot.search import (
     _blocks,
     _chains,
@@ -691,6 +691,118 @@ class TestPairCap:
         assert calls == ["cap"]
         max_exceptional(sq)
         assert calls == ["cap", "lead", "cap"]
+
+    @staticmethod
+    def cap_by_two_layers(sq):
+        """Reference for _pair_cap's facts and H, one source at a time: the
+        out rows of the full layers 0 and 2 by ExtTable.rows, checked vertex
+        by vertex. None when a fact fails, else (c, H's rows)."""
+        table = ext_table(sq)
+        m = len(table.residues)
+        diff = table.diff
+        out = table.rows({0: [1 << r for r in range(m)], 2: [1 << m + r for r in range(m)]})
+        layer = (1 << m) - 1
+        hom_two = table.hom_row(2)
+        # fact 3: the only arrow of (2, s) goes down to (0, s + c), one c for all s
+        shifts = {
+            diff[s][row.bit_length() - 1] if row & layer == row and row.bit_count() == 1 else None
+            for s, row in enumerate(out[m:])
+        }
+        # facts 1 and 2: (0, r) has arrows up only, to (2, s) when hom(2, s - r) > 0
+        if len(shifts) != 1 or None in shifts or any(
+            row != sum(1 << m + s for s in range(m) if hom_two[diff[r][s]] > 0)
+            for r, row in enumerate(out[:m])
+        ):
+            return None
+        (c,) = shifts
+        # H: t -> s + c for every arrow (0, t) -> (2, s)
+        sigma = diff[diff[c][0]]
+        return c, [sum(1 << sigma[s] for s in range(m) if row >> m + s & 1) for row in out[:m]]
+
+    @staticmethod
+    def spy_on_alpha(monkeypatch):
+        """Replace the alpha search by a stub that finds alpha = 0 at once
+        and records the rows of H it is handed, in the list returned."""
+        handed = []
+
+        class Spy:
+            chosen = 1
+
+            def __init__(self, rows, deadline):
+                handed.append(rows)
+
+            def force(self, i):
+                pass
+
+            def search(self, best, mask):
+                return 0, mask, {"nodes": 0}
+
+        monkeypatch.setattr(search_module, "_Solver", Spy)
+        return handed
+
+    TWO_LAYER_INPUTS = {
+        **LADDER,
+        **{f"quartic-{name}": poly for name, poly in QUARTICS.items()},
+        "quadric": QUADRIC,
+        "cubic-trivial-quotient": get_preset("cubic-trivial-quotient"),
+    }
+
+    @pytest.mark.parametrize("poly", list(TWO_LAYER_INPUTS.values()), ids=list(TWO_LAYER_INPUTS))
+    def test_rows_match_the_two_layer_build(self, monkeypatch, poly):
+        # _pair_cap reads the facts and H off three difference rows, the
+        # reference off every vertex of the two full layers: the same cap or
+        # None, and the same rows handed to the alpha search. _pair_cap runs
+        # first, on a quotient whose rows are not filled yet
+        handed = self.spy_on_alpha(monkeypatch)
+        sq = symmetry_quotient(parse(poly))
+        got = search_module._pair_cap(sq, None)
+        want = self.cap_by_two_layers(sq)
+        if want is None:
+            assert got is None and handed == []
+            return
+        c, rows = want
+        # every cubic: the one arrow down is by the canonical residue
+        assert c == ext_table(sq).canonical[1]
+        assert got == {"cap": sq.quotient_order, "alpha": 0, "nodes": 0}
+        # a loop at residue 0 (cubic-trivial-quotient, m = 1) is not searched
+        assert handed == ([] if rows[0] & 1 else [rows])
+
+    @pytest.mark.parametrize("fault", ["arrow inside a layer", "Serre arrow up",
+                                       "two arrows down", "no arrow down"])
+    @pytest.mark.parametrize("poly", [PENTAGON, Z9], ids=["pentagon", "z9"])
+    def test_a_failed_fact_gives_no_cap(self, monkeypatch, poly, fault):
+        # no ladder input fails facts 1 or 2, or fact 3 by a second arrow
+        # down, so each fault is one entry changed in one nonzero row
+        sq = symmetry_quotient(parse(poly))
+        table = ext_table(sq)
+        k = table.canonical[1]
+        a, r, value = {
+            "arrow inside a layer": (0, 1, 1),
+            "Serre arrow up": (2, table.hom_row(2).index(0), 1),
+            "two arrows down": (-2, int(k == 0), 1),
+            "no arrow down": (-2, k, 0),
+        }[fault]
+        real = ExtTable.nonzero_row
+
+        def nonzero_row(self, degree):
+            row = real(self, degree)
+            if self is table and degree == a:
+                row = row[:r] + [value] + row[r + 1:]
+            return row
+
+        monkeypatch.setattr(ExtTable, "nonzero_row", nonzero_row)
+        assert self.cap_by_two_layers(sq) is None
+        assert search_module._pair_cap(sq, None) is None
+
+    def test_reads_no_digraph_rows(self, monkeypatch):
+        def rows(self, layers):
+            raise AssertionError("the pair cap built a digraph")
+
+        monkeypatch.setattr(ExtTable, "rows", rows)
+        for poly, cap in ((PENTAGON, {"cap": 12, "alpha": 1, "nodes": 1}),
+                          (Z9, {"cap": 11, "alpha": 2, "nodes": 5}),
+                          (QUARTICS["loop5"], None)):
+            assert search_module._pair_cap(symmetry_quotient(parse(poly)), None) == cap
 
     def test_no_cap_on_the_quadric(self):
         # layer 2 has no arrow down to layer 0 (the Serre term lags by
